@@ -10,8 +10,11 @@ Seven scenarios, each a power law N_ops = K / l^p evaluated in log2 space:
     UNIVERSE_FULLY_CONNECTED  k8u * (c / (H0 l))^8
     UNIVERSE_BROADCAST        k7u * (c / (H0 l))^7
 
+so each kind is one row (p, n_V, n_T, weight) of _ROWS: lab kinds have
+K = weight * V3^n_V * (c T)^n_T, universe kinds (n_V = 0) K = k_p (c/H0)^p.
 The broadcast clock is pinned at the causal limit tau = l/c. Universe kinds
 need light-cone tables built from the scenario's cosmological parameters.
+Lengths and operation counts may be floats or numpy arrays.
 """
 
 from __future__ import annotations
@@ -19,10 +22,12 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
+
+import numpy as np
 
 from .cosmology import CosmologyParams, LightconeTables
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_range
 from .quantities import (
     EV_IN_JOULES,
     SPEED_OF_LIGHT,
@@ -46,26 +51,18 @@ class ScenarioKind(enum.Enum):
     @property
     def exponent(self) -> int:
         """Power p in N_ops = K / l^p."""
-        return _EXPONENTS[self]
-
-    @property
-    def is_lab(self) -> bool:
-        return self in (
-            ScenarioKind.LAB,
-            ScenarioKind.LAB_NEAREST_NEIGHBOR,
-            ScenarioKind.LAB_FULLY_CONNECTED,
-            ScenarioKind.LAB_BROADCAST,
-        )
+        return _ROWS[self][0]
 
 
-_EXPONENTS = {
-    ScenarioKind.LAB: 4,
-    ScenarioKind.LAB_NEAREST_NEIGHBOR: 4,
-    ScenarioKind.LAB_FULLY_CONNECTED: 8,
-    ScenarioKind.LAB_BROADCAST: 7,
-    ScenarioKind.UNIVERSE: 4,
-    ScenarioKind.UNIVERSE_FULLY_CONNECTED: 8,
-    ScenarioKind.UNIVERSE_BROADCAST: 7,
+# (p, n_V, n_T, weight) per kind; a weight of None is the inputs_per_op
+_ROWS = {
+    ScenarioKind.LAB: (4, 1, 1, 1.0),
+    ScenarioKind.LAB_NEAREST_NEIGHBOR: (4, 1, 1, None),
+    ScenarioKind.LAB_FULLY_CONNECTED: (8, 2, 2, 0.5),
+    ScenarioKind.LAB_BROADCAST: (7, 2, 1, 1.0),
+    ScenarioKind.UNIVERSE: (4, 0, 0, 1.0),
+    ScenarioKind.UNIVERSE_FULLY_CONNECTED: (8, 0, 0, 1.0),
+    ScenarioKind.UNIVERSE_BROADCAST: (7, 0, 0, 1.0),
 }
 
 
@@ -85,13 +82,10 @@ class Scenario:
     params: Optional[CosmologyParams] = None
 
     def __post_init__(self):
-        if self.kind.is_lab:
-            if self.v3 is None or not self.v3 > 0.0:
-                raise ValueError(f"{self.kind.name} requires a positive volume, got {self.v3!r}")
-            if self.duration is None or not self.duration > 0.0:
-                raise ValueError(
-                    f"{self.kind.name} requires a positive duration, got {self.duration!r}"
-                )
+        _, n_v, _, weight = _ROWS[self.kind]
+        if n_v:
+            check_range(f"{self.kind.name} volume", self.v3)
+            check_range(f"{self.kind.name} duration", self.duration)
             if self.params is not None:
                 raise ValueError(f"{self.kind.name} does not take cosmological parameters")
         else:
@@ -99,11 +93,8 @@ class Scenario:
                 raise ValueError(f"{self.kind.name} requires cosmological parameters")
             if self.v3 is not None or self.duration is not None:
                 raise ValueError(f"{self.kind.name} does not take a lab volume or duration")
-        if self.kind is ScenarioKind.LAB_NEAREST_NEIGHBOR:
-            if self.inputs_per_op is None or self.inputs_per_op < 1:
-                raise ValueError(
-                    f"inputs_per_op must be a positive integer, got {self.inputs_per_op!r}"
-                )
+        if weight is None:
+            check_range("inputs_per_op", self.inputs_per_op, 1, low_inclusive=True)
         elif self.inputs_per_op is not None:
             raise ValueError(f"{self.kind.name} does not take inputs_per_op")
 
@@ -143,6 +134,48 @@ class Scenario:
         return cls(ScenarioKind.UNIVERSE_BROADCAST, params=params)
 
 
+class PowerLaw(NamedTuple):
+    """N_ops = 2^log2_k / l^p, the form every scenario bound takes."""
+
+    log2_k: float
+    p: int
+
+    def log2_n_ops(self, length):
+        """log2 N_ops at element spacing `length` (m; a float or an array)."""
+        return self.log2_k - self.p * np.log2(length)
+
+    def length(self, log2_n_ops):
+        """Element spacing (m) at which the bound allows 2^log2_n_ops operations."""
+        return 2.0 ** ((self.log2_k - log2_n_ops) / self.p)
+
+
+def power_law(scenario: Scenario, tables: Optional[LightconeTables] = None) -> PowerLaw:
+    """The scenario's law; universe kinds read k_p from tables built for its
+    cosmological parameters."""
+    p, n_v, n_t, weight = _ROWS[scenario.kind]
+    if n_v:
+        w = scenario.inputs_per_op if weight is None else weight
+        return PowerLaw(
+            n_v * math.log2(scenario.v3)
+            + n_t * _LOG2_C
+            + n_t * math.log2(scenario.duration)
+            + math.log2(w),
+            p,
+        )
+    if tables is None:
+        raise ConfigurationError(
+            f"{scenario.kind.name} requires light-cone tables; build them with "
+            "cosmology.build_tables(scenario.params)"
+        )
+    if tables.params != scenario.params:
+        raise ConfigurationError(
+            f"tables were built for different cosmological parameters than "
+            f"the {scenario.kind.name} scenario"
+        )
+    k_p = {4: tables.k4u, 7: tables.k7u, 8: tables.k8u}[p]
+    return PowerLaw(math.log2(k_p) + p * (_LOG2_C - math.log2(tables.params.h0)), p)
+
+
 @dataclass(frozen=True)
 class BoundResult:
     """A scenario evaluated at one probed length.
@@ -161,13 +194,9 @@ class BoundResult:
 
 
 def max_length(v3: float, duration: float, n_ops: LogQuantity) -> float:
-    """Upper limit l <= (V3 c T / N_ops)^(1/4) on the element spacing."""
-    if not (v3 > 0.0 and duration > 0.0):
-        raise ValueError("volume and duration must be positive")
-    log2_l = (
-        math.log2(v3) + _LOG2_C + math.log2(duration) - n_ops.log2_value
-    ) / 4.0
-    return 2.0 ** log2_l
+    """Upper limit l <= (V3 c T / N_ops)^(1/4) on the element spacing, the
+    inverse of the LAB bound."""
+    return length_for_scenario(Scenario.lab(v3, duration), n_ops)
 
 
 def crd(n_ops: LogQuantity, v3: float, duration: float) -> LogQuantity:
@@ -190,67 +219,24 @@ def neo_from_qubits(n: int) -> LogQuantity:
     return LogQuantity(float(n))
 
 
-def _require_tables(
-    scenario: Scenario, tables: Optional[LightconeTables]
-) -> LightconeTables:
-    if tables is None:
-        raise ConfigurationError(
-            f"{scenario.kind.name} requires light-cone tables; build them with "
-            "cosmology.build_tables(scenario.params)"
-        )
-    if tables.params != scenario.params:
-        raise ConfigurationError(
-            f"tables were built for different cosmological parameters than "
-            f"the {scenario.kind.name} scenario"
-        )
-    return tables
-
-
-def _log2_prefactor(scenario: Scenario, tables: Optional[LightconeTables]) -> float:
-    """log2 of K in N_ops = K / l^p for the scenario."""
-    kind = scenario.kind
-    if kind is ScenarioKind.LAB:
-        return math.log2(scenario.v3) + _LOG2_C + math.log2(scenario.duration)
-    if kind is ScenarioKind.LAB_NEAREST_NEIGHBOR:
-        return (
-            math.log2(scenario.inputs_per_op)
-            + math.log2(scenario.v3)
-            + _LOG2_C
-            + math.log2(scenario.duration)
-        )
-    if kind is ScenarioKind.LAB_FULLY_CONNECTED:
-        return 2.0 * (math.log2(scenario.v3) + _LOG2_C + math.log2(scenario.duration)) - 1.0
-    if kind is ScenarioKind.LAB_BROADCAST:
-        return 2.0 * math.log2(scenario.v3) + _LOG2_C + math.log2(scenario.duration)
-    t = _require_tables(scenario, tables)
-    log2_hubble_radius = _LOG2_C - math.log2(t.params.h0)
-    if kind is ScenarioKind.UNIVERSE:
-        return math.log2(t.k4u) + 4.0 * log2_hubble_radius
-    if kind is ScenarioKind.UNIVERSE_FULLY_CONNECTED:
-        return math.log2(t.k8u) + 8.0 * log2_hubble_radius
-    return math.log2(t.k7u) + 7.0 * log2_hubble_radius
-
-
 def n_ops_for_scenario(
     scenario: Scenario,
-    length: float,
+    length,
     tables: Optional[LightconeTables] = None,
 ) -> LogQuantity:
     """Operation count the scenario makes available at element spacing l."""
-    if not length > 0.0:
+    if not np.greater(length, 0.0).all():
         raise ValueError(f"length must be positive, got {length!r}")
-    log2_k = _log2_prefactor(scenario, tables)
-    return LogQuantity(log2_k - scenario.kind.exponent * math.log2(length))
+    return LogQuantity(power_law(scenario, tables).log2_n_ops(length))
 
 
 def length_for_scenario(
     scenario: Scenario,
     n_ops: LogQuantity,
     tables: Optional[LightconeTables] = None,
-) -> float:
+):
     """Exact analytic inverse of n_ops_for_scenario."""
-    log2_k = _log2_prefactor(scenario, tables)
-    return 2.0 ** ((log2_k - n_ops.log2_value) / scenario.kind.exponent)
+    return power_law(scenario, tables).length(n_ops.log2_value)
 
 
 def bound_at_length(
@@ -260,16 +246,17 @@ def bound_at_length(
 ) -> BoundResult:
     """Evaluate a scenario at a probed length, packaging N_ops, l and CRD."""
     n_ops = n_ops_for_scenario(scenario, length, tables)
-    if scenario.kind.is_lab:
+    if scenario.v3 is not None:
         rate = crd(n_ops, scenario.v3, scenario.duration)
     else:
         rate = LogQuantity(_LOG2_C - 4.0 * math.log2(length))
     return BoundResult(n_ops=n_ops, length=length, crd=rate)
 
 
-def energy_from_length(length: float, constants: Optional[PhysicalConstants] = None) -> float:
-    """Energy scale hbar c / l in eV; reproduces the Planck energy at l = l_p."""
-    if not length > 0.0:
+def energy_from_length(length, constants: Optional[PhysicalConstants] = None):
+    """Energy scale hbar c / l in eV (l a float or an array); reproduces the
+    Planck energy at l = l_p."""
+    if not np.greater(length, 0.0).all():
         raise ValueError(f"length must be positive, got {length!r}")
     k = constants if constants is not None else planck_units()
     return k.hbar * k.c / length / EV_IN_JOULES

@@ -26,8 +26,8 @@ from .bounds import (
 )
 from .config import RunConfig, load_config
 from .cosmology import CosmologyParams, build_tables
-from .errors import ConfigurationError
-from .figure import FigureConfig, build_figure, planck_crossing, write_series
+from .errors import ConfigurationError, check_range
+from .figure import FigureConfig, build_figure, check_grid, planck_crossing, write_series
 from .quadrature import QuadratureError
 from .quantities import LogQuantity, planck_units, s_to_gyr
 from .thresholds import classify_machine, planck_threshold
@@ -36,6 +36,8 @@ _SCENARIO_NAMES = [k.value for k in ScenarioKind]
 
 
 def common_options(fn):
+    """The shared flags, with every bad input value (a ConfigurationError,
+    wherever it is raised) reported as a usage error, exit code 2."""
     options = [
         click.option("--h0", "h0_km_s_mpc", type=float, default=None, help="Hubble constant in km/s/Mpc."),
         click.option("--omega-m", "omega_m", type=float, default=None, help="Matter density parameter."),
@@ -48,16 +50,17 @@ def common_options(fn):
         click.option("--json", "as_json", is_flag=True, help="Emit JSON instead of text."),
         click.option("--config", "config_path", type=click.Path(), default=None, help="Flat key=value config file (also honored via $CRDBOUNDS_CONFIG)."),
     ]
+
+    @functools.wraps(fn)
+    def verb(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except ConfigurationError as exc:
+            raise click.UsageError(str(exc)) from exc
+
     for option in reversed(options):
-        fn = option(fn)
-    return fn
-
-
-def _load(config_path, **overrides) -> RunConfig:
-    try:
-        return load_config(config_path, overrides)
-    except ConfigurationError as exc:
-        raise click.UsageError(str(exc)) from exc
+        verb = option(verb)
+    return verb
 
 
 def _metadata(config: RunConfig) -> dict:
@@ -74,22 +77,17 @@ def _emit(doc: dict, as_json: bool, text_lines) -> None:
             click.echo(line)
 
 
-def _params(config: RunConfig) -> CosmologyParams:
+def _tables(config: RunConfig):
     try:
-        return CosmologyParams.create(config.h0_km_s_mpc, config.omega_m, config.omega_lambda)
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
-
-
-def _tables(config: RunConfig, params: CosmologyParams):
-    try:
-        return build_tables(params, rel_tol=config.quad_rel_tol, grid_points=config.grid_points)
+        return build_tables(
+            config.cosmology(), rel_tol=config.quad_rel_tol, grid_points=config.grid_points
+        )
     except QuadratureError as exc:
         raise click.ClickException(f"quadrature failed: {exc}") from exc
 
 
-def _all_scenarios(config: RunConfig, params: CosmologyParams):
-    return [
+def _scenarios(config: RunConfig, params: CosmologyParams, name: str):
+    scenarios = [
         Scenario.lab(config.lab_volume_m3, config.lab_duration_s),
         Scenario.lab_nearest_neighbor(
             config.lab_volume_m3, config.lab_duration_s, config.inputs_per_op
@@ -100,13 +98,7 @@ def _all_scenarios(config: RunConfig, params: CosmologyParams):
         Scenario.universe_fully_connected(params),
         Scenario.universe_broadcast(params),
     ]
-
-
-def _select_scenarios(config: RunConfig, params: CosmologyParams, name: str):
-    scenarios = _all_scenarios(config, params)
-    if name == "all":
-        return scenarios
-    return [s for s in scenarios if s.kind.value == name]
+    return [s for s in scenarios if name in ("all", s.kind.value)]
 
 
 @click.group()
@@ -119,7 +111,7 @@ def main():
 @common_options
 def constants(config_path, as_json, **overrides):
     """Planck length, time, energy and rate-density ceiling."""
-    config = _load(config_path, **overrides)
+    config = load_config(config_path, overrides)
     k = planck_units()
     ceiling = planck_crd(k)
     doc = {
@@ -148,13 +140,11 @@ def constants(config_path, as_json, **overrides):
 @common_options
 def kfactors(config_path, as_json, **overrides):
     """Dimensionless cosmological prefactors k4u, k7u, k8u."""
-    config = _load(config_path, **overrides)
-    params = _params(config)
-    tables = _tables(config, params)
+    config = load_config(config_path, overrides)
+    tables = _tables(config)
+    params = tables.params
     # convergence check: rerun one decade tighter and report the shift
-    tighter = _tables(
-        RunConfig(**{**config.as_dict(), "quad_rel_tol": config.quad_rel_tol * 0.1}), params
-    )
+    tighter = _tables(RunConfig(**{**config.as_dict(), "quad_rel_tol": config.quad_rel_tol * 0.1}))
     deltas = {
         "k4u": abs(tables.k4u - tighter.k4u) / tighter.k4u,
         "k7u": abs(tables.k7u - tighter.k7u) / tighter.k7u,
@@ -191,13 +181,12 @@ def kfactors(config_path, as_json, **overrides):
 @common_options
 def threshold(config_path, as_json, scenario_name, **overrides):
     """Logical-qubit thresholds at which each scenario reaches the Planck scale."""
-    config = _load(config_path, **overrides)
-    params = _params(config)
-    tables = _tables(config, params)
+    config = load_config(config_path, overrides)
+    tables = _tables(config)
     k = planck_units()
     rows = [
         planck_threshold(s, tables, k)
-        for s in _select_scenarios(config, params, scenario_name)
+        for s in _scenarios(config, tables.params, scenario_name)
     ]
     doc = {
         "metadata": _metadata(config),
@@ -235,7 +224,7 @@ def threshold(config_path, as_json, scenario_name, **overrides):
 @common_options
 def scale(config_path, as_json, qubits, ops, volume, duration, scenario_name, **overrides):
     """Probed length and energy scale for a given machine."""
-    config = _load(config_path, **overrides)
+    config = load_config(config_path, overrides)
     machine_mode = ops is not None or volume is not None or duration is not None
     if machine_mode == (qubits is not None):
         raise click.UsageError("give either --qubits or the --ops/--volume/--duration triple")
@@ -243,8 +232,8 @@ def scale(config_path, as_json, qubits, ops, volume, duration, scenario_name, **
     if machine_mode:
         if ops is None or volume is None or duration is None:
             raise click.UsageError("machine mode needs --ops, --volume and --duration together")
-        if ops <= 0 or volume <= 0 or duration <= 0:
-            raise click.UsageError("--ops, --volume and --duration must be positive")
+        for name, value in (("--ops", ops), ("--volume", volume), ("--duration", duration)):
+            check_range(name, value)
         n_ops = LogQuantity.from_real(ops)
         length = max_length(volume, duration, n_ops)
         rate = crd(n_ops, volume, duration)
@@ -266,12 +255,10 @@ def scale(config_path, as_json, qubits, ops, volume, duration, scenario_name, **
         )
         return
 
-    if qubits < 1:
-        raise click.UsageError(f"--qubits must be at least 1, got {qubits}")
-    params = _params(config)
-    tables = _tables(config, params)
+    check_range("--qubits", qubits, 1, low_inclusive=True)
+    tables = _tables(config)
     k = planck_units()
-    scenarios = _select_scenarios(config, params, scenario_name)
+    scenarios = _scenarios(config, tables.params, scenario_name)
     report = classify_machine(qubits, scenarios, tables, k)
     doc = {
         "metadata": _metadata(config),
@@ -307,13 +294,11 @@ def scale(config_path, as_json, qubits, ops, volume, duration, scenario_name, **
 @common_options
 def figure(config_path, as_json, lo, hi, step, fmt, out_path, **overrides):
     """Emit the probed-length-versus-NEO data series."""
-    config = _load(config_path, **overrides)
-    if step <= 0:
-        raise click.UsageError(f"--step must be positive, got {step}")
+    config = load_config(config_path, overrides)
+    check_grid(lo, hi, step)
     k = planck_units()
     if lo < hi:
-        params = _params(config)
-        tables = _tables(config, params)
+        tables = _tables(config)
         fig_config = FigureConfig(
             lab_volume_m3=config.lab_volume_m3, lab_duration_s=config.lab_duration_s
         )
@@ -325,9 +310,7 @@ def figure(config_path, as_json, lo, hi, step, fmt, out_path, **overrides):
     except OSError as exc:
         raise click.ClickException(f"cannot write {out_path}: {exc}") from exc
     crossings = {
-        s.label: planck_crossing(s, k.l_p)
-        for s in series
-        if planck_crossing(s, k.l_p) is not None
+        s.label: crossing for s in series if (crossing := planck_crossing(s, k.l_p)) is not None
     }
     doc = {
         "metadata": _metadata(config),

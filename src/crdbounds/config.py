@@ -7,12 +7,11 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Mapping, Optional, Union
 
-from .errors import ConfigurationError
+from .cosmology import MAX_GRID_POINTS, CosmologyParams
+from .errors import ConfigurationError, check_range
 from .quantities import JULIAN_YEAR_S
 
 ENV_CONFIG_PATH = "CRDBOUNDS_CONFIG"
-
-_FLATNESS_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -26,31 +25,22 @@ class RunConfig:
     quad_rel_tol: float = 1e-9
     grid_points: int = 4096
 
+    def cosmology(self) -> CosmologyParams:
+        return CosmologyParams.create(self.h0_km_s_mpc, self.omega_m, self.omega_lambda)
+
     def validate(self) -> "RunConfig":
-        for name in ("h0_km_s_mpc", "omega_m", "lab_volume_m3", "lab_duration_s"):
-            value = getattr(self, name)
-            if not value > 0.0:
-                raise ConfigurationError(f"{name} must be positive, got {value!r}")
-        # omega_lambda = 0 is the legitimate matter-only limit
-        if not self.omega_lambda >= 0.0:
+        try:
+            self.cosmology()
+        except ConfigurationError as exc:
             raise ConfigurationError(
-                f"omega_lambda must be non-negative, got {self.omega_lambda!r}"
-            )
-        if abs(self.omega_m + self.omega_lambda - 1.0) > _FLATNESS_TOL:
-            raise ConfigurationError(
-                "flatness violated: omega_m + omega_lambda = "
-                f"{self.omega_m + self.omega_lambda!r} must equal 1 within {_FLATNESS_TOL}"
-            )
-        if self.inputs_per_op < 1:
-            raise ConfigurationError(
-                f"inputs_per_op must be a positive integer, got {self.inputs_per_op!r}"
-            )
-        if not 0.0 < self.quad_rel_tol <= 1e-2:
-            raise ConfigurationError(
-                f"quad_rel_tol must lie in (0, 1e-2], got {self.quad_rel_tol!r}"
-            )
-        if self.grid_points < 16:
-            raise ConfigurationError(f"grid_points must be at least 16, got {self.grid_points!r}")
+                f"h0_km_s_mpc={self.h0_km_s_mpc!r}, omega_m={self.omega_m!r}, "
+                f"omega_lambda={self.omega_lambda!r}: {exc}"
+            ) from exc
+        check_range("lab_volume_m3", self.lab_volume_m3)
+        check_range("lab_duration_s", self.lab_duration_s)
+        check_range("inputs_per_op", self.inputs_per_op, 1, low_inclusive=True)
+        check_range("quad_rel_tol", self.quad_rel_tol, 0.0, 1e-2)
+        check_range("grid_points", self.grid_points, 16, MAX_GRID_POINTS, low_inclusive=True)
         return self
 
     def as_dict(self) -> dict:

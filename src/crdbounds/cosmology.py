@@ -23,7 +23,7 @@ expanding the cube, so V4 and its time derivative are O(1) table lookups:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Tuple, Union
 
 import numpy as np
@@ -35,9 +35,13 @@ from .quadrature import (
     integrate,
     interpolate,
 )
+from .errors import ConfigurationError, check_range
 from .quantities import MPC_IN_M, SPEED_OF_LIGHT
 
 DEFAULT_GRID_POINTS = 4096
+# Largest table accepted, twice the 65536-node reference grid; it takes
+# seconds and a few hundred MB to build.
+MAX_GRID_POINTS = 1 << 17
 
 # Smallest tabulated time as a fraction of the age of the universe; in u this
 # spans 8 decades, plenty for interpolation while keeping nodes log-dense.
@@ -46,33 +50,51 @@ _T_MIN_FRACTION = 1e-24
 _REL_SLACK = 1.0 + 1e-12  # tolerate float noise when callers pass t = T_U
 
 
+# H0^8 and (c/H0)^8 enter the k-factors and the universe bounds; with H0
+# in [c / _H0_MAX, _H0_MAX] s^-1 (about 1e-10 to 3e57 km/s/Mpc) both stay
+# below 1e304, well inside double range.
+_H0_MAX = 1e38
+
+_FLATNESS_TOL = 1e-9
+
+
 @dataclass(frozen=True)
 class CosmologyParams:
     """Flat Lambda-CDM parameters with derived timescales.
 
     h0 is in s^-1 (use ``create`` to convert from km/s/Mpc). t_lambda is the
     dark-energy timescale 2/(3 H0 sqrt(Omega_L)), infinite in the matter-only
-    limit; t_universe solves a(t) = 1.
+    limit; t_universe solves a(t) = 1. Both are derived here, after the
+    inputs are checked; this is the only place cosmological inputs are
+    validated.
     """
 
     h0: float
     omega_m: float
     omega_lambda: float
-    t_lambda: float
-    t_universe: float
+    t_lambda: float = field(init=False)
+    t_universe: float = field(init=False)
 
     def __post_init__(self):
-        if not self.h0 > 0.0:
-            raise ValueError(f"H0 must be positive, got {self.h0!r}")
-        if not 0.0 < self.omega_m <= 1.0:
-            raise ValueError(f"omega_m must lie in (0, 1], got {self.omega_m!r}")
+        check_range("H0 (s^-1)", self.h0, SPEED_OF_LIGHT / _H0_MAX, _H0_MAX, low_inclusive=True)
+        check_range("omega_m", self.omega_m, 0.0, 1.0)
         if not 0.0 <= self.omega_lambda < 1.0:
-            raise ValueError(f"omega_lambda must lie in [0, 1), got {self.omega_lambda!r}")
-        if abs(self.omega_m + self.omega_lambda - 1.0) > 1e-12:
-            raise ValueError(
-                "flatness violated: omega_m + omega_lambda = "
-                f"{self.omega_m + self.omega_lambda!r} differs from 1 by more than 1e-12"
+            raise ConfigurationError(
+                f"omega_lambda must lie in [0, 1), got {self.omega_lambda!r}"
             )
+        if abs(self.omega_m + self.omega_lambda - 1.0) > _FLATNESS_TOL:
+            raise ConfigurationError(
+                "flatness violated: omega_m + omega_lambda = "
+                f"{self.omega_m + self.omega_lambda!r} must equal 1 within {_FLATNESS_TOL}"
+            )
+        if self.omega_lambda == 0.0:
+            t_lambda = math.inf
+        else:
+            t_lambda = 2.0 / (3.0 * self.h0 * math.sqrt(self.omega_lambda))
+        object.__setattr__(self, "t_lambda", t_lambda)
+        object.__setattr__(
+            self, "t_universe", age_of_universe(self.h0, self.omega_m, self.omega_lambda)
+        )
 
     @classmethod
     def create(
@@ -81,25 +103,7 @@ class CosmologyParams:
         omega_m: float = 0.3,
         omega_lambda: float = 0.7,
     ) -> "CosmologyParams":
-        if not h0_km_s_mpc > 0.0:
-            raise ValueError(f"H0 must be positive, got {h0_km_s_mpc!r}")
-        if not 0.0 < omega_m <= 1.0:
-            raise ValueError(f"omega_m must lie in (0, 1], got {omega_m!r}")
-        if not 0.0 <= omega_lambda < 1.0:
-            raise ValueError(f"omega_lambda must lie in [0, 1), got {omega_lambda!r}")
-        h0 = h0_km_s_mpc * 1e3 / MPC_IN_M
-        if omega_lambda == 0.0:
-            t_lambda = math.inf
-        else:
-            t_lambda = 2.0 / (3.0 * h0 * math.sqrt(omega_lambda))
-        t_universe = age_of_universe(h0, omega_m, omega_lambda)
-        return cls(
-            h0=h0,
-            omega_m=omega_m,
-            omega_lambda=omega_lambda,
-            t_lambda=t_lambda,
-            t_universe=t_universe,
-        )
+        return cls(h0_km_s_mpc * 1e3 / MPC_IN_M, omega_m, omega_lambda)
 
 
 def age_of_universe(h0: float, omega_m: float, omega_lambda: float) -> float:
@@ -109,8 +113,6 @@ def age_of_universe(h0: float, omega_m: float, omega_lambda: float) -> float:
     is the matter-only closed form 2/(3 H0), applied analytically to avoid the
     0 * inf indeterminacy in t_lambda.
     """
-    if not h0 > 0.0:
-        raise ValueError(f"H0 must be positive, got {h0!r}")
     if omega_lambda == 0.0:
         return 2.0 / (3.0 * h0)
     t_lambda = 2.0 / (3.0 * h0 * math.sqrt(omega_lambda))
@@ -179,8 +181,7 @@ def build_tables(
     grid_points log-spaced u nodes (plus the u = 0 anchor) keep the relative
     interpolation error orders of magnitude below rel_tol everywhere.
     """
-    if grid_points < 16:
-        raise ValueError(f"grid_points must be at least 16, got {grid_points!r}")
+    check_range("grid_points", grid_points, 16, MAX_GRID_POINTS, low_inclusive=True)
     c = SPEED_OF_LIGHT
     u_max = _u_of_t(params.t_universe)
     grid = np.concatenate(

@@ -1,6 +1,24 @@
-"""Shared exception types."""
+"""Shared exception types and the range check every input goes through."""
+
+import math
 
 
 class ConfigurationError(ValueError):
     """A run configuration or scenario wiring problem (bad parameter values,
     missing light-cone tables, parameter mismatch between scenario and tables)."""
+
+
+def check_range(name, value, low=0.0, high=math.inf, *, low_inclusive=False):
+    """Raise a ConfigurationError naming `name` unless value is a finite real
+    with low < value <= high (low <= value when low_inclusive).
+
+    Integers too large for a double count as non-finite.
+    """
+    try:
+        ok = math.isfinite(value) and value <= high
+        ok = ok and (low <= value if low_inclusive else low < value)
+    except (TypeError, OverflowError):
+        ok = False
+    if not ok:
+        interval = f"{'[' if low_inclusive else '('}{low:g}, {high:g}{']' if high < math.inf else ')'}"
+        raise ConfigurationError(f"{name} must be a finite number in {interval}, got {value!r}")

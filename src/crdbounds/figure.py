@@ -24,11 +24,16 @@ import numpy as np
 
 from .bounds import Scenario, ScenarioKind, energy_from_length, length_for_scenario
 from .cosmology import LightconeTables
+from .errors import ConfigurationError, check_range
 from .quantities import JULIAN_YEAR_S, LogQuantity, PhysicalConstants, planck_units
 
 STYLE_HINTS = ("dotted", "solid_lower", "solid_upper", "dashed", "dashdot")
 
 CSV_HEADER = "series,label,log2_neo,length_m,energy_ev"
+
+# Largest number of points per series, about twice the 125001 points of the
+# default range at step 0.01.
+MAX_FIGURE_POINTS = 1 << 18
 
 
 class FigurePoint(NamedTuple):
@@ -86,6 +91,19 @@ class FigureConfig:
     )
 
 
+def check_grid(lo: float, hi: float, step: float) -> None:
+    """Reject a log2-NEO range or step that is not finite, a step that is not
+    positive, and grids of more than MAX_FIGURE_POINTS points, before any
+    grid is allocated."""
+    check_range("min log2 NEO", lo, -math.inf)
+    check_range("max log2 NEO", hi, -math.inf)
+    check_range("step", step)
+    if (hi - lo) / step >= MAX_FIGURE_POINTS:
+        raise ConfigurationError(
+            f"range [{lo!r}, {hi!r}] at step {step!r} exceeds {MAX_FIGURE_POINTS} points"
+        )
+
+
 def build_figure(
     qubit_range: Tuple[float, float],
     step: float,
@@ -99,10 +117,9 @@ def build_figure(
     strictly decreasing in length along the grid.
     """
     lo, hi = qubit_range
+    check_grid(lo, hi, step)
     if not lo < hi:
         raise ValueError(f"qubit range must satisfy min < max, got ({lo!r}, {hi!r})")
-    if not step > 0.0:
-        raise ValueError(f"step must be positive, got {step!r}")
     k = constants if constants is not None else planck_units()
     cfg = config if config is not None else FigureConfig()
     params = tables.params
@@ -132,15 +149,20 @@ def build_figure(
     ]
 
     grid = np.arange(lo, hi + 0.5 * step, step)
+    neo = LogQuantity(grid)
+    log2_neo = grid.tolist()
     series = []
     for label, scenario, style in specs:
-        points = []
-        for q in grid:
-            length = length_for_scenario(scenario, LogQuantity(float(q)), tables)
-            points.append(FigurePoint(float(q), length, energy_from_length(length, k)))
-        series.append(
-            FigureSeries(label=label, kind=scenario.kind, style_hint=style, points=tuple(points))
-        )
+        # the range checks report overflow; lengths fall along the grid, so
+        # the ends of each array hold its extremes
+        with np.errstate(over="ignore"):
+            lengths = length_for_scenario(scenario, neo, tables)
+            for length in (lengths[0], lengths[-1]):
+                check_range(f"{label}: probed length", float(length))
+            energies = energy_from_length(lengths, k)
+        check_range(f"{label}: energy", float(energies[-1]))
+        points = tuple(map(FigurePoint, log2_neo, lengths.tolist(), energies.tolist()))
+        series.append(FigureSeries(label=label, kind=scenario.kind, style_hint=style, points=points))
 
     annotations = [
         Annotation(

@@ -11,15 +11,11 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from .bounds import (
-    Scenario,
-    ScenarioKind,
-    energy_from_length,
-    length_for_scenario,
-    n_ops_for_scenario,
-    neo_from_qubits,
-)
+import numpy as np
+
+from .bounds import Scenario, ScenarioKind, energy_from_length, neo_from_qubits, power_law
 from .cosmology import LightconeTables
+from .errors import check_range
 from .quantities import PhysicalConstants, planck_units
 
 
@@ -43,7 +39,7 @@ def planck_threshold(
     constants: Optional[PhysicalConstants] = None,
 ) -> ThresholdResult:
     k = constants if constants is not None else planck_units()
-    exact = n_ops_for_scenario(scenario, k.l_p, tables).log2_value
+    exact = float(power_law(scenario, tables).log2_n_ops(k.l_p))
     return ThresholdResult(
         scenario_kind=scenario.kind,
         log2_nops_exact=exact,
@@ -72,24 +68,25 @@ def classify_machine(
     """Probe every scenario with a 2^n operation count.
 
     Returns one assessment per scenario, sorted by threshold, flagging those
-    whose probed length falls below the Planck length.
+    whose probed length falls below the Planck length. A probed length that
+    underflows to 0 m is a ConfigurationError.
     """
-    if n < 1:
-        raise ValueError(f"qubit count must be at least 1, got {n!r}")
     k = constants if constants is not None else planck_units()
-    n_ops = neo_from_qubits(n)
-    assessments = []
-    for scenario in scenarios:
-        threshold = planck_threshold(scenario, tables, k)
-        probed = length_for_scenario(scenario, n_ops, tables)
-        assessments.append(
-            ScenarioAssessment(
-                scenario_kind=scenario.kind,
-                threshold_qubits=threshold.qubits,
-                probed_length_m=probed,
-                energy_ev=energy_from_length(probed, k),
-                sub_planckian=probed < k.l_p,
-            )
+    log2_n = neo_from_qubits(n).log2_value
+    laws = [power_law(scenario, tables) for scenario in scenarios]
+    probed = [law.length(log2_n) for law in laws]
+    for scenario, length in zip(scenarios, probed):
+        check_range(f"the {scenario.kind.value} length probed by {n} qubits", length)
+    energies = energy_from_length(np.array(probed), k).tolist()
+    assessments = [
+        ScenarioAssessment(
+            scenario_kind=scenario.kind,
+            threshold_qubits=round_half_up(law.log2_n_ops(k.l_p)),
+            probed_length_m=length,
+            energy_ev=energy,
+            sub_planckian=length < k.l_p,
         )
+        for scenario, law, length, energy in zip(scenarios, laws, probed, energies)
+    ]
     assessments.sort(key=lambda a: a.threshold_qubits)
     return assessments

@@ -246,3 +246,37 @@ class TestBoundAtLength:
         assert result.crd.log2_value == pytest.approx(
             math.log2(SPEED_OF_LIGHT) - 4.0 * math.log2(1e-20), abs=1e-9
         )
+
+
+class TestArrayValued:
+    def test_arrays_match_scalar_loop(self, paper_scenarios, fiducial_tables):
+        # numpy's vector log2 and pow may round differently from libm's
+        lengths = 10.0 ** np.linspace(-40.0, -3.0, 101)
+        log2_n = np.linspace(1.0, 2000.0, 101)
+        for s in paper_scenarios:
+            n_ops = n_ops_for_scenario(s, lengths, fiducial_tables).log2_value
+            back = length_for_scenario(s, LogQuantity(log2_n), fiducial_tables)
+            for i in range(len(lengths)):
+                scalar_n = n_ops_for_scenario(s, float(lengths[i]), fiducial_tables).log2_value
+                scalar_l = length_for_scenario(s, LogQuantity(float(log2_n[i])), fiducial_tables)
+                assert abs(n_ops[i] - scalar_n) <= 4 * np.spacing(abs(scalar_n))
+                assert abs(back[i] - scalar_l) <= 4 * np.spacing(scalar_l)
+
+    def test_energy_of_array(self, constants):
+        lengths = np.array([constants.l_p, 2e-20, 1e-20])
+        expected = [energy_from_length(float(l), constants) for l in lengths]
+        assert energy_from_length(lengths, constants).tolist() == expected
+
+    def test_nonpositive_entry_rejected(self):
+        with pytest.raises(ValueError):
+            n_ops_for_scenario(Scenario.lab(1.0, 1.0), np.array([1e-20, 0.0]))
+        with pytest.raises(ValueError):
+            energy_from_length(np.array([1e-20, np.nan]))
+
+
+@pytest.mark.parametrize("field", ["v3", "duration"])
+@pytest.mark.parametrize("value", [math.inf, math.nan, -1.0])
+def test_lab_scenario_rejects_nonfinite(field, value):
+    kwargs = {"v3": 1.0, "duration": 1.0, field: value}
+    with pytest.raises(ConfigurationError, match="finite"):
+        Scenario(ScenarioKind.LAB, **kwargs)

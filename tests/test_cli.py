@@ -210,3 +210,33 @@ class TestConfigWiring:
             )
         )
         assert doc["thresholds"][0]["qubits"] == 529  # 525.34 + log2(16) = 529.34
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["threshold", "--h0", "inf"],
+        ["threshold", "--h0", "1e300"],
+        ["threshold", "--h0", "1e-300"],
+        ["threshold", "--lab-volume", "inf"],
+        ["figure", "--step", "inf"],
+        ["figure", "--min", "nan"],
+        ["figure", "--min", "0", "--max", "1e300", "--step", "1e299"],
+        ["scale", "--ops", "inf", "--volume", "1", "--duration", "1"],
+        ["scale", "--ops", "nan", "--volume", "1", "--duration", "1"],
+        ["scale", "--qubits", "1000000"],
+        # size caps, checked before any grid or table is allocated
+        ["figure", "--step", "1e-9"],
+        ["threshold", "--grid-points", "1000000000"],
+    ],
+    ids=" ".join,
+)
+def test_bad_input_is_one_line_usage_error(runner, tmp_path, args):
+    out = tmp_path / "fig.csv"
+    if args[0] == "figure":
+        args = [*args, "--out", str(out)]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert len([line for line in result.output.splitlines() if line.startswith("Error:")]) == 1
+    assert not out.exists()

@@ -118,3 +118,20 @@ def test_positivity_and_ranges(field, value):
 def test_unknown_override_rejected():
     with pytest.raises(ConfigurationError, match="unknown"):
         load_config(overrides={"hubble": 70.0})
+
+
+@pytest.mark.parametrize(
+    "field", ["h0_km_s_mpc", "omega_m", "lab_volume_m3", "lab_duration_s", "quad_rel_tol"]
+)
+@pytest.mark.parametrize("value", [float("inf"), float("nan")])
+def test_nonfinite_rejected(field, value):
+    with pytest.raises(ConfigurationError, match=field):
+        load_config(overrides={field: value})
+
+
+def test_grid_points_capped():
+    from crdbounds.cosmology import MAX_GRID_POINTS
+
+    assert load_config(overrides={"grid_points": MAX_GRID_POINTS}).grid_points == MAX_GRID_POINTS
+    with pytest.raises(ConfigurationError, match="grid_points"):
+        load_config(overrides={"grid_points": MAX_GRID_POINTS + 1})

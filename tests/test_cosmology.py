@@ -219,3 +219,24 @@ class TestV4Rate:
         ts = np.geomspace(1e-3, 1.0, 20) * eds_params.t_universe
         for t in ts:
             assert v4_rate(t, eds_tables) == pytest.approx(float(oracles.eds_v4_rate(t, C)), rel=1e-6)
+
+
+class TestParamLimits:
+    def test_flatness_tolerance_matches_config(self):
+        CosmologyParams.create(70.0, 0.3, 0.7 + 1e-10)
+        with pytest.raises(ValueError, match="flatness"):
+            CosmologyParams.create(70.0, 0.3, 0.7 + 1e-8)
+
+    @pytest.mark.parametrize("h0", [math.inf, math.nan, 1e300, 1e-300])
+    def test_unrepresentable_h0_rejected(self, h0):
+        with pytest.raises(ValueError, match="H0"):
+            CosmologyParams.create(h0, 0.3, 0.7)
+
+    @pytest.mark.parametrize("h0", [9.3e-11, 3.0e57])
+    def test_k_factors_hold_at_h0_limits(self, h0):
+        # the k-factors are dimensionless, independent of H0
+        fast = {"grid_points": 256}
+        ref = build_tables(CosmologyParams.create(70.0, 0.3, 0.7), **fast)
+        got = build_tables(CosmologyParams.create(h0, 0.3, 0.7), **fast)
+        for a, b in ((got.k4u, ref.k4u), (got.k7u, ref.k7u), (got.k8u, ref.k8u)):
+            assert a == pytest.approx(b, rel=1e-9)

@@ -175,3 +175,34 @@ def test_config_overrides_lab_parameters(fiducial_tables, constants):
     assert planck_crossing(solid_lower, constants.l_p) == pytest.approx(
         planck_crossing(dotted, constants.l_p), abs=1e-9
     )
+
+
+def test_points_match_scalar_loop(fiducial_figure, fiducial_tables, paper_scenarios, constants):
+    from crdbounds.bounds import energy_from_length, length_for_scenario
+    from crdbounds.quantities import LogQuantity
+
+    series, _ = fiducial_figure
+    by_kind = {s.kind: s for s in paper_scenarios}
+    for s in series[1:]:  # the canonical lab and universe lines
+        for p in s.points[::25]:
+            length = length_for_scenario(by_kind[s.kind], LogQuantity(p.log2_neo), fiducial_tables)
+            assert abs(p.length_m - length) <= 4 * math.ulp(length)
+            energy = energy_from_length(length, constants)
+            assert abs(p.energy_ev - energy) <= 4 * math.ulp(energy)
+
+
+@pytest.mark.parametrize(
+    "qubit_range, step",
+    [
+        ((math.nan, 500.0), 1.0),
+        ((450.0, math.inf), 1.0),
+        ((450.0, 500.0), math.inf),
+        ((450.0, 1700.0), 1e-9),  # too many points; rejected before allocating
+        ((0.0, 1e300), 1e299),  # probed lengths underflow to 0 m
+    ],
+)
+def test_unusable_grids_rejected(fiducial_tables, qubit_range, step):
+    from crdbounds.errors import ConfigurationError
+
+    with pytest.raises(ConfigurationError):
+        build_figure(qubit_range, step, fiducial_tables)

@@ -79,3 +79,10 @@ class TestClassifyMachine:
         for a in report:
             assert a.energy_ev > 0.0
             assert a.probed_length_m > 0.0
+
+
+def test_underflowing_probe_rejected(paper_scenarios, fiducial_tables, constants):
+    from crdbounds.errors import ConfigurationError
+
+    with pytest.raises(ConfigurationError, match="probed"):
+        classify_machine(1_000_000, paper_scenarios, fiducial_tables, constants)
