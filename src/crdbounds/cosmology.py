@@ -178,8 +178,11 @@ def build_tables(
 ) -> LightconeTables:
     """Build the conformal-time, moment and 4-volume tables over [0, T].
 
-    grid_points log-spaced u nodes (plus the u = 0 anchor) keep the relative
-    interpolation error orders of magnitude below rel_tol everywhere.
+    The tables hold grid_points log-spaced u nodes plus the u = 0 anchor.
+    Each panel integral meets rel_tol, but the moment and k-integrands
+    evaluate the interpolated tables, so grid spacing, not rel_tol, sets the
+    error of k7u and k8u: it shrinks as O(h^4) in node spacing, to about
+    1.6e-8 (k7u) and 5e-9 (k8u) relative at the default 4096 nodes.
     """
     check_range("grid_points", grid_points, 16, MAX_GRID_POINTS, low_inclusive=True)
     c = SPEED_OF_LIGHT
@@ -196,23 +199,19 @@ def build_tables(
     eta_derivs[1:] = eta_integrand(grid[1:])
     eta_derivs[0] = 3.0 / _early_coefficient(params)  # limit of 3u^2/a(u^3)
     eta = build_cumulative(eta_integrand, grid, rel_tol, node_derivatives=eta_derivs)
-    eta_spline = eta._interpolant()
 
-    def moment_integrand(k):
-        def g(u):
-            u = np.asarray(u)
-            a3 = scale_factor(u**3, params) ** 3
-            return 3.0 * u * u * a3 * eta_spline(u) ** k
+    def moment_integrands(u):
+        """The four rows 3 u^2 a^3 eta^k, k = 0..3, filled in place."""
+        rows = np.empty((4,) + u.shape)
+        rows[0] = 3.0 * u * u * scale_factor(u**3, params) ** 3
+        e = interpolate(eta, u)
+        for k in (1, 2, 3):
+            np.multiply(rows[0], e**k, out=rows[k])
+        return rows
 
-        return g
-
-    moments = []
-    for k in range(4):
-        g = moment_integrand(k)
-        derivs = np.empty_like(grid)
-        derivs[1:] = g(grid[1:])
-        derivs[0] = 0.0  # a^3 u^2 -> 0
-        moments.append(build_cumulative(g, grid, rel_tol, node_derivatives=derivs))
+    moment_derivs = np.zeros((4, grid.size))  # a^3 u^2 -> 0 at u = 0
+    moment_derivs[:, 1:] = moment_integrands(grid[1:])
+    moments = build_cumulative(moment_integrands, grid, rel_tol, node_derivatives=moment_derivs)
 
     eta_n = eta.values
     m0, m1, m2, m3 = (m.values for m in moments)
@@ -235,23 +234,25 @@ def build_tables(
     k4u = params.h0**4 * v4_nodes[-1] / c**3
 
     eta_today = eta_n[-1]
-    v4_spline = v4._interpolant()
-    m_splines = [m._interpolant() for m in moments]
 
     def a_cubed(u):
         return scale_factor(np.asarray(u) ** 3, params) ** 3
 
     def d_cubed(u):
-        return (c * np.maximum(eta_today - eta_spline(u), 0.0)) ** 3
+        return (c * np.maximum(eta_today - interpolate(eta, u), 0.0)) ** 3
 
     def k8_integrand(u):
         u = np.asarray(u)
-        return 3.0 * u * u * a_cubed(u) * d_cubed(u) * v4_spline(u)
+        return 3.0 * u * u * a_cubed(u) * d_cubed(u) * interpolate(v4, u)
 
     def v4dot_from_moments(u):
         u = np.asarray(u)
-        e = eta_spline(u)
-        w = e**2 * m_splines[0](u) - 2.0 * e * m_splines[1](u) + m_splines[2](u)
+        e = interpolate(eta, u)
+        w = (
+            e**2 * interpolate(moments[0], u)
+            - 2.0 * e * interpolate(moments[1], u)
+            + interpolate(moments[2], u)
+        )
         return 4.0 * math.pi * c**3 / scale_factor(u**3, params) * w
 
     def k7_integrand(u):
@@ -266,7 +267,7 @@ def build_tables(
         params=params,
         eta=eta,
         v4=v4,
-        moments=tuple(moments),
+        moments=moments,
         k4u=float(k4u),
         k7u=float(k7u),
         k8u=float(k8u),

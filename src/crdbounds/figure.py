@@ -208,10 +208,6 @@ def planck_crossing(series: FigureSeries, l_p: float) -> Optional[float]:
     return None
 
 
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
-
-
 def write_series(
     series: Sequence[FigureSeries],
     annotations: Sequence[Annotation],
@@ -226,11 +222,9 @@ def write_series(
     if fmt == "csv":
         lines = [CSV_HEADER]
         for s in series:
-            for p in s.points:
-                lines.append(
-                    f"{s.kind.value},{s.label},{_fmt(p.log2_neo)},"
-                    f"{_fmt(p.length_m)},{_fmt(p.energy_ev)}"
-                )
+            # the prefix stays out of the format string, so a % in a label is literal
+            prefix = f"{s.kind.value},{s.label},"
+            lines.extend(prefix + "%.17g,%.17g,%.17g" % p for p in s.points)
         path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
     elif fmt == "json":
         doc = {

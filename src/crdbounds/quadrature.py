@@ -7,20 +7,22 @@ a pure function of the inputs, so results are bit-identical across runs on a
 given platform.
 
 Integrands must be vectorized: ``f(x)`` receives a 1-d numpy array and returns
-an array of the same shape. Panel endpoints are never evaluated, which makes
-integrable endpoint singularities (after a suitable substitution) safe.
+an array of the same shape. ``build_cumulative`` also accepts an integrand that
+returns one row per component, shape ``(R, x.size)``, and tabulates all R
+running integrals from the same evaluations. Panel endpoints are never
+evaluated, which makes integrable endpoint singularities (after a suitable
+substitution) safe.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from dataclasses import dataclass, field
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.interpolate import CubicHermiteSpline, PchipInterpolator
 
 _GL_ORDER = 16
 _GL_NODES, _GL_WEIGHTS = leggauss(_GL_ORDER)
@@ -56,14 +58,18 @@ def _check_rel_tol(rel_tol: float) -> None:
 
 
 def _panel_sums(f: Integrand, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Gauss-Legendre estimates for a batch of intervals, one f call total."""
+    """Gauss-Legendre estimates for a batch of intervals, one f call total.
+
+    Returns shape (P,) for P intervals, or (R, P) if f returns R rows.
+    """
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
     nodes = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-    values = np.asarray(f(nodes.ravel()), dtype=float).reshape(nodes.shape)
+    values = np.asarray(f(nodes.ravel()), dtype=float)
     if not np.all(np.isfinite(values)):
         raise ValueError("integrand returned a non-finite value inside the interval")
-    return half * (values @ _GL_WEIGHTS)
+    sums = values.reshape(-1, _GL_ORDER) @ _GL_WEIGHTS
+    return half * sums.reshape(values.shape[:-1] + half.shape)
 
 
 def integrate(
@@ -135,12 +141,15 @@ class CumulativeTable:
 
     Abscissae are strictly increasing; ``derivatives`` optionally stores the
     integrand at the nodes, which upgrades interpolation from slope-estimated
-    monotone cubics to Hermite cubics with exact nodal slopes.
+    monotone cubics to Hermite cubics with exact nodal slopes. The cubic's
+    coefficients are computed once, here.
     """
 
     abscissae: np.ndarray
     values: np.ndarray
     derivatives: Optional[np.ndarray] = None
+    # shape (4, nodes): see _hermite_coefficients
+    _coefficients: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         x = np.asarray(self.abscissae, dtype=float)
@@ -159,33 +168,63 @@ class CumulativeTable:
             d.setflags(write=False)
         x.setflags(write=False)
         y.setflags(write=False)
+        coefficients = _hermite_coefficients(x, y, d)
+        coefficients.setflags(write=False)
         object.__setattr__(self, "abscissae", x)
         object.__setattr__(self, "values", y)
         object.__setattr__(self, "derivatives", d)
-        object.__setattr__(self, "_spline", None)
-
-    def _interpolant(self):
-        spline = object.__getattribute__(self, "_spline")
-        if spline is None:
-            spline = _build_monotone_spline(self.abscissae, self.values, self.derivatives)
-            object.__setattr__(self, "_spline", spline)
-        return spline
+        object.__setattr__(self, "_coefficients", coefficients)
 
 
-def _build_monotone_spline(x, y, derivs):
-    """Monotone cubic through (x, y); exact nodal slopes are clamped into the
-    Fritsch-Carlson box so supplied derivatives can never break monotonicity."""
-    dy = np.diff(y)
-    if derivs is None or not (np.all(dy >= 0.0) or np.all(dy <= 0.0)):
-        return PchipInterpolator(x, y, extrapolate=False)
-    secants = dy / np.diff(x)
-    cap = 3.0 * np.minimum(
-        np.abs(np.concatenate([secants[:1], secants])),
-        np.abs(np.concatenate([secants, secants[-1:]])),
-    )
-    sign = -1.0 if np.any(dy < 0.0) else 1.0
-    clamped = sign * np.clip(sign * derivs, 0.0, cap)
-    return CubicHermiteSpline(x, y, clamped, extrapolate=False)
+def _monotone_slopes(h: np.ndarray, secants: np.ndarray, derivs: Optional[np.ndarray]) -> np.ndarray:
+    """Nodal slopes clamped into the Fritsch-Carlson box, so the cubic is
+    monotone wherever the data are (Fritsch & Carlson, SIAM J. Numer. Anal.
+    17 (1980) 238-246).
+
+    The slopes are ``derivs`` if given, else the PCHIP estimate: the
+    Fritsch-Butland weighted harmonic mean of the adjacent secants inside, a
+    one-sided three-point formula at the ends. The clamp is zero where the
+    adjacent secants differ in sign, else [0, 3 min|secant|] in their
+    direction.
+    """
+    if derivs is None:
+        if h.size == 1:  # two nodes: the straight line
+            return np.repeat(secants, 2)
+        derivs = np.empty(h.size + 1)
+        w1 = 2.0 * h[1:] + h[:-1]
+        w2 = h[1:] + 2.0 * h[:-1]
+        with np.errstate(divide="ignore", invalid="ignore"):  # zero secants are clamped below
+            derivs[1:-1] = 1.0 / ((w1 / secants[:-1] + w2 / secants[1:]) / (w1 + w2))
+        h0, h1, m0, m1 = h[[0, -1]], h[[1, -2]], secants[[0, -1]], secants[[1, -2]]
+        derivs[[0, -1]] = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    left = np.concatenate([secants[:1], secants])
+    right = np.concatenate([secants, secants[-1:]])
+    sign = np.sign(right)
+    cap = np.where(np.sign(left) == sign, 3.0 * np.minimum(np.abs(left), np.abs(right)), 0.0)
+    with np.errstate(invalid="ignore"):
+        return np.where(cap > 0.0, sign * np.clip(sign * derivs, 0.0, cap), 0.0)
+
+
+def _hermite_coefficients(x: np.ndarray, y: np.ndarray, derivs: Optional[np.ndarray]) -> np.ndarray:
+    """Rows (c3, c2, c1, c0) per node i: the cubic c0 + c1 s + c2 s^2 + c3 s^3
+    in s = x - x_i on [x_i, x_i+1]. The last node gets its own constant cubic,
+    so evaluation at s = 0 returns every stored value exactly.
+
+    These coefficient formulas and the power-form sum in ``interpolate``
+    (rather than Horner's rule) keep every table and k-factor bit-identical
+    to the compiled piecewise-polynomial evaluation they were validated with.
+    """
+    h = np.diff(x)
+    secants = np.diff(y) / h
+    d = _monotone_slopes(h, secants, derivs)
+    curvature = (d[:-1] + d[1:] - 2.0 * secants) / h
+    zero = np.zeros(1)
+    return np.stack([
+        np.concatenate([curvature / h, zero]),
+        np.concatenate([(secants - d[:-1]) / h - curvature, zero]),
+        np.concatenate([d[:-1], zero]),
+        y,
+    ])
 
 
 def build_cumulative(
@@ -194,12 +233,15 @@ def build_cumulative(
     rel_tol: float = DEFAULT_REL_TOL,
     node_derivatives: Optional[Sequence[float]] = None,
     max_panels: int = DEFAULT_MAX_PANELS,
-) -> CumulativeTable:
+) -> Union[CumulativeTable, Tuple[CumulativeTable, ...]]:
     """Running integral of f over a strictly increasing grid.
 
     Each grid panel is integrated to rel_tol; values[0] = 0. A fast vectorized
     pass handles panels the base rule already resolves, and only stubborn
     panels fall back to full adaptive refinement.
+
+    If f returns R rows, the result is a tuple of R tables, and
+    ``node_derivatives`` (if given) has one row per table.
     """
     _check_rel_tol(rel_tol)
     x = np.asarray(grid, dtype=float)
@@ -210,26 +252,35 @@ def build_cumulative(
     mid = 0.5 * (lo + hi)
     whole = _panel_sums(f, lo, hi)
     halves = _panel_sums(f, np.concatenate([lo, mid]), np.concatenate([mid, hi]))
-    refined = halves[: lo.size] + halves[lo.size :]
+    refined = halves[..., : lo.size] + halves[..., lo.size :]
     err = np.abs(refined - whole)
     needs_work = err > _SAFETY * (rel_tol * np.abs(refined) + _ABS_FLOOR)
-    for i in np.nonzero(needs_work)[0]:
+    rows = refined.reshape(-1, lo.size)  # a view: writes land in refined
+    for r, i in zip(*np.nonzero(needs_work.reshape(rows.shape))):
+
+        def row(u, r=r):
+            return np.asarray(f(u), dtype=float).reshape(len(rows), -1)[r]
+
         try:
-            refined[i] = integrate(f, lo[i], hi[i], rel_tol, max_panels)
+            rows[r, i] = integrate(row, lo[i], hi[i], rel_tol, max_panels)
         except QuadratureError as exc:
             raise QuadratureError(
                 f"panel {i} ([{float(lo[i])!r}, {float(hi[i])!r}]) failed: {exc}",
                 estimate=exc.estimate,
                 achieved_rel_tol=exc.achieved_rel_tol,
             ) from exc
-    values = np.concatenate([[0.0], np.cumsum(refined)])
-    return CumulativeTable(x, values, node_derivatives)
+    values = np.concatenate([np.zeros_like(refined[..., :1]), np.cumsum(refined, axis=-1)], axis=-1)
+    if values.ndim == 1:
+        return CumulativeTable(x, values, node_derivatives)
+    derivs = [None] * len(values) if node_derivatives is None else node_derivatives
+    return tuple(CumulativeTable(x, v, d) for v, d in zip(values, derivs, strict=True))
 
 
 def interpolate(table: CumulativeTable, x: Union[float, np.ndarray]):
     """Monotone cubic interpolation of a table; exact at the stored nodes.
 
-    x (scalar or array) must lie within [first, last] abscissa.
+    x (scalar or array) must lie within [first, last] abscissa. Each point
+    takes the cubic of the last node at or below it.
     """
     xs = np.asarray(x, dtype=float)
     lo, hi = float(table.abscissae[0]), float(table.abscissae[-1])
@@ -237,14 +288,14 @@ def interpolate(table: CumulativeTable, x: Union[float, np.ndarray]):
         raise ValueError(
             f"interpolation point out of range: permitted interval is [{lo!r}, {hi!r}]"
         )
-    result = np.asarray(table._interpolant()(xs), dtype=float)
-    # exact node hits return the stored value, not the spline evaluation
-    idx = np.searchsorted(table.abscissae, xs)
-    idx = np.minimum(idx, table.abscissae.size - 1)
-    on_node = table.abscissae[idx] == xs
-    if result.ndim == 0:
-        if bool(on_node):
-            return float(table.values[idx])
-        return float(result)
-    result[on_node] = table.values[idx[on_node]]
-    return result
+    idx = np.searchsorted(table.abscissae, xs, side="right") - 1
+    c3, c2, c1, c0 = table._coefficients
+    # c0 + c1 s + c2 s^2 + c3 s^3, summed in that order; one gathered
+    # coefficient array at a time keeps large batches light on memory
+    s = xs - table.abscissae.take(idx)
+    result = c0.take(idx) + c1.take(idx) * s
+    power = s * s
+    result += c2.take(idx) * power
+    power *= s
+    result += c3.take(idx) * power
+    return float(result) if result.ndim == 0 else result

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -240,3 +244,11 @@ def test_bad_input_is_one_line_usage_error(runner, tmp_path, args):
     assert isinstance(result.exception, SystemExit)
     assert len([line for line in result.output.splitlines() if line.startswith("Error:")]) == 1
     assert not out.exists()
+
+
+def test_cli_import_does_not_load_scipy():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, crdbounds.cli; assert 'scipy' not in sys.modules, 'scipy imported'"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr

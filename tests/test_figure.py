@@ -206,3 +206,14 @@ def test_unusable_grids_rejected(fiducial_tables, qubit_range, step):
 
     with pytest.raises(ConfigurationError):
         build_figure(qubit_range, step, fiducial_tables)
+
+
+def test_csv_label_with_percent_sign_is_literal(tmp_path, fiducial_figure):
+    series, annotations = fiducial_figure
+    s = series[0]
+    renamed = FigureSeries(label="100% %s", kind=s.kind, style_hint=s.style_hint, points=s.points[:2])
+    path = tmp_path / "fig.csv"
+    write_series([renamed], annotations, path, "csv")
+    lines = path.read_text(encoding="utf-8").splitlines()
+    p = s.points[0]
+    assert lines[1] == f"{s.kind.value},100% %s,{p.log2_neo:.17g},{p.length_m:.17g},{p.energy_ev:.17g}"

@@ -168,3 +168,52 @@ def test_interpolate_vectorized_matches_scalar():
     xs = np.array([0.0, 0.3, 1.0, 1.99, 2.0])
     vector = interpolate(table, xs)
     assert vector.tolist() == [interpolate(table, float(x)) for x in xs]
+
+
+def test_exact_derivatives_reproduce_a_cubic():
+    # cubic Hermite interpolation with exact nodal values and slopes is exact
+    # for a cubic; this one is increasing, so no slope is clamped
+    grid = np.array([-2.0, -1.3, -0.2, 0.4, 1.1, 2.0, 3.0])
+    table = CumulativeTable(grid, grid**3 + grid + 20.0, 3.0 * grid**2 + 1.0)
+    probe = np.linspace(-2.0, 3.0, 1001)
+    np.testing.assert_allclose(interpolate(table, probe), probe**3 + probe + 20.0, rtol=1e-14, atol=0.0)
+
+
+def test_fused_rows_match_scalar_builds():
+    # the sqrt row needs the adaptive fallback on its first panel
+    rows = [np.cos, lambda x: np.exp(-x), lambda x: x * x, np.sqrt]
+    grid = np.concatenate([[0.0], np.geomspace(1e-3, 2.0, 12)])
+    derivs = np.array([f(grid) for f in rows])
+    fused = build_cumulative(
+        lambda x: np.stack([f(x) for f in rows]), grid, 1e-10, node_derivatives=derivs
+    )
+    assert isinstance(fused, tuple) and len(fused) == len(rows)
+    probe = np.linspace(0.0, 2.0, 257)
+    for f, d, table in zip(rows, derivs, fused):
+        single = build_cumulative(f, grid, 1e-10, node_derivatives=d)
+        np.testing.assert_allclose(table.values, single.values, rtol=1e-15, atol=0.0)
+        np.testing.assert_array_equal(table.derivatives, d)
+        np.testing.assert_allclose(
+            interpolate(table, probe), interpolate(single, probe), rtol=1e-15, atol=0.0
+        )
+
+
+def test_interpolate_exact_at_last_node_with_derivatives():
+    grid = np.geomspace(0.1, 10.0, 40)
+    table = build_cumulative(lambda x: x**1.5, grid, 1e-10, node_derivatives=grid**1.5)
+    assert interpolate(table, grid[-1]) == table.values[-1]
+    nodes = grid[[0, 7, 38, 39]]
+    assert interpolate(table, nodes).tolist() == table.values[[0, 7, 38, 39]].tolist()
+
+
+def test_interpolate_stays_within_each_interval_for_nonmonotone_data():
+    # supplied slopes are clamped node by node, so every interval's cubic is
+    # monotone even where the data turn around
+    grid = np.linspace(0.0, 7.0, 15)
+    table = CumulativeTable(grid, np.sin(grid), np.cos(grid))
+    probe = np.linspace(0.0, 7.0, 3001)
+    values = interpolate(table, probe)
+    i = np.minimum(np.searchsorted(grid, probe, side="right") - 1, grid.size - 2)
+    low = np.minimum(table.values[i], table.values[i + 1])
+    high = np.maximum(table.values[i], table.values[i + 1])
+    assert np.all(values >= low) and np.all(values <= high)
