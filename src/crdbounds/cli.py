@@ -139,7 +139,12 @@ def constants(config_path, as_json, **overrides):
 @main.command()
 @common_options
 def kfactors(config_path, as_json, **overrides):
-    """Dimensionless cosmological prefactors k4u, k7u, k8u."""
+    """Dimensionless cosmological prefactors k4u, k7u, k8u.
+
+    The convergence delta (achieved_rel_delta) measures only the quad_rel_tol
+    knob: it is the shift when that tolerance is tightened tenfold. The grid
+    error, which dominates and shrinks only with grid_points, is not in it.
+    """
     config = load_config(config_path, overrides)
     tables = _tables(config)
     params = tables.params

@@ -18,23 +18,22 @@ expanding the cube, so V4 and its time derivative are O(1) table lookups:
 
     V4(t)    = (4 pi / 3) c^3 (eta^3 M0 - 3 eta^2 M1 + 3 eta M2 - M3)
     V4dot(t) = 4 pi c^3 / a(t) * (eta^2 M0 - 2 eta M1 + M2)
+
+Early times: below the third node u2 (t = 1.0136e-24 T at 4096 nodes), where a
+cubic cannot follow u^12, v4 and v4_rate return the matter-era power laws
+V4 ~ u^12 and V4dot ~ u^9 through node 2. The Lambda correction there is
+O((t/t_lambda)^2), below 1e-40.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Tuple, Union
+from typing import Optional, Tuple
 
 import numpy as np
 
-from .quadrature import (
-    DEFAULT_REL_TOL,
-    CumulativeTable,
-    build_cumulative,
-    integrate,
-    interpolate,
-)
+from .quadrature import DEFAULT_REL_TOL, CumulativeTable, build_cumulative, integrate, interpolate
 from .errors import ConfigurationError, check_range
 from .quantities import MPC_IN_M, SPEED_OF_LIGHT
 
@@ -167,10 +166,6 @@ class LightconeTables:
         return self.eta.abscissae[-1]
 
 
-def _u_of_t(t: float) -> float:
-    return float(t) ** (1.0 / 3.0)
-
-
 def build_tables(
     params: CosmologyParams,
     rel_tol: float = DEFAULT_REL_TOL,
@@ -186,31 +181,34 @@ def build_tables(
     """
     check_range("grid_points", grid_points, 16, MAX_GRID_POINTS, low_inclusive=True)
     c = SPEED_OF_LIGHT
-    u_max = _u_of_t(params.t_universe)
+    u_max = params.t_universe ** (1.0 / 3.0)
     grid = np.concatenate(
         [[0.0], np.geomspace(u_max * _T_MIN_FRACTION ** (1.0 / 3.0), u_max, grid_points)]
     )
+    # integrands are evaluated on inner; the u = 0 anchor takes their limits
+    inner = grid[1:]
+
+    def a(u):
+        return scale_factor(u**3, params)
 
     def eta_integrand(u):
-        u = np.asarray(u)
-        return 3.0 * u * u / scale_factor(u**3, params)
+        return 3.0 * u * u / a(u)
 
-    eta_derivs = np.empty_like(grid)
-    eta_derivs[1:] = eta_integrand(grid[1:])
-    eta_derivs[0] = 3.0 / _early_coefficient(params)  # limit of 3u^2/a(u^3)
+    eta_derivs = np.concatenate([[3.0 / _early_coefficient(params)], eta_integrand(inner)])
     eta = build_cumulative(eta_integrand, grid, rel_tol, node_derivatives=eta_derivs)
 
     def moment_integrands(u):
         """The four rows 3 u^2 a^3 eta^k, k = 0..3, filled in place."""
         rows = np.empty((4,) + u.shape)
-        rows[0] = 3.0 * u * u * scale_factor(u**3, params) ** 3
+        rows[0] = 3.0 * u * u * a(u) ** 3
         e = interpolate(eta, u)
         for k in (1, 2, 3):
             np.multiply(rows[0], e**k, out=rows[k])
         return rows
 
-    moment_derivs = np.zeros((4, grid.size))  # a^3 u^2 -> 0 at u = 0
-    moment_derivs[:, 1:] = moment_integrands(grid[1:])
+    # 3 u^2 a^3 eta^k, dV4/dt and dV4/du all vanish at u = 0
+    moment_derivs = np.zeros((4, grid.size))
+    moment_derivs[:, 1:] = moment_integrands(inner)
     moments = build_cumulative(moment_integrands, grid, rel_tol, node_derivatives=moment_derivs)
 
     eta_n = eta.values
@@ -218,67 +216,42 @@ def build_tables(
     v4_nodes = (4.0 * math.pi / 3.0) * c**3 * (
         eta_n**3 * m0 - 3.0 * eta_n**2 * m1 + 3.0 * eta_n * m2 - m3
     )
-    v4_nodes[0] = 0.0
     np.maximum(v4_nodes, 0.0, out=v4_nodes)  # guard cancellation noise at tiny t
-
-    a_nodes = np.asarray(scale_factor(grid[1:] ** 3, params))
-    v4dot_nodes = np.empty_like(grid)
-    v4dot_nodes[1:] = (
-        4.0 * math.pi * c**3 / a_nodes
-        * (eta_n[1:] ** 2 * m0[1:] - 2.0 * eta_n[1:] * m1[1:] + m2[1:])
-    )
-    v4dot_nodes[0] = 0.0
-    v4_derivs = 3.0 * grid**2 * v4dot_nodes  # dV4/du = 3 u^2 dV4/dt
+    v4_derivs = np.zeros_like(grid)  # dV4/du = 3 u^2 dV4/dt
+    v4_derivs[1:] = 3.0 * inner**2 * _v4_rate(eta_n[1:], m0[1:], m1[1:], m2[1:], a(inner))
     v4 = CumulativeTable(grid, v4_nodes, v4_derivs)
 
-    k4u = params.h0**4 * v4_nodes[-1] / c**3
-
-    eta_today = eta_n[-1]
-
-    def a_cubed(u):
-        return scale_factor(np.asarray(u) ** 3, params) ** 3
-
-    def d_cubed(u):
-        return (c * np.maximum(eta_today - interpolate(eta, u), 0.0)) ** 3
+    def kernel(u, e_u):
+        """3 u^2 a^3 d^3, with d the comoving distance from eta_u to today."""
+        return 3.0 * u * u * a(u) ** 3 * (c * np.maximum(eta_n[-1] - e_u, 0.0)) ** 3
 
     def k8_integrand(u):
-        u = np.asarray(u)
-        return 3.0 * u * u * a_cubed(u) * d_cubed(u) * interpolate(v4, u)
-
-    def v4dot_from_moments(u):
-        u = np.asarray(u)
-        e = interpolate(eta, u)
-        w = (
-            e**2 * interpolate(moments[0], u)
-            - 2.0 * e * interpolate(moments[1], u)
-            + interpolate(moments[2], u)
-        )
-        return 4.0 * math.pi * c**3 / scale_factor(u**3, params) * w
+        return kernel(u, interpolate(eta, u)) * interpolate(v4, u)
 
     def k7_integrand(u):
-        u = np.asarray(u)
-        return 3.0 * u * u * a_cubed(u) * d_cubed(u) * v4dot_from_moments(u)
+        e = interpolate(eta, u)
+        rate = _v4_rate(e, *(interpolate(m, u) for m in moments[:3]), a(u))
+        return kernel(u, e) * rate
 
     common = 4.0 * math.pi / 3.0 / c**6
-    k8u = common * params.h0**8 * integrate(k8_integrand, 0.0, u_max, rel_tol)
-    k7u = common * params.h0**7 * integrate(k7_integrand, 0.0, u_max, rel_tol)
-
     return LightconeTables(
-        params=params,
-        eta=eta,
-        v4=v4,
-        moments=moments,
-        k4u=float(k4u),
-        k7u=float(k7u),
-        k8u=float(k8u),
+        params, eta, v4, moments,
+        k4u=float(params.h0**4 * v4_nodes[-1] / c**3),
+        k7u=float(common * params.h0**7 * integrate(k7_integrand, 0.0, u_max, rel_tol)),
+        k8u=float(common * params.h0**8 * integrate(k8_integrand, 0.0, u_max, rel_tol)),
     )
+
+
+def _v4_rate(e, m0, m1, m2, a):
+    """dV4/dt from eta, the first three moments and a at one time (or array)."""
+    return 4.0 * math.pi * SPEED_OF_LIGHT**3 / a * (e * e * m0 - 2.0 * e * m1 + m2)
 
 
 def _checked_u(t: float, tables: LightconeTables, name: str = "t") -> float:
     t_max = tables.params.t_universe
     if not 0.0 <= t <= t_max * _REL_SLACK:
         raise ValueError(f"{name}={t!r} outside the tabulated range [0, {t_max!r}]")
-    return min(_u_of_t(t), tables.u_max)
+    return min(float(t) ** (1.0 / 3.0), tables.u_max)
 
 
 def comoving_distance(t1: float, t2: float, tables: LightconeTables) -> float:
@@ -289,31 +262,35 @@ def comoving_distance(t1: float, t2: float, tables: LightconeTables) -> float:
     u2 = _checked_u(t2, tables, "t2")
     if u1 == u2:
         return 0.0
-    return SPEED_OF_LIGHT * float(
-        interpolate(tables.eta, u2) - interpolate(tables.eta, u1)
-    )
+    return SPEED_OF_LIGHT * float(interpolate(tables.eta, u2) - interpolate(tables.eta, u1))
 
 
 def v4(t2: float, tables: LightconeTables) -> float:
-    """Past light-cone 4-volume V4(t2) in m^3 s, from the sampled table."""
+    """Past light-cone 4-volume V4(t2) in m^3 s, from the sampled table.
+
+    Below the third node u2 it is the matter-era law V4 ~ t^4 = u^12 through
+    node 2 (see the module docstring).
+    """
     u = _checked_u(t2, tables, "t2")
+    u2 = tables.v4.abscissae[2]
+    if u < u2:
+        return float(tables.v4.values[2] * (u / u2) ** 12)
     return float(interpolate(tables.v4, u))
 
 
 def v4_rate(t2: float, tables: LightconeTables) -> float:
     """dV4/dt at t2 in m^3, assembled from the moment tables.
 
-    t2 = 0 returns 0 by continuity (the integration domain vanishes).
+    Below the third node u2 it is the matter-era law dV4/dt ~ t^3 = u^9
+    through node 2, which gives 0 at t2 = 0 (see the module docstring).
     """
     u = _checked_u(t2, tables, "t2")
-    if u == 0.0:
-        return 0.0
+    u2 = tables.v4.abscissae[2]
+    if u < u2:
+        return float(tables.v4.derivatives[2] / (3.0 * u2 * u2) * (u / u2) ** 9)
     e = float(interpolate(tables.eta, u))
-    m0 = float(interpolate(tables.moments[0], u))
-    m1 = float(interpolate(tables.moments[1], u))
-    m2 = float(interpolate(tables.moments[2], u))
-    a = scale_factor(u**3, tables.params)
-    return 4.0 * math.pi * SPEED_OF_LIGHT**3 / a * (e * e * m0 - 2.0 * e * m1 + m2)
+    m0, m1, m2 = (float(interpolate(m, u)) for m in tables.moments[:3])
+    return _v4_rate(e, m0, m1, m2, scale_factor(u**3, tables.params))
 
 
 def k_factors(

@@ -284,7 +284,7 @@ def interpolate(table: CumulativeTable, x: Union[float, np.ndarray]):
     """
     xs = np.asarray(x, dtype=float)
     lo, hi = float(table.abscissae[0]), float(table.abscissae[-1])
-    if np.any(xs < lo) or np.any(xs > hi):
+    if not (np.all(xs >= lo) and np.all(xs <= hi)):  # NaN fails both
         raise ValueError(
             f"interpolation point out of range: permitted interval is [{lo!r}, {hi!r}]"
         )

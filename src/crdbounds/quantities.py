@@ -8,7 +8,7 @@ result is known to fit in a double.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Tuple
 
 # CODATA 2018 values (c and the eV are exact by definition since the 2019
@@ -30,15 +30,25 @@ class LogQuantity:
 
     The represented quantity is ``2**log2_value`` in whatever unit the caller
     declared. Ordering compares represented magnitudes.
+
+    ``log2_residual`` is the rounding error of ``log2_value`` (zero unless set
+    by ``from_real``). Far from 1, adjacent doubles have logarithms that round
+    to the same double; the residual breaks those ties so ordering stays strict.
     """
 
     log2_value: float
+    log2_residual: float = field(default=0.0, repr=False)
 
     @classmethod
     def from_real(cls, x: float) -> "LogQuantity":
         if not x > 0.0:
             raise ValueError(f"LogQuantity requires a positive value, got {x!r}")
-        return cls(math.log2(x))
+        # log2(x) = exponent + log2(mantissa) with log2(mantissa) in [-1, 0);
+        # the integer part is exact, and Fast2Sum keeps the error of the sum.
+        mantissa, exponent = math.frexp(x)
+        fraction = math.log2(mantissa)
+        log2_value = exponent + fraction
+        return cls(log2_value, (exponent - log2_value) + fraction)
 
     def to_real(self) -> float:
         """The represented value as a double; overflows beyond ~2^1024."""

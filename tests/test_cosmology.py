@@ -240,3 +240,22 @@ class TestParamLimits:
         got = build_tables(CosmologyParams.create(h0, 0.3, 0.7), **fast)
         for a, b in ((got.k4u, ref.k4u), (got.k7u, ref.k7u), (got.k8u, ref.k8u)):
             assert a == pytest.approx(b, rel=1e-9)
+
+
+class TestEarlyTimes:
+    """Below the third node, where a cubic cannot follow V4 ~ u^12."""
+
+    @pytest.mark.parametrize("fraction", [1e-26, 1e-25, 1e-24, 1.0045e-24, 1.01e-24])
+    def test_matter_only_closed_form(self, eds_tables, eds_params, fraction):
+        t = fraction * eds_params.t_universe
+        assert v4(t, eds_tables) == pytest.approx(float(oracles.eds_v4(t, C)), rel=1e-9)
+        assert v4_rate(t, eds_tables) == pytest.approx(float(oracles.eds_v4_rate(t, C)), rel=1e-9)
+
+    @pytest.mark.parametrize("which", ["fiducial_tables", "eds_tables"])
+    def test_rate_matches_v4_node_slopes(self, request, which):
+        # v4_rate (moments) and the v4 table's slopes come from one formula
+        tables = request.getfixturevalue(which)
+        u = tables.v4.abscissae[2:]
+        rates = np.array([v4_rate(x**3, tables) for x in u])
+        expected = tables.v4.derivatives[2:] / (3.0 * u**2)
+        assert np.max(np.abs(rates / expected - 1.0)) <= 1e-12

@@ -217,3 +217,10 @@ def test_interpolate_stays_within_each_interval_for_nonmonotone_data():
     low = np.minimum(table.values[i], table.values[i + 1])
     high = np.maximum(table.values[i], table.values[i + 1])
     assert np.all(values >= low) and np.all(values <= high)
+
+
+@pytest.mark.parametrize("x", [math.nan, np.array([0.5, math.nan])])
+def test_interpolate_rejects_nan(x):
+    table = CumulativeTable(np.array([0.0, 1.0]), np.array([0.0, 1.0]))
+    with pytest.raises(ValueError, match=r"\[0\.0, 1\.0\]"):
+        interpolate(table, x)
