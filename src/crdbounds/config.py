@@ -13,6 +13,11 @@ from .quantities import JULIAN_YEAR_S
 
 ENV_CONFIG_PATH = "CRDBOUNDS_CONFIG"
 
+# Tightest accepted quad_rel_tol. `kfactors` rebuilds at a tenth of it, and
+# at 1e-14 the k-integrals run out of their panels, so anything tighter
+# could only end in a quadrature failure.
+MIN_QUAD_REL_TOL = 2e-13
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -39,7 +44,7 @@ class RunConfig:
         check_range("lab_volume_m3", self.lab_volume_m3)
         check_range("lab_duration_s", self.lab_duration_s)
         check_range("inputs_per_op", self.inputs_per_op, 1, low_inclusive=True)
-        check_range("quad_rel_tol", self.quad_rel_tol, 0.0, 1e-2)
+        check_range("quad_rel_tol", self.quad_rel_tol, MIN_QUAD_REL_TOL, 1e-2, low_inclusive=True)
         check_range("grid_points", self.grid_points, 16, MAX_GRID_POINTS, low_inclusive=True)
         return self
 

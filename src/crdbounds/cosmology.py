@@ -122,10 +122,15 @@ def scale_factor(t, params: CosmologyParams):
     """a(t) = (Omega_M/Omega_L)^(1/3) sinh^(2/3)(t / t_lambda), a(today) = 1.
 
     Accepts a scalar or array time in seconds; t must be >= 0. The matter-only
-    limit is the power law (t / T)^(2/3).
+    limit is the power law (t / T)^(2/3). A Python ``float`` or ``int`` becomes
+    an ``np.float64``, not a 0-d array: numpy computes a 0-d array's quotient
+    as a numpy scalar anyway, so both take numpy's scalar ``sinh`` and ``**``
+    and give the same double (``math.sinh`` would not; it differs from
+    numpy's in the last bit).
     """
-    ts = np.asarray(t, dtype=float)
-    if np.any(ts < 0.0):
+    scalar = isinstance(t, (float, int))
+    ts = np.float64(t) if scalar else np.asarray(t, dtype=float)
+    if t < 0.0 if scalar else np.any(ts < 0.0):
         raise ValueError("scale factor is only defined for t >= 0")
     if params.omega_lambda == 0.0:
         a = (ts / params.t_universe) ** (2.0 / 3.0)

@@ -252,3 +252,12 @@ def test_cli_import_does_not_load_scipy():
     code = "import sys, crdbounds.cli; assert 'scipy' not in sys.modules, 'scipy imported'"
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
+
+
+def test_quad_rel_tol_below_the_floor_is_a_usage_error(runner):
+    result = runner.invoke(main, ["threshold", "--quad-rel-tol", "1e-16"])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+    assert errors == ["Error: quad_rel_tol must be a finite number in [2e-13, 0.01], got 1e-16"]

@@ -135,3 +135,12 @@ def test_grid_points_capped():
     assert load_config(overrides={"grid_points": MAX_GRID_POINTS}).grid_points == MAX_GRID_POINTS
     with pytest.raises(ConfigurationError, match="grid_points"):
         load_config(overrides={"grid_points": MAX_GRID_POINTS + 1})
+
+
+def test_quad_rel_tol_floor():
+    from crdbounds.config import MIN_QUAD_REL_TOL
+
+    assert load_config(overrides={"quad_rel_tol": MIN_QUAD_REL_TOL}).quad_rel_tol == MIN_QUAD_REL_TOL
+    for value in (1.9e-13, 1e-16):
+        with pytest.raises(ConfigurationError, match="quad_rel_tol"):
+            load_config(overrides={"quad_rel_tol": value})

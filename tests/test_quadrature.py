@@ -224,3 +224,12 @@ def test_interpolate_rejects_nan(x):
     table = CumulativeTable(np.array([0.0, 1.0]), np.array([0.0, 1.0]))
     with pytest.raises(ValueError, match=r"\[0\.0, 1\.0\]"):
         interpolate(table, x)
+
+
+def test_nonconvergence_message_names_the_acceptance_target():
+    with pytest.raises(QuadratureError) as excinfo:
+        integrate(lambda x: 1.0 / np.sqrt(x), 0.0, 1.0, 1e-12, max_panels=8)
+    message = str(excinfo.value)
+    achieved = excinfo.value.achieved_rel_tol
+    assert f"achieved relative tolerance {achieved:.3e}, needs 1.000e-13" in message
+    assert "0.1 times the requested 1.000e-12" in message
