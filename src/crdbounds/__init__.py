@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 from .quantities import LogQuantity, PhysicalConstants, planck_units
 from .quadrature import CumulativeTable, QuadratureError, build_cumulative, integrate, interpolate
 from .cosmology import CosmologyParams, LightconeTables, build_tables, k_factors
-from .bounds import BoundResult, Scenario, ScenarioKind
+from .bounds import Scenario, ScenarioKind
 from .thresholds import ThresholdResult, classify_machine, planck_threshold
 from .errors import ConfigurationError
 
@@ -32,7 +32,6 @@ __all__ = [
     "k_factors",
     "Scenario",
     "ScenarioKind",
-    "BoundResult",
     "ThresholdResult",
     "planck_threshold",
     "classify_machine",

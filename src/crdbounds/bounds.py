@@ -176,23 +176,6 @@ def power_law(scenario: Scenario, tables: Optional[LightconeTables] = None) -> P
     return PowerLaw(math.log2(k_p) + p * (_LOG2_C - math.log2(tables.params.h0)), p)
 
 
-@dataclass(frozen=True)
-class BoundResult:
-    """A scenario evaluated at one probed length.
-
-    crd is the operation rate density implied by the bound: N/(V3 T) for lab
-    kinds, and the saturating packing rate c/l^4 for universe kinds.
-    """
-
-    n_ops: LogQuantity
-    length: float
-    crd: LogQuantity
-
-    def __post_init__(self):
-        if not self.length > 0.0:
-            raise ValueError(f"length must be positive, got {self.length!r}")
-
-
 def max_length(v3: float, duration: float, n_ops: LogQuantity) -> float:
     """Upper limit l <= (V3 c T / N_ops)^(1/4) on the element spacing, the
     inverse of the LAB bound."""
@@ -237,20 +220,6 @@ def length_for_scenario(
 ):
     """Exact analytic inverse of n_ops_for_scenario."""
     return power_law(scenario, tables).length(n_ops.log2_value)
-
-
-def bound_at_length(
-    scenario: Scenario,
-    length: float,
-    tables: Optional[LightconeTables] = None,
-) -> BoundResult:
-    """Evaluate a scenario at a probed length, packaging N_ops, l and CRD."""
-    n_ops = n_ops_for_scenario(scenario, length, tables)
-    if scenario.v3 is not None:
-        rate = crd(n_ops, scenario.v3, scenario.duration)
-    else:
-        rate = LogQuantity(_LOG2_C - 4.0 * math.log2(length))
-    return BoundResult(n_ops=n_ops, length=length, crd=rate)
 
 
 def energy_from_length(length, constants: Optional[PhysicalConstants] = None):

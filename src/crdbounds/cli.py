@@ -242,10 +242,11 @@ def scale(config_path, as_json, qubits, ops, volume, duration, scenario_name, **
         n_ops = LogQuantity.from_real(ops)
         length = max_length(volume, duration, n_ops)
         rate = crd(n_ops, volume, duration)
+        energy = energy_from_length(length)
         doc = {
             "metadata": _metadata(config),
             "max_length_m": length,
-            "energy_ev": energy_from_length(length),
+            "energy_ev": energy,
             "crd_log2": rate.log2_value,
             "crd_decimal": rate.decimal_str(),
         }
@@ -254,7 +255,7 @@ def scale(config_path, as_json, qubits, ops, volume, duration, scenario_name, **
             as_json,
             [
                 f"max length = {length:.6e} m",
-                f"energy     = {energy_from_length(length):.6e} eV",
+                f"energy     = {energy:.6e} eV",
                 f"CRD        = {rate.decimal_str()} ops m^-3 s^-1",
             ],
         )

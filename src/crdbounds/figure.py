@@ -3,8 +3,10 @@
 Emits the five canonical bound lines (small lab, large lab, universe, fully
 connected lab, fully connected universe) sampled on a log2-NEO grid, plus
 annotation markers (Planck scale, RSA qubit range, historical collider
-energies). Rendering is left to external tools; this module only writes CSV
-and JSON files.
+energies). The small lab and the markers are conventions, fixed below as
+module constants; only the large lab's volume and duration are settable
+(FigureConfig). Rendering is left to external tools; this module only writes
+CSV and JSON files.
 
 CSV schema: header ``series,label,log2_neo,length_m,energy_ev``, UTF-8, LF
 line endings, floats rendered with %.17g. JSON mirrors the series and
@@ -34,6 +36,19 @@ CSV_HEADER = "series,label,log2_neo,length_m,energy_ev"
 # Largest number of points per series, about twice the 125001 points of the
 # default range at step 0.01.
 MAX_FIGURE_POINTS = 1 << 18
+
+# Conventions, not computed quantities: the 1 m^3, 1 s small lab, the edges
+# of the RSA-2048 logical-qubit estimate range, and (year, energy in eV,
+# source) for the right-hand axis markers.
+SMALL_LAB_VOLUME_M3 = 1.0
+SMALL_LAB_DURATION_S = 1.0
+RSA_QUBITS_MIN = 1000.0
+RSA_QUBITS_MAX = 10000.0
+ENERGY_MARKERS = (
+    (1900, 5.0e6, "radioactivity"),
+    (1960, 3.0e10, "Alternating Gradient Synchrotron"),
+    (2026, 1.0e13, "Large Hadron Collider"),
+)
 
 
 class FigurePoint(NamedTuple):
@@ -74,21 +89,10 @@ class Annotation:
 
 @dataclass(frozen=True)
 class FigureConfig:
-    """Canonical figure parameters; the marker values are conventions, not
-    computed quantities, so they stay configurable."""
+    """The large lab drawn by the lab and fully connected lab series."""
 
-    small_lab_volume_m3: float = 1.0
-    small_lab_duration_s: float = 1.0
     lab_volume_m3: float = 1000.0
     lab_duration_s: float = JULIAN_YEAR_S
-    rsa_qubits_min: float = 1000.0
-    rsa_qubits_max: float = 10000.0
-    # (year, energy in eV, source) for the right-hand axis markers
-    energy_markers: Tuple[Tuple[int, float, str], ...] = (
-        (1900, 5.0e6, "radioactivity"),
-        (1960, 3.0e10, "Alternating Gradient Synchrotron"),
-        (2026, 1.0e13, "Large Hadron Collider"),
-    )
 
 
 def check_grid(lo: float, hi: float, step: float) -> None:
@@ -126,8 +130,8 @@ def build_figure(
 
     specs = [
         (
-            f"small lab {cfg.small_lab_volume_m3:g} m3 for {cfg.small_lab_duration_s:g} s",
-            Scenario.lab(cfg.small_lab_volume_m3, cfg.small_lab_duration_s),
+            f"small lab {SMALL_LAB_VOLUME_M3:g} m3 for {SMALL_LAB_DURATION_S:g} s",
+            Scenario.lab(SMALL_LAB_VOLUME_M3, SMALL_LAB_DURATION_S),
             "dotted",
         ),
         (
@@ -172,16 +176,16 @@ def build_figure(
         ),
         Annotation(
             label="rsa_qubits_min",
-            note="lower edge of the RSA-2048 logical-qubit estimate range (configurable default)",
-            log2_neo=cfg.rsa_qubits_min,
+            note="lower edge of the RSA-2048 logical-qubit estimate range",
+            log2_neo=RSA_QUBITS_MIN,
         ),
         Annotation(
             label="rsa_qubits_max",
-            note="upper edge of the RSA-2048 logical-qubit estimate range (configurable default)",
-            log2_neo=cfg.rsa_qubits_max,
+            note="upper edge of the RSA-2048 logical-qubit estimate range",
+            log2_neo=RSA_QUBITS_MAX,
         ),
     ]
-    for year, energy_ev, source in cfg.energy_markers:
+    for year, energy_ev, source in ENERGY_MARKERS:
         annotations.append(
             Annotation(label=str(year), note=source, energy_ev=float(energy_ev))
         )
@@ -191,21 +195,23 @@ def build_figure(
 def planck_crossing(series: FigureSeries, l_p: float) -> Optional[float]:
     """log2 NEO at which the series crosses length = l_p.
 
-    Linear interpolation in (log2_neo, log2 length), which is exact for the
-    pure power laws emitted here. None if the series never crosses.
+    Every series emitted here is a power law, a straight line in
+    (log2_neo, log2 length), so the crossing is the linear interpolation
+    between the first and last points; no point in between is read. None if
+    the series is empty or l_p lies outside [last length, first length].
     """
-    pts = series.points
-    for left, right in zip(pts, pts[1:]):
-        if (left.length_m - l_p) == 0.0:
-            return left.log2_neo
-        if (left.length_m - l_p) > 0.0 >= (right.length_m - l_p):
-            f = (math.log2(left.length_m) - math.log2(l_p)) / (
-                math.log2(left.length_m) - math.log2(right.length_m)
-            )
-            return left.log2_neo + f * (right.log2_neo - left.log2_neo)
-    if pts and pts[-1].length_m == l_p:
-        return pts[-1].log2_neo
-    return None
+    if not series.points:
+        return None
+    first, last = series.points[0], series.points[-1]
+    for end in (first, last):
+        if end.length_m == l_p:
+            return end.log2_neo
+    if not last.length_m < l_p < first.length_m:
+        return None
+    f = (math.log2(first.length_m) - math.log2(l_p)) / (
+        math.log2(first.length_m) - math.log2(last.length_m)
+    )
+    return first.log2_neo + f * (last.log2_neo - first.log2_neo)
 
 
 def write_series(

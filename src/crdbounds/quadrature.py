@@ -33,6 +33,8 @@ from typing import Callable, Optional, Sequence, Tuple, Union
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
+from .errors import check_range
+
 _GL_ORDER = 16
 _GL_NODES, _GL_WEIGHTS = leggauss(_GL_ORDER)
 
@@ -62,8 +64,7 @@ class QuadratureError(RuntimeError):
 
 
 def _check_rel_tol(rel_tol: float) -> None:
-    if not 0.0 < rel_tol <= 1e-2:
-        raise ValueError(f"rel_tol must lie in (0, 1e-2], got {rel_tol!r}")
+    check_range("rel_tol", rel_tol, 0.0, 1e-2)
 
 
 def _panel_sums(f: Integrand, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:

@@ -101,8 +101,7 @@ def log_quantity_from_product(factors: Iterable[Tuple[float, float]]) -> LogQuan
 class PhysicalConstants:
     """Fundamental constants and the Planck scales derived from them.
 
-    e_p_ev is the Planck energy expressed in eV; mpc_in_m and year_in_s are the
-    unit conversion factors the rest of the package relies on.
+    e_p_ev is the Planck energy expressed in eV.
     """
 
     c: float  # m / s
@@ -111,8 +110,6 @@ class PhysicalConstants:
     l_p: float  # m
     t_p: float  # s
     e_p_ev: float  # eV
-    mpc_in_m: float
-    year_in_s: float
 
 
 def planck_units(
@@ -137,8 +134,6 @@ def planck_units(
         l_p=l_p,
         t_p=t_p,
         e_p_ev=e_p_ev,
-        mpc_in_m=MPC_IN_M,
-        year_in_s=JULIAN_YEAR_S,
     )
 
 
@@ -152,7 +147,3 @@ def mpc_to_m(length_mpc: float) -> float:
 
 def s_to_gyr(time_s: float) -> float:
     return time_s / GYR_IN_S
-
-
-def gyr_to_s(time_gyr: float) -> float:
-    return time_gyr * GYR_IN_S

@@ -7,7 +7,6 @@ import pytest
 from crdbounds.bounds import (
     Scenario,
     ScenarioKind,
-    bound_at_length,
     crd,
     energy_from_length,
     length_for_scenario,
@@ -228,24 +227,6 @@ class TestEnergy:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             energy_from_length(0.0)
-
-
-class TestBoundAtLength:
-    def test_lab_rate_is_packing_rate(self):
-        s = Scenario.lab(1000.0, JULIAN_YEAR_S)
-        l = 1e-9
-        result = bound_at_length(s, l)
-        assert result.crd.log2_value == pytest.approx(
-            math.log2(SPEED_OF_LIGHT) - 4.0 * math.log2(l), abs=1e-9
-        )
-        assert result.length == l
-
-    def test_universe_rate_is_packing_rate(self, fiducial_params, fiducial_tables):
-        s = Scenario.universe(fiducial_params)
-        result = bound_at_length(s, 1e-20, fiducial_tables)
-        assert result.crd.log2_value == pytest.approx(
-            math.log2(SPEED_OF_LIGHT) - 4.0 * math.log2(1e-20), abs=1e-9
-        )
 
 
 class TestArrayValued:

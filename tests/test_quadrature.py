@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from crdbounds.errors import ConfigurationError
 from crdbounds.quadrature import (
     CumulativeTable,
     QuadratureError,
@@ -233,3 +234,9 @@ def test_nonconvergence_message_names_the_acceptance_target():
     achieved = excinfo.value.achieved_rel_tol
     assert f"achieved relative tolerance {achieved:.3e}, needs 1.000e-13" in message
     assert "0.1 times the requested 1.000e-12" in message
+
+
+@pytest.mark.parametrize("rel_tol", [math.nan, math.inf, -math.inf])
+def test_nonfinite_rel_tol_rejected(rel_tol):
+    with pytest.raises(ConfigurationError, match="rel_tol"):
+        integrate(np.sin, 0.0, 1.0, rel_tol)
