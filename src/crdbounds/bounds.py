@@ -12,6 +12,8 @@ Seven scenarios, each a power law N_ops = K / l^p evaluated in log2 space:
 
 so each kind is one row (p, n_V, n_T, weight) of _ROWS: lab kinds have
 K = weight * V3^n_V * (c T)^n_T, universe kinds (n_V = 0) K = k_p (c/H0)^p.
+log2 K is computed once, where its inputs live: a lab kind's when its
+Scenario is built, a universe kind's when its LightconeTables are built.
 The broadcast clock is pinned at the causal limit tau = l/c. Universe kinds
 need light-cone tables built from the scenario's cosmological parameters.
 Lengths and operation counts may be floats or numpy arrays.
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -30,13 +32,11 @@ from .cosmology import CosmologyParams, LightconeTables
 from .errors import ConfigurationError, check_range
 from .quantities import (
     EV_IN_JOULES,
-    SPEED_OF_LIGHT,
+    LOG2_SPEED_OF_LIGHT,
     LogQuantity,
     PhysicalConstants,
     planck_units,
 )
-
-_LOG2_C = math.log2(SPEED_OF_LIGHT)
 
 
 class ScenarioKind(enum.Enum):
@@ -73,6 +73,10 @@ class Scenario:
     Lab kinds take a volume (m^3) and a duration (s); the nearest-neighbor
     variant additionally takes the input count per operation; universe kinds
     take cosmological parameters instead.
+
+    log2_k is log2 K of a lab kind's law N_ops = K / l^p, derived from the
+    other fields when the scenario is built. It is None for universe kinds,
+    whose K lives in the light-cone tables (LightconeTables.log2_k).
     """
 
     kind: ScenarioKind
@@ -80,9 +84,10 @@ class Scenario:
     duration: Optional[float] = None
     inputs_per_op: Optional[int] = None
     params: Optional[CosmologyParams] = None
+    log2_k: Optional[float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _, n_v, _, weight = _ROWS[self.kind]
+        _, n_v, n_t, weight = _ROWS[self.kind]
         if n_v:
             check_range(f"{self.kind.name} volume", self.v3)
             check_range(f"{self.kind.name} duration", self.duration)
@@ -97,6 +102,16 @@ class Scenario:
             check_range("inputs_per_op", self.inputs_per_op, 1, low_inclusive=True)
         elif self.inputs_per_op is not None:
             raise ValueError(f"{self.kind.name} does not take inputs_per_op")
+        log2_k = None
+        if n_v:
+            w = self.inputs_per_op if weight is None else weight
+            log2_k = (
+                n_v * math.log2(self.v3)
+                + n_t * LOG2_SPEED_OF_LIGHT
+                + n_t * math.log2(self.duration)
+                + math.log2(w)
+            )
+        object.__setattr__(self, "log2_k", log2_k)
 
     @classmethod
     def lab(cls, v3: float, duration: float) -> "Scenario":
@@ -150,30 +165,23 @@ class PowerLaw(NamedTuple):
 
 
 def power_law(scenario: Scenario, tables: Optional[LightconeTables] = None) -> PowerLaw:
-    """The scenario's law; universe kinds read k_p from tables built for its
-    cosmological parameters."""
-    p, n_v, n_t, weight = _ROWS[scenario.kind]
-    if n_v:
-        w = scenario.inputs_per_op if weight is None else weight
-        return PowerLaw(
-            n_v * math.log2(scenario.v3)
-            + n_t * _LOG2_C
-            + n_t * math.log2(scenario.duration)
-            + math.log2(w),
-            p,
-        )
+    """The scenario's law; universe kinds read it from tables built for its
+    cosmological parameters. log2 K is read, not recomputed: a lab kind's is
+    stored on the scenario, a universe kind's on the tables."""
+    p = scenario.kind.exponent
+    if scenario.log2_k is not None:
+        return PowerLaw(scenario.log2_k, p)
     if tables is None:
         raise ConfigurationError(
             f"{scenario.kind.name} requires light-cone tables; build them with "
             "cosmology.build_tables(scenario.params)"
         )
-    if tables.params != scenario.params:
+    if tables.params is not scenario.params and tables.params != scenario.params:
         raise ConfigurationError(
             f"tables were built for different cosmological parameters than "
             f"the {scenario.kind.name} scenario"
         )
-    k_p = {4: tables.k4u, 7: tables.k7u, 8: tables.k8u}[p]
-    return PowerLaw(math.log2(k_p) + p * (_LOG2_C - math.log2(tables.params.h0)), p)
+    return PowerLaw(tables.log2_k[p], p)
 
 
 def max_length(v3: float, duration: float, n_ops: LogQuantity) -> float:
@@ -196,9 +204,11 @@ def planck_crd(constants: Optional[PhysicalConstants] = None) -> LogQuantity:
 
 
 def neo_from_qubits(n: int) -> LogQuantity:
-    """Equivalent classical operation count 2^n for n logical qubits."""
-    if n < 1:
-        raise ValueError(f"qubit count must be at least 1, got {n!r}")
+    """Equivalent classical operation count 2^n for n logical qubits.
+
+    n must be a finite number >= 1 (a ConfigurationError otherwise, NaN, inf
+    and integers too large for a double included)."""
+    check_range("qubit count", n, 1, low_inclusive=True)
     return LogQuantity(float(n))
 
 

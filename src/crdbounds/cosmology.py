@@ -29,13 +29,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from .quadrature import DEFAULT_REL_TOL, CumulativeTable, build_cumulative, integrate, interpolate
 from .errors import ConfigurationError, check_range
-from .quantities import MPC_IN_M, SPEED_OF_LIGHT
+from .quantities import LOG2_SPEED_OF_LIGHT, MPC_IN_M, SPEED_OF_LIGHT
 
 DEFAULT_GRID_POINTS = 4096
 # Largest table accepted, twice the 65536-node reference grid; it takes
@@ -156,6 +156,10 @@ class LightconeTables:
     light-cone 4-volume (m^3 s). moments holds the four cumulative integrals
     of a^3 eta^k (k = 0..3) that v4, v4_rate and the k-factors are assembled
     from. The dimensionless prefactors k4u, k7u, k8u are precomputed here.
+
+    log2_k maps each universe exponent p (4, 7, 8) to log2 K of the law
+    N_ops = K / l^p, K = k_p (c/H0)^p. It is derived once, here, from the
+    k-factors and H0; the universe scenarios' power laws read it.
     """
 
     params: CosmologyParams
@@ -165,6 +169,14 @@ class LightconeTables:
     k4u: float
     k7u: float
     k8u: float
+    log2_k: Dict[int, float] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        log2_c_over_h0 = LOG2_SPEED_OF_LIGHT - math.log2(self.params.h0)
+        object.__setattr__(self, "log2_k", {
+            p: math.log2(k_p) + p * log2_c_over_h0
+            for p, k_p in ((4, self.k4u), (7, self.k7u), (8, self.k8u))
+        })
 
     @property
     def u_max(self) -> float:

@@ -14,6 +14,7 @@ from typing import Iterable, Tuple
 # CODATA 2018 values (c and the eV are exact by definition since the 2019
 # SI redefinition); Mpc per the IAU definition, year = Julian year.
 SPEED_OF_LIGHT = 299_792_458.0  # m / s
+LOG2_SPEED_OF_LIGHT = math.log2(SPEED_OF_LIGHT)  # enters every power law's log2 K
 HBAR = 1.054_571_817e-34  # J s
 GRAVITATIONAL_CONSTANT = 6.674_30e-11  # m^3 kg^-1 s^-2
 EV_IN_JOULES = 1.602_176_634e-19  # J / eV

