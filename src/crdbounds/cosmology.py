@@ -33,7 +33,14 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .quadrature import DEFAULT_REL_TOL, CumulativeTable, build_cumulative, integrate, interpolate
+from .quadrature import (
+    DEFAULT_REL_TOL,
+    CumulativeTable,
+    build_cumulative,
+    integrate,
+    interpolate,
+    interpolate_shared,
+)
 from .errors import ConfigurationError, check_range
 from .quantities import LOG2_SPEED_OF_LIGHT, MPC_IN_M, SPEED_OF_LIGHT
 
@@ -155,7 +162,9 @@ class LightconeTables:
     eta accumulates conformal time int dt/a (seconds); v4 holds the past
     light-cone 4-volume (m^3 s). moments holds the four cumulative integrals
     of a^3 eta^k (k = 0..3) that v4, v4_rate and the k-factors are assembled
-    from. The dimensionless prefactors k4u, k7u, k8u are precomputed here.
+    from. eta and the moments share one grid (equal abscissae), so v4_rate
+    finds its node once for all four. The dimensionless prefactors k4u, k7u,
+    k8u are precomputed here.
 
     log2_k maps each universe exponent p (4, 7, 8) to log2 K of the law
     N_ops = K / l^p, K = k_p (c/H0)^p. It is derived once, here, from the
@@ -300,13 +309,14 @@ def v4_rate(t2: float, tables: LightconeTables) -> float:
 
     Below the third node u2 it is the matter-era law dV4/dt ~ t^3 = u^9
     through node 2, which gives 0 at t2 = 0 (see the module docstring).
+    Above it, eta and the first three moments are read with one node search
+    (``interpolate_shared``), bit-identical to four ``interpolate`` calls.
     """
     u = _checked_u(t2, tables, "t2")
     u2 = tables.v4.abscissae[2]
     if u < u2:
         return float(tables.v4.derivatives[2] / (3.0 * u2 * u2) * (u / u2) ** 9)
-    e = float(interpolate(tables.eta, u))
-    m0, m1, m2 = (float(interpolate(m, u)) for m in tables.moments[:3])
+    e, m0, m1, m2 = interpolate_shared((tables.eta, *tables.moments[:3]), float(u))
     return _v4_rate(e, m0, m1, m2, scale_factor(u**3, tables.params))
 
 

@@ -8,10 +8,22 @@ module constants; only the large lab's volume and duration are settable
 (FigureConfig). Rendering is left to external tools; this module only writes
 CSV and JSON files.
 
+A series holds its points as three columns of Python floats in tuples
+(log2_neo, length_m, energy_ev); the five series of one figure share one
+log2_neo tuple. ``FigureSeries.points`` is a read-only sequence view over the
+columns that yields a ``FigurePoint`` per index. A tuple of columns is three
+container objects where a tuple of rows is one per point, so a dense figure
+builds without the cyclic collector scanning hundreds of thousands of rows.
+
 CSV schema: header ``series,label,log2_neo,length_m,energy_ev``, UTF-8, LF
-line endings, floats rendered with %.17g. JSON mirrors the series and
-annotation structure with identical field names, so a write/read round trip
-reproduces every point bit-exactly.
+line endings, floats rendered with %.17g. The writer streams one block per
+series into the open file, each block one % format over the interleaved
+columns; the shared log2_neo column is formatted once. JSON mirrors the
+series and annotation structure with identical field names, in
+``json.dumps(doc, indent=2)``'s layout byte for byte, so a write/read round
+trip reproduces every point bit-exactly. json.dumps renders every number (one
+call per column) and string; only the whitespace and punctuation between them
+come from fixed templates.
 """
 
 from __future__ import annotations
@@ -57,16 +69,75 @@ class FigurePoint(NamedTuple):
     energy_ev: float
 
 
+class SeriesPoints(Sequence):
+    """Read-only sequence view of a series' points over its three columns.
+
+    ``points[i]`` is a ``FigurePoint``; a slice is another view over sliced
+    columns. Views compare equal to views with equal columns and to the
+    tuple of their points, and hash as that tuple does.
+    """
+
+    __slots__ = FigurePoint._fields
+
+    def __init__(
+        self, log2_neo: Tuple[float, ...], length_m: Tuple[float, ...], energy_ev: Tuple[float, ...]
+    ):
+        if not len(log2_neo) == len(length_m) == len(energy_ev):
+            raise ValueError("point columns differ in length")
+        object.__setattr__(self, "log2_neo", log2_neo)
+        object.__setattr__(self, "length_m", length_m)
+        object.__setattr__(self, "energy_ev", energy_ev)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("series points are read-only")
+
+    def __reduce__(self):
+        return SeriesPoints, (self.log2_neo, self.length_m, self.energy_ev)
+
+    def __len__(self) -> int:
+        return len(self.log2_neo)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return SeriesPoints(self.log2_neo[i], self.length_m[i], self.energy_ev[i])
+        return FigurePoint(self.log2_neo[i], self.length_m[i], self.energy_ev[i])
+
+    def __iter__(self):
+        return map(FigurePoint, self.log2_neo, self.length_m, self.energy_ev)
+
+    def __eq__(self, other):
+        if isinstance(other, SeriesPoints):
+            return (self.log2_neo, self.length_m, self.energy_ev) == (
+                other.log2_neo, other.length_m, other.energy_ev
+            )
+        if isinstance(other, tuple):
+            return tuple(self) == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"SeriesPoints({tuple(self)!r})"
+
+
 @dataclass(frozen=True)
 class FigureSeries:
+    """One bound line. ``points`` is a ``SeriesPoints`` view over the columns;
+    a sequence of ``FigurePoint`` rows (or 3-tuples) given instead is turned
+    into columns here, as given, with no conversion of the values."""
+
     label: str
     kind: ScenarioKind
     style_hint: str
-    points: Tuple[FigurePoint, ...]
+    points: SeriesPoints
 
     def __post_init__(self):
         if self.style_hint not in STYLE_HINTS:
             raise ValueError(f"unknown style hint {self.style_hint!r}")
+        if not isinstance(self.points, SeriesPoints):
+            columns = tuple(zip(*self.points)) or ((), (), ())
+            object.__setattr__(self, "points", SeriesPoints(*columns))
 
 
 @dataclass(frozen=True)
@@ -102,7 +173,10 @@ def check_grid(lo: float, hi: float, step: float) -> None:
     check_range("min log2 NEO", lo, -math.inf)
     check_range("max log2 NEO", hi, -math.inf)
     check_range("step", step)
-    if (hi - lo) / step >= MAX_FIGURE_POINTS:
+    # build_figure samples np.arange(lo, hi + 0.5 * step, step), whose length
+    # is the ceiling of this quotient; the ceiling exceeds the integer cap
+    # exactly when the quotient does (an overflow to inf is rejected too)
+    if (hi + 0.5 * step - lo) / step > MAX_FIGURE_POINTS:
         raise ConfigurationError(
             f"range [{lo!r}, {hi!r}] at step {step!r} exceeds {MAX_FIGURE_POINTS} points"
         )
@@ -154,7 +228,7 @@ def build_figure(
 
     grid = np.arange(lo, hi + 0.5 * step, step)
     neo = LogQuantity(grid)
-    log2_neo = grid.tolist()
+    log2_neo = tuple(grid.tolist())
     series = []
     for label, scenario, style in specs:
         # the range checks report overflow; lengths fall along the grid, so
@@ -165,7 +239,7 @@ def build_figure(
                 check_range(f"{label}: probed length", float(length))
             energies = energy_from_length(lengths, k)
         check_range(f"{label}: energy", float(energies[-1]))
-        points = tuple(map(FigurePoint, log2_neo, lengths.tolist(), energies.tolist()))
+        points = SeriesPoints(log2_neo, tuple(lengths.tolist()), tuple(energies.tolist()))
         series.append(FigureSeries(label=label, kind=scenario.kind, style_hint=style, points=points))
 
     annotations = [
@@ -200,18 +274,36 @@ def planck_crossing(series: FigureSeries, l_p: float) -> Optional[float]:
     between the first and last points; no point in between is read. None if
     the series is empty or l_p lies outside [last length, first length].
     """
-    if not series.points:
+    neo, length = series.points.log2_neo, series.points.length_m
+    if not neo:
         return None
-    first, last = series.points[0], series.points[-1]
-    for end in (first, last):
-        if end.length_m == l_p:
-            return end.log2_neo
-    if not last.length_m < l_p < first.length_m:
+    for i in (0, -1):
+        if length[i] == l_p:
+            return neo[i]
+    if not length[-1] < l_p < length[0]:
         return None
-    f = (math.log2(first.length_m) - math.log2(l_p)) / (
-        math.log2(first.length_m) - math.log2(last.length_m)
+    f = (math.log2(length[0]) - math.log2(l_p)) / (
+        math.log2(length[0]) - math.log2(length[-1])
     )
-    return first.log2_neo + f * (last.log2_neo - first.log2_neo)
+    return neo[0] + f * (neo[-1] - neo[0])
+
+
+# json.dumps(doc, indent=2)'s layout around one series' fields, and around
+# one point inside its "points" list
+_JSON_SERIES = (
+    '    {\n'
+    '      "label": %s,\n'
+    '      "kind": %s,\n'
+    '      "style_hint": %s,\n'
+    '      "points": '
+)
+_JSON_POINT = (
+    '        {\n'
+    '          "log2_neo": %s,\n'
+    '          "length_m": %s,\n'
+    '          "energy_ev": %s\n'
+    '        }'
+)
 
 
 def write_series(
@@ -223,46 +315,64 @@ def write_series(
     """Write series (and, for JSON, annotations) to a file.
 
     CSV holds the point rows only; its fixed schema has no annotation columns.
+    Both formats are written one series at a time into the open file.
     """
-    path = Path(path)
-    if fmt == "csv":
-        lines = [CSV_HEADER]
-        for s in series:
-            # the prefix stays out of the format string, so a % in a label is literal
-            prefix = f"{s.kind.value},{s.label},"
-            lines.extend(prefix + "%.17g,%.17g,%.17g" % p for p in s.points)
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
-    elif fmt == "json":
-        doc = {
-            "series": [
-                {
-                    "label": s.label,
-                    "kind": s.kind.value,
-                    "style_hint": s.style_hint,
-                    "points": [
-                        {
-                            "log2_neo": p.log2_neo,
-                            "length_m": p.length_m,
-                            "energy_ev": p.energy_ev,
-                        }
-                        for p in s.points
-                    ],
-                }
-                for s in series
-            ],
-            "annotations": [
-                {
-                    "label": a.label,
-                    "note": a.note,
-                    "log2_neo": a.log2_neo,
-                    "energy_ev": a.energy_ev,
-                }
-                for a in annotations
-            ],
-        }
-        path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8", newline="\n")
-    else:
+    if fmt not in ("csv", "json"):
         raise ValueError(f"unknown format {fmt!r}; expected 'csv' or 'json'")
+    with Path(path).open("w", encoding="utf-8", newline="\n") as f:
+        if fmt == "csv":
+            _write_csv(series, f)
+        else:
+            _write_json(series, annotations, f)
+
+
+def _interleave(*columns: Sequence) -> tuple:
+    """The columns' items row by row: a0, b0, c0, a1, b1, c1, ..."""
+    flat = [None] * (len(columns) * len(columns[0]))
+    for j, column in enumerate(columns):
+        flat[j :: len(columns)] = column
+    return tuple(flat)
+
+
+def _write_csv(series: Sequence[FigureSeries], f) -> None:
+    f.write(CSV_HEADER + "\n")
+    neo, neo_text = None, None
+    for s in series:
+        points = s.points
+        if not points:
+            continue
+        if points.log2_neo != neo:  # the series of one figure share the column
+            neo = points.log2_neo
+            neo_text = ("\n".join(["%.17g"] * len(neo)) % neo).split("\n")
+        # doubling % keeps a % in the kind or label literal
+        row = f"{s.kind.value},{s.label},".replace("%", "%%") + "%s,%.17g,%.17g\n"
+        f.write(row * len(points) % _interleave(neo_text, points.length_m, points.energy_ev))
+
+
+def _write_json(series: Sequence[FigureSeries], annotations: Sequence[Annotation], f) -> None:
+    f.write('{\n  "series": [')
+    for i, s in enumerate(series):
+        f.write(",\n" if i else "\n")
+        f.write(_JSON_SERIES % (json.dumps(s.label), json.dumps(s.kind.value), json.dumps(s.style_hint)))
+        points = s.points
+        if not points:
+            f.write("[]\n    }")
+            continue
+        # one C-encoder call per column: "[x0, x1, ...]" split into its numbers
+        numbers = [
+            json.dumps(column)[1:-1].split(", ")
+            for column in (points.log2_neo, points.length_m, points.energy_ev)
+        ]
+        body = ",\n".join([_JSON_POINT] * len(points)) % _interleave(*numbers)
+        f.write("[\n" + body + "\n      ]\n    }")
+    marks = [
+        {"label": a.label, "note": a.note, "log2_neo": a.log2_neo, "energy_ev": a.energy_ev}
+        for a in annotations
+    ]
+    close = "\n  ]" if series else "]"
+    # a JSON string holds no raw newline, so this indents every line one level
+    marks_text = json.dumps(marks, indent=2).replace("\n", "\n  ")
+    f.write(f'{close},\n  "annotations": {marks_text}\n}}\n')
 
 
 def read_series_json(path: Union[str, Path]) -> Tuple[List[FigureSeries], List[Annotation]]:

@@ -19,6 +19,8 @@ table's nodes and coefficient rows are converted to Python lists on its
 first scalar lookup (``CumulativeTable._scalar_rows``), and the node is found
 by ``bisect``. The branch does the array path's operations in the same order,
 so its results are bit-identical to it, in a few microseconds per call.
+``interpolate_shared`` does the same for several tables on one grid, with one
+``bisect`` for all of them.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -344,6 +346,28 @@ def interpolate(table: CumulativeTable, x: Union[float, np.ndarray]):
     power *= s
     result += c3.take(idx) * power
     return float(result) if result.ndim == 0 else result
+
+
+def interpolate_shared(tables: Sequence[CumulativeTable], x: float) -> List[float]:
+    """``interpolate(table, x)`` for each of several tables on one grid, with
+    one node search.
+
+    x is a Python float. ``bisect`` runs once over the first table's nodes,
+    and each table's cubic is summed in the order of ``interpolate``'s scalar
+    branch, so every value is the double ``interpolate`` gives. The tables'
+    abscissae must be equal; this is not checked.
+    """
+    nodes = tables[0]._scalar_rows[0]
+    if not nodes[0] <= x <= nodes[-1]:  # NaN fails too
+        raise _out_of_range(nodes[0], nodes[-1])
+    i = bisect_right(nodes, x) - 1
+    s = x - nodes[i]
+    s2 = s * s
+    s3 = s2 * s
+    return [
+        c0[i] + c1[i] * s + c2[i] * s2 + c3[i] * s3
+        for _, c0, c1, c2, c3 in (table._scalar_rows for table in tables)
+    ]
 
 
 def _out_of_range(lo: float, hi: float) -> ValueError:
