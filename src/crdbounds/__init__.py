@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 
 from .quantities import LogQuantity, PhysicalConstants, planck_units
 from .quadrature import CumulativeTable, QuadratureError, build_cumulative, integrate, interpolate
-from .cosmology import CosmologyParams, LightconeTables, build_tables, k_factors
+from .cosmology import CosmologyParams, LightconeTables, build_tables
 from .bounds import Scenario, ScenarioKind
 from .thresholds import ThresholdResult, classify_machine, planck_threshold
 from .errors import ConfigurationError
@@ -29,7 +29,6 @@ __all__ = [
     "CosmologyParams",
     "LightconeTables",
     "build_tables",
-    "k_factors",
     "Scenario",
     "ScenarioKind",
     "ThresholdResult",

@@ -13,9 +13,9 @@ from .quantities import JULIAN_YEAR_S
 
 ENV_CONFIG_PATH = "CRDBOUNDS_CONFIG"
 
-# Tightest accepted quad_rel_tol. `kfactors` rebuilds at a tenth of it, and
-# at 1e-14 the k-integrals run out of their panels, so anything tighter
-# could only end in a quadrature failure.
+# Tightest accepted quad_rel_tol. `kfactors` re-integrates k7u/k8u at a
+# tenth of it, and at 1e-14 the k-integrals run out of their panels, so
+# anything tighter could only end in a quadrature failure.
 MIN_QUAD_REL_TOL = 2e-13
 
 
@@ -56,9 +56,18 @@ _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
 
 def parse_config_file(path: Union[str, Path]) -> dict:
-    """Parse a flat key=value file; '#' starts a comment, blank lines ignored."""
+    """Parse a flat key=value file; '#' starts a comment, blank lines ignored.
+
+    A file that is missing or cannot be read as UTF-8 text is a
+    ConfigurationError naming the path.
+    """
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (FileNotFoundError, NotADirectoryError) as exc:
+        raise ConfigurationError(f"config file not found: {path}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"cannot read config file {path}: {exc}") from exc
     values = {}
-    text = Path(path).read_text(encoding="utf-8")
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -90,8 +99,6 @@ def load_config(
         if env_path:
             path = env_path
     if path is not None:
-        if not Path(path).exists():
-            raise ConfigurationError(f"config file not found: {path}")
         config = replace(config, **parse_config_file(path))
     if overrides:
         cleaned = {k: v for k, v in overrides.items() if v is not None}

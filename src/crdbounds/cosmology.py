@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -163,8 +163,8 @@ class LightconeTables:
     light-cone 4-volume (m^3 s). moments holds the four cumulative integrals
     of a^3 eta^k (k = 0..3) that v4, v4_rate and the k-factors are assembled
     from. eta and the moments share one grid (equal abscissae), so v4_rate
-    finds its node once for all four. The dimensionless prefactors k4u, k7u,
-    k8u are precomputed here.
+    finds its node once for all four. Precomputed: k4u = H0^4 V4(T) / c^3, the
+    last v4 node, and k7u, k8u from ``k_integrals`` on these tables.
 
     log2_k maps each universe exponent p (4, 7, 8) to log2 K of the law
     N_ops = K / l^p, K = k_p (c/H0)^p. It is derived once, here, from the
@@ -247,9 +247,32 @@ def build_tables(
     v4_derivs[1:] = 3.0 * inner**2 * _v4_rate(eta_n[1:], m0[1:], m1[1:], m2[1:], a(inner))
     v4 = CumulativeTable(grid, v4_nodes, v4_derivs)
 
+    k7u, k8u = k_integrals(params, eta, v4, moments, rel_tol)
+    return LightconeTables(
+        params, eta, v4, moments,
+        k4u=float(params.h0**4 * v4_nodes[-1] / c**3), k7u=k7u, k8u=k8u,
+    )
+
+
+def k_integrals(
+    params: CosmologyParams, eta: CumulativeTable, v4: CumulativeTable,
+    moments: Sequence[CumulativeTable], rel_tol: float,
+) -> Tuple[float, float]:
+    """(k7u, k8u) integrated over [0, T] to rel_tol, d(t, T) = c (eta(T) - eta(t)):
+
+    k7u = (4 pi H0^7 / 3 c^6) int_0^T a^3(t) d^3(t, T) V4dot(t) dt
+    k8u = (4 pi H0^8 / 3 c^6) int_0^T V4(t) a^3(t) d^3(t, T) dt
+
+    The integrands read the interpolated tables, which set the result's error.
+    """
+    c = SPEED_OF_LIGHT
+
+    def a(u):
+        return scale_factor(u**3, params)
+
     def kernel(u, e_u):
         """3 u^2 a^3 d^3, with d the comoving distance from eta_u to today."""
-        return 3.0 * u * u * a(u) ** 3 * (c * np.maximum(eta_n[-1] - e_u, 0.0)) ** 3
+        return 3.0 * u * u * a(u) ** 3 * (c * np.maximum(eta.values[-1] - e_u, 0.0)) ** 3
 
     def k8_integrand(u):
         return kernel(u, interpolate(eta, u)) * interpolate(v4, u)
@@ -260,11 +283,9 @@ def build_tables(
         return kernel(u, e) * rate
 
     common = 4.0 * math.pi / 3.0 / c**6
-    return LightconeTables(
-        params, eta, v4, moments,
-        k4u=float(params.h0**4 * v4_nodes[-1] / c**3),
-        k7u=float(common * params.h0**7 * integrate(k7_integrand, 0.0, u_max, rel_tol)),
-        k8u=float(common * params.h0**8 * integrate(k8_integrand, 0.0, u_max, rel_tol)),
+    return (
+        float(common * params.h0**7 * integrate(k7_integrand, 0.0, eta.abscissae[-1], rel_tol)),
+        float(common * params.h0**8 * integrate(k8_integrand, 0.0, eta.abscissae[-1], rel_tol)),
     )
 
 
@@ -318,20 +339,3 @@ def v4_rate(t2: float, tables: LightconeTables) -> float:
         return float(tables.v4.derivatives[2] / (3.0 * u2 * u2) * (u / u2) ** 9)
     e, m0, m1, m2 = interpolate_shared((tables.eta, *tables.moments[:3]), float(u))
     return _v4_rate(e, m0, m1, m2, scale_factor(u**3, tables.params))
-
-
-def k_factors(
-    params: CosmologyParams,
-    rel_tol: float = DEFAULT_REL_TOL,
-    grid_points: int = DEFAULT_GRID_POINTS,
-    tables: Optional[LightconeTables] = None,
-) -> Tuple[float, float, float]:
-    """The dimensionless prefactors (k4u, k7u, k8u) for the given cosmology.
-
-    k4u = H0^4 V4(T) / c^3
-    k8u = (4 pi H0^8 / 3 c^6) int_0^T V4(t) a^3(t) d^3(t, T) dt
-    k7u = (4 pi H0^7 / 3 c^6) int_0^T a^3(t) d^3(t, T) V4dot(t) dt
-    """
-    if tables is None or tables.params != params:
-        tables = build_tables(params, rel_tol=rel_tol, grid_points=grid_points)
-    return tables.k4u, tables.k7u, tables.k8u

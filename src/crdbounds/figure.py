@@ -167,11 +167,13 @@ class FigureConfig:
 
 
 def check_grid(lo: float, hi: float, step: float) -> None:
-    """Reject a log2-NEO range or step that is not finite, a step that is not
-    positive, and grids of more than MAX_FIGURE_POINTS points, before any
-    grid is allocated."""
+    """Reject a log2-NEO range or step that is not finite, a reversed range
+    (min > max), a step that is not positive, and grids of more than
+    MAX_FIGURE_POINTS points, before any grid is allocated."""
     check_range("min log2 NEO", lo, -math.inf)
     check_range("max log2 NEO", hi, -math.inf)
+    if lo > hi:
+        raise ConfigurationError(f"min log2 NEO {lo!r} exceeds max log2 NEO {hi!r}")
     check_range("step", step)
     # build_figure samples np.arange(lo, hi + 0.5 * step, step), whose length
     # is the ceiling of this quotient; the ceiling exceeds the integer cap

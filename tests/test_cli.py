@@ -171,6 +171,14 @@ class TestFigure:
         assert "series: 0" in result.output
         assert out.read_text(encoding="utf-8") == "series,label,log2_neo,length_m,energy_ev\n"
 
+    def test_reversed_range_is_usage_error(self, runner, tmp_path):
+        out = tmp_path / "reversed.csv"
+        result = runner.invoke(main, ["figure", "--out", str(out), "--min", "600", "--max", "500"])
+        assert result.exit_code == 2, result.output
+        errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+        assert errors == ["Error: min log2 NEO 600.0 exceeds max log2 NEO 500.0"]
+        assert not out.exists()
+
     def test_unwritable_path_is_runtime_error(self, runner, tmp_path):
         result = runner.invoke(main, ["figure", "--out", str(tmp_path / "no" / "fig.csv")])
         assert result.exit_code == 1
@@ -205,6 +213,21 @@ class TestConfigWiring:
     def test_missing_config_is_usage_error(self, runner, tmp_path):
         result = runner.invoke(main, ["constants", "--config", str(tmp_path / "nope.cfg")])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("route", ["flag", "env"])
+    @pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+    def test_unreadable_config_is_usage_error(self, tmp_path, route, kind):
+        path = tmp_path
+        if kind == "not-utf8":
+            path = tmp_path / "latin1.cfg"
+            path.write_bytes("h0_km_s_mpc = 70 # \xb5\n".encode("latin-1"))
+        env = {"CRDBOUNDS_CONFIG": str(path) if route == "env" else None}
+        args = ["threshold"] + (["--config", str(path)] if route == "flag" else [])
+        result = CliRunner(env=env).invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+        assert len(errors) == 1 and f"cannot read config file {path}" in errors[0]
 
     def test_lab_parameters_shift_thresholds(self, runner):
         doc = _json_out(

@@ -1,6 +1,7 @@
 """Property test: no CLI invocation ends in a traceback."""
 
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 from click.testing import CliRunner
@@ -8,6 +9,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from crdbounds.cli import main
+from crdbounds.config import RunConfig
 
 SPECIAL = ["nan", "inf", "-inf", "0", "-0.0", "-1", "5e-324", "1e-300", "1e300", "1.7976931348623157e+308"]
 FLOATS = st.sampled_from(SPECIAL) | st.floats(allow_nan=False, allow_infinity=False).map(repr)
@@ -39,6 +41,36 @@ VERB_FLAGS = {
     },
 }
 
+# A config file's lines: known keys with drawn values, unknown keys, and text
+# without "=". The --grid-points flag overrides any grid_points they set.
+CONFIG_LINES = st.one_of(
+    st.builds("{} = {}".format, st.sampled_from([f.name for f in fields(RunConfig)]), FLOATS | INTS),
+    st.builds("{}={}".format, st.sampled_from(["hubble", "", " # note"]), FLOATS),
+    st.text(max_size=20),
+)
+# (how the config is given, what it is): a file of random bytes or of drawn
+# lines, the temporary directory itself, or a path that does not exist
+CONFIGS = st.tuples(
+    st.sampled_from(["--config", "CRDBOUNDS_CONFIG"]),
+    st.one_of(
+        st.binary(max_size=64),
+        st.lists(CONFIG_LINES, max_size=4).map(lambda lines: "\n".join(lines).encode("utf-8")),
+        st.sampled_from(["directory", "missing"]),
+    ),
+)
+# figure --out: a file, the temporary directory itself, a missing parent
+OUTS = st.sampled_from(["fig.out", ".", "no/fig.out"])
+
+
+def _config_path(tmp: Path, content) -> Path:
+    if content == "directory":
+        return tmp
+    if content == "missing":
+        return tmp / "absent.cfg"
+    path = tmp / "run.cfg"
+    path.write_bytes(content)
+    return path
+
 
 @st.composite
 def invocations(draw):
@@ -51,15 +83,23 @@ def invocations(draw):
     return args
 
 
-@given(invocations(), st.booleans())
-@settings(max_examples=80, deadline=None)
-def test_every_invocation_exits_cleanly(args, as_json):
+@given(invocations(), st.booleans(), st.none() | CONFIGS, OUTS)
+@settings(max_examples=120, deadline=None)
+def test_every_invocation_exits_cleanly(args, as_json, config, out):
+    env = {"CRDBOUNDS_CONFIG": None}
     with tempfile.TemporaryDirectory() as tmp:
+        if config is not None:
+            route, content = config
+            path = str(_config_path(Path(tmp), content))
+            if route == "--config":
+                args = [*args, "--config", path]
+            else:
+                env["CRDBOUNDS_CONFIG"] = path
         if args[0] == "figure":
-            args = [*args, "--out", str(Path(tmp) / "fig.out")]
+            args = [*args, "--out", str(Path(tmp) / out)]
         if as_json:
             args = [*args, "--json"]
-        result = CliRunner().invoke(main, args)
+        result = CliRunner(env=env).invoke(main, args)
     event(f"exit {result.exit_code}")
     assert result.exit_code in {0, 1, 2}, result.output
     assert result.exception is None or isinstance(result.exception, SystemExit), repr(result.exception)

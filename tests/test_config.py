@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from crdbounds.config import ENV_CONFIG_PATH, RunConfig, load_config, parse_config_file
@@ -63,6 +65,23 @@ def test_missing_separator_rejected(tmp_path):
 def test_missing_file_rejected(tmp_path):
     with pytest.raises(ConfigurationError, match="not found"):
         load_config(tmp_path / "absent.cfg")
+
+
+def test_missing_parent_is_not_found(tmp_path):
+    with pytest.raises(ConfigurationError, match="not found"):
+        load_config(tmp_path / "absent" / "run.cfg")
+
+
+def test_directory_rejected(tmp_path):
+    with pytest.raises(ConfigurationError, match=re.escape(f"cannot read config file {tmp_path}")):
+        parse_config_file(tmp_path)
+
+
+def test_non_utf8_rejected(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_bytes(b"omega_m = 0.3\n\xff\xfe\n")
+    with pytest.raises(ConfigurationError, match="cannot read config file .*utf-8"):
+        parse_config_file(path)
 
 
 def test_env_var_honored(tmp_path, monkeypatch):

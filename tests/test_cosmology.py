@@ -8,7 +8,6 @@ from crdbounds.cosmology import (
     age_of_universe,
     build_tables,
     comoving_distance,
-    k_factors,
     scale_factor,
     v4,
     v4_rate,
@@ -113,16 +112,11 @@ class TestTables:
 
     def test_k_factors_independent_of_h0(self):
         fast = dict(rel_tol=1e-9, grid_points=1024)
-        a = k_factors(CosmologyParams.create(70.0, 0.3, 0.7), **fast)
-        b = k_factors(CosmologyParams.create(35.0, 0.3, 0.7), **fast)
+        ta = build_tables(CosmologyParams.create(70.0, 0.3, 0.7), **fast)
+        tb = build_tables(CosmologyParams.create(35.0, 0.3, 0.7), **fast)
+        a = (ta.k4u, ta.k7u, ta.k8u)
+        b = (tb.k4u, tb.k7u, tb.k8u)
         assert a == pytest.approx(b, rel=1e-9)
-
-    def test_k_factors_reuses_matching_tables(self, fiducial_params, fiducial_tables):
-        assert k_factors(fiducial_params, tables=fiducial_tables) == (
-            fiducial_tables.k4u,
-            fiducial_tables.k7u,
-            fiducial_tables.k8u,
-        )
 
     def test_grid_points_validation(self, fiducial_params):
         with pytest.raises(ValueError, match="grid_points"):

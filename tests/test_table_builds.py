@@ -1,0 +1,111 @@
+"""One light-cone table build per CLI call, and one error boundary for the
+quadrature behind it.
+
+`kfactors` checks its k-integrals by rerunning them at a tenfold tighter
+tolerance on the tables it already built; the reference here is the older
+route, a second full build at that tolerance, whose shift it must reproduce
+exactly.
+"""
+
+import json
+
+import pytest
+from click.testing import CliRunner
+
+import crdbounds.cli as cli
+import crdbounds.cosmology as cosmology
+from crdbounds.cosmology import build_tables
+from crdbounds.quadrature import QuadratureError
+
+EDS = ["--omega-m", "1", "--omega-lambda", "0"]
+FIGURE = ["figure", "--min", "500", "--max", "600", "--step", "5"]
+MACHINE = ["scale", "--ops", "3.352e15", "--volume", "7.44e-7", "--duration", "1"]
+
+
+def _invoke(args):
+    return CliRunner(env={"CRDBOUNDS_CONFIG": None}).invoke(cli.main, args)
+
+
+def _with_out(args, tmp_path):
+    return [*args, "--out", str(tmp_path / "fig.csv")] if args[0] == "figure" else args
+
+
+@pytest.fixture()
+def builds(monkeypatch):
+    """The arguments of every build_tables call the CLI makes."""
+    calls = []
+    real = cli.build_tables
+
+    def counting(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "build_tables", counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "args, expected",
+    [
+        (["constants"], 0),
+        (["kfactors"], 1),
+        (["threshold"], 1),
+        (["scale", "--qubits", "2048"], 1),
+        (MACHINE, 0),
+        (FIGURE, 1),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else str(v),
+)
+def test_one_build_per_call(builds, tmp_path, args, expected):
+    result = _invoke(_with_out(args, tmp_path) + ["--grid-points", "64"])
+    assert result.exit_code == 0, result.output
+    assert len(builds) == expected
+
+
+@pytest.mark.parametrize("cosmology_args", [[], EDS], ids=["fiducial", "eds"])
+def test_delta_is_the_shift_of_a_tighter_rebuild(request, cosmology_args):
+    doc = json.loads(_invoke(["kfactors", "--json", *cosmology_args]).stdout)
+    name = "eds" if cosmology_args else "fiducial"
+    params = request.getfixturevalue(f"{name}_params")
+    tables = request.getfixturevalue(f"{name}_tables")
+    # the former check: a second build at a tenth of the default 1e-9
+    tighter = build_tables(params, rel_tol=1e-9 * 0.1)
+    expected = {
+        k: abs(getattr(tables, k) - getattr(tighter, k)) / getattr(tighter, k)
+        for k in ("k4u", "k7u", "k8u")
+    }
+    assert doc["achieved_rel_delta"] == expected
+    assert expected["k4u"] == 0.0
+
+
+def _failing_integrate(monkeypatch, below):
+    """Make every k-integral asked for a tolerance under `below` fail."""
+    real = cosmology.integrate
+
+    def integrate(f, a, b, rel_tol, *rest):
+        if rel_tol < below:
+            raise QuadratureError("ran out of panels", 0.0, 1e-3)
+        return real(f, a, b, rel_tol, *rest)
+
+    monkeypatch.setattr(cosmology, "integrate", integrate)
+
+
+@pytest.mark.parametrize(
+    "args, below",
+    [
+        (["kfactors"], 1.0),
+        (["threshold"], 1.0),
+        (["scale", "--qubits", "2048"], 1.0),
+        (FIGURE, 1.0),
+        # the build passes; only kfactors' tenfold tighter check fails
+        (["kfactors"], 1e-9),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else f"below {v:g}",
+)
+def test_quadrature_failure_is_one_line_exit_1(monkeypatch, tmp_path, args, below):
+    _failing_integrate(monkeypatch, below)
+    result = _invoke(_with_out(args, tmp_path) + ["--grid-points", "64"])
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)
+    errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+    assert errors == ["Error: quadrature failed: ran out of panels"]
