@@ -7,11 +7,12 @@ a pure function of the inputs, so results are bit-identical across runs on a
 given platform.
 
 Integrands must be vectorized: ``f(x)`` receives a 1-d numpy array and returns
-an array of the same shape. ``build_cumulative`` also accepts an integrand that
-returns one row per component, shape ``(R, x.size)``, and tabulates all R
-running integrals from the same evaluations. Panel endpoints are never
-evaluated, which makes integrable endpoint singularities (after a suitable
-substitution) safe.
+an array of the same shape. ``integrate`` and ``build_cumulative`` also accept
+an integrand that returns one row per component, shape ``(R, x.size)``:
+``integrate`` refines all R integrals in one adaptive pass, and
+``build_cumulative`` tabulates all R running integrals from the same
+evaluations. Panel endpoints are never evaluated, which makes integrable
+endpoint singularities (after a suitable substitution) safe.
 
 ``interpolate`` evaluates one monotone cubic per node in power form. A Python
 ``float`` or ``int`` takes a scalar branch with no numpy array work: the
@@ -20,7 +21,9 @@ first scalar lookup (``CumulativeTable._scalar_rows``), and the node is found
 by ``bisect``. The branch does the array path's operations in the same order,
 so its results are bit-identical to it, in a few microseconds per call.
 ``interpolate_shared`` does the same for several tables on one grid, with one
-``bisect`` for all of them.
+``bisect`` for all of them; for an array, and tables given as a
+``TableGroup``, it makes one ``searchsorted`` for all of them and sums their
+cubics in ``interpolate``'s array path.
 """
 
 from __future__ import annotations
@@ -66,10 +69,11 @@ Integrand = Callable[[np.ndarray], np.ndarray]
 class QuadratureError(RuntimeError):
     """Adaptive refinement ran out of panels before reaching tolerance.
 
-    Carries the partial estimate and the relative tolerance actually achieved.
+    Carries the partial estimate (a list of row values for an integrand with
+    rows) and the relative tolerance actually achieved.
     """
 
-    def __init__(self, message: str, estimate: float, achieved_rel_tol: float):
+    def __init__(self, message: str, estimate: Union[float, List[float]], achieved_rel_tol: float):
         super().__init__(message)
         self.estimate = estimate
         self.achieved_rel_tol = achieved_rel_tol
@@ -88,7 +92,7 @@ def _panel_sums(f: Integrand, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     mid = 0.5 * (hi + lo)
     nodes = mid[:, None] + half[:, None] * _GL_NODES[None, :]
     values = np.asarray(f(nodes.ravel()), dtype=float)
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         raise ValueError("integrand returned a non-finite value inside the interval")
     sums = values.reshape(-1, _GL_ORDER) @ _GL_WEIGHTS
     return half * sums.reshape(values.shape[:-1] + half.shape)
@@ -100,12 +104,20 @@ def integrate(
     b: float,
     rel_tol: float = DEFAULT_REL_TOL,
     max_panels: int = DEFAULT_MAX_PANELS,
-) -> float:
+):
     """Integrate f over [a, b] to a relative tolerance.
 
     The returned value I satisfies |I - integral| <= rel_tol*|I| + 1e-300 for
     integrands the refinement can resolve; if ``max_panels`` panels are
     exhausted first a QuadratureError carrying the partial estimate is raised.
+
+    If f returns R rows, shape (R, x.size), the rows share one adaptive pass
+    and the result is an array of R integrals. The tolerance then holds in
+    the max norm over rows: every row's error is within rel_tol times the
+    largest row's magnitude, and the panel split next is the one with the
+    largest error in any row. Rows should be scaled alike; a row much smaller
+    than the largest is held to the largest's scale. With one row this is the
+    bound above, and the result is a float.
     """
     _check_rel_tol(rel_tol)
     if a > b:
@@ -114,20 +126,20 @@ def integrate(
         return 0.0
 
     mid = 0.5 * (a + b)
-    whole, left, right = _panel_sums(
-        f, np.array([a, a, mid]), np.array([b, mid, b])
-    )
+    # transposed, each interval's sum is a float, or its R row sums
+    whole, left, right = _panel_sums(f, np.array([a, a, mid]), np.array([b, mid, b])).T
     total = left + right
-    total_err = abs(total - whole)
-    # heap entries: (-error, lo, hi, coarse value of each half)
-    heap = [(-total_err, a, b, left, right)]
+    err = abs(total - whole)
+    total_err = err.copy()  # updated in place; err stays with its heap entry
+    # heap entries: (-largest row error, lo, hi, coarse value of each half, row errors)
+    heap = [(-err.max(), a, b, left, right, err)]
     panels = 1
 
-    while total_err > _SAFETY * (rel_tol * abs(total) + _ABS_FLOOR):
-        neg_err, lo, hi, v_left, v_right = heapq.heappop(heap)
+    while total_err.max() > _SAFETY * (rel_tol * abs(total).max() + _ABS_FLOOR):
+        _, lo, hi, v_left, v_right, err = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:  # interval has collapsed to float resolution
-            total_err -= -neg_err
+            total_err -= err
             continue
         lo_mid = 0.5 * (lo + mid)
         mid_hi = 0.5 * (mid + hi)
@@ -135,26 +147,28 @@ def integrate(
             f,
             np.array([lo, lo_mid, mid, mid_hi]),
             np.array([lo_mid, mid, mid_hi, hi]),
-        )
+        ).T
         refined_left = quarters[0] + quarters[1]
         refined_right = quarters[2] + quarters[3]
         err_left = abs(refined_left - v_left)
         err_right = abs(refined_right - v_right)
         total += (refined_left + refined_right) - (v_left + v_right)
-        total_err += (err_left + err_right) - (-neg_err)
-        heapq.heappush(heap, (-err_left, lo, mid, quarters[0], quarters[1]))
-        heapq.heappush(heap, (-err_right, mid, hi, quarters[2], quarters[3]))
+        total_err += (err_left + err_right) - err
+        heapq.heappush(heap, (-err_left.max(), lo, mid, quarters[0], quarters[1], err_left))
+        heapq.heappush(heap, (-err_right.max(), mid, hi, quarters[2], quarters[3], err_right))
         panels += 1
         if panels > max_panels:
-            achieved = float(total_err / abs(total)) if total != 0.0 else math.inf
+            scale = abs(total).max()
+            achieved = float(total_err.max() / scale) if scale != 0.0 else math.inf
+            estimate = total.tolist()
             raise QuadratureError(
                 f"no convergence after {max_panels} panels on [{a}, {b}]: "
-                f"estimate {float(total)!r}, achieved relative tolerance {achieved:.3e}, "
+                f"estimate {estimate!r}, achieved relative tolerance {achieved:.3e}, "
                 f"needs {_SAFETY * rel_tol:.3e} ({_SAFETY:g} times the requested {rel_tol:.3e})",
-                estimate=float(total),
+                estimate=estimate,
                 achieved_rel_tol=achieved,
             )
-    return float(total)
+    return float(total) if np.ndim(total) == 0 else total
 
 
 @dataclass(frozen=True, eq=False)  # identity semantics: fields hold arrays
@@ -332,31 +346,39 @@ def interpolate(table: CumulativeTable, x: Union[float, np.ndarray]):
         i = bisect_right(nodes, x) - 1
         s = x - nodes[i]
         return c0[i] + c1[i] * s + c2[i] * (s * s) + c3[i] * ((s * s) * s)
-    xs = np.asarray(x, dtype=float)
-    lo, hi = float(table.abscissae[0]), float(table.abscissae[-1])
-    if not (np.all(xs >= lo) and np.all(xs <= hi)):  # NaN fails both
-        raise _out_of_range(lo, hi)
-    idx = np.searchsorted(table.abscissae, xs, side="right") - 1
-    c3, c2, c1, c0 = table._coefficients
-    # one gathered coefficient array at a time keeps large batches light on memory
-    s = xs - table.abscissae.take(idx)
-    result = c0.take(idx) + c1.take(idx) * s
-    power = s * s
-    result += c2.take(idx) * power
-    power *= s
-    result += c3.take(idx) * power
+    result = _interpolate_rows(table.abscissae, table._coefficients[:, None], x)[0]
     return float(result) if result.ndim == 0 else result
 
 
-def interpolate_shared(tables: Sequence[CumulativeTable], x: float) -> List[float]:
+class TableGroup(tuple):
+    """Tables on one grid (equal abscissae; not checked), for array lookups
+    in ``interpolate_shared``. Their coefficients are stacked on the first
+    array lookup and kept, so each lookup gathers each coefficient row of all
+    the tables in one take."""
+
+    @cached_property
+    def _coefficients(self) -> np.ndarray:
+        """Shape (4, tables, nodes): the rows (c3, c2, c1, c0) of each table."""
+        return np.stack([table._coefficients for table in self], axis=1)
+
+
+def interpolate_shared(tables: Sequence[CumulativeTable], x: Union[float, np.ndarray]):
     """``interpolate(table, x)`` for each of several tables on one grid, with
     one node search.
 
-    x is a Python float. ``bisect`` runs once over the first table's nodes,
+    For a Python float x, ``bisect`` runs once over the first table's nodes,
     and each table's cubic is summed in the order of ``interpolate``'s scalar
-    branch, so every value is the double ``interpolate`` gives. The tables'
-    abscissae must be equal; this is not checked.
+    branch; the result is a list of floats. An array x needs the tables as a
+    ``TableGroup``: one ``searchsorted`` serves them all, and the cubics are
+    summed by ``interpolate``'s array path; the result has shape
+    (len(tables),) + x.shape. Either way every value is the double
+    ``interpolate`` gives. The tables' abscissae must be equal; this is not
+    checked.
     """
+    if not isinstance(x, (float, int)):
+        if not isinstance(tables, TableGroup):
+            raise TypeError("an array lookup in interpolate_shared needs the tables as a TableGroup")
+        return _interpolate_rows(tables[0].abscissae, tables._coefficients, x)
     nodes = tables[0]._scalar_rows[0]
     if not nodes[0] <= x <= nodes[-1]:  # NaN fails too
         raise _out_of_range(nodes[0], nodes[-1])
@@ -368,6 +390,27 @@ def interpolate_shared(tables: Sequence[CumulativeTable], x: float) -> List[floa
         c0[i] + c1[i] * s + c2[i] * s2 + c3[i] * s3
         for _, c0, c1, c2, c3 in (table._scalar_rows for table in tables)
     ]
+
+
+def _interpolate_rows(nodes: np.ndarray, coefficients: np.ndarray, x):
+    """The array path of ``interpolate`` for T tables on the grid ``nodes``,
+    coefficients of shape (4, T, nodes); the result has shape (T,) + x.shape."""
+    xs = np.asarray(x, dtype=float)
+    lo, hi = float(nodes[0]), float(nodes[-1])
+    if not ((xs >= lo).all() and (xs <= hi).all()):  # NaN fails both
+        raise _out_of_range(lo, hi)
+    idx = np.searchsorted(nodes, xs, side="right") - 1
+    c3, c2, c1, c0 = coefficients
+    # one gathered coefficient array at a time keeps large batches light on
+    # memory; s takes the gathers' leading table axis, so that with one table
+    # numpy can reuse their temporaries in place
+    s = (xs - nodes.take(idx))[None]
+    result = c0.take(idx, axis=-1) + c1.take(idx, axis=-1) * s
+    power = s * s
+    result += c2.take(idx, axis=-1) * power
+    power *= s
+    result += c3.take(idx, axis=-1) * power
+    return result
 
 
 def _out_of_range(lo: float, hi: float) -> ValueError:
