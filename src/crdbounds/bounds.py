@@ -92,16 +92,15 @@ class Scenario:
             check_range(f"{self.kind.name} volume", self.v3)
             check_range(f"{self.kind.name} duration", self.duration)
             if self.params is not None:
-                raise ValueError(f"{self.kind.name} does not take cosmological parameters")
-        else:
-            if self.params is None:
-                raise ValueError(f"{self.kind.name} requires cosmological parameters")
-            if self.v3 is not None or self.duration is not None:
-                raise ValueError(f"{self.kind.name} does not take a lab volume or duration")
+                raise ConfigurationError(f"{self.kind.name} does not take cosmological parameters")
+        elif self.params is None:
+            raise ConfigurationError(f"{self.kind.name} requires cosmological parameters")
+        elif self.v3 is not None or self.duration is not None:
+            raise ConfigurationError(f"{self.kind.name} does not take a lab volume or duration")
         if weight is None:
             check_range("inputs_per_op", self.inputs_per_op, 1, low_inclusive=True)
         elif self.inputs_per_op is not None:
-            raise ValueError(f"{self.kind.name} does not take inputs_per_op")
+            raise ConfigurationError(f"{self.kind.name} does not take inputs_per_op")
         log2_k = None
         if n_v:
             w = self.inputs_per_op if weight is None else weight
@@ -192,8 +191,8 @@ def max_length(v3: float, duration: float, n_ops: LogQuantity) -> float:
 
 def crd(n_ops: LogQuantity, v3: float, duration: float) -> LogQuantity:
     """Computational rate density N_ops / (V3 T) in ops m^-3 s^-1."""
-    if not (v3 > 0.0 and duration > 0.0):
-        raise ValueError("volume and duration must be positive")
+    check_range("volume", v3)
+    check_range("duration", duration)
     return LogQuantity(n_ops.log2_value - math.log2(v3) - math.log2(duration))
 
 
@@ -218,8 +217,7 @@ def n_ops_for_scenario(
     tables: Optional[LightconeTables] = None,
 ) -> LogQuantity:
     """Operation count the scenario makes available at element spacing l."""
-    if not np.greater(length, 0.0).all():
-        raise ValueError(f"length must be positive, got {length!r}")
+    check_range("length", length)
     return LogQuantity(power_law(scenario, tables).log2_n_ops(length))
 
 
@@ -229,13 +227,13 @@ def length_for_scenario(
     tables: Optional[LightconeTables] = None,
 ):
     """Exact analytic inverse of n_ops_for_scenario."""
+    check_range("log2 operation count", n_ops.log2_value, -math.inf)
     return power_law(scenario, tables).length(n_ops.log2_value)
 
 
 def energy_from_length(length, constants: Optional[PhysicalConstants] = None):
     """Energy scale hbar c / l in eV (l a float or an array); reproduces the
     Planck energy at l = l_p."""
-    if not np.greater(length, 0.0).all():
-        raise ValueError(f"length must be positive, got {length!r}")
+    check_range("length", length)
     k = constants if constants is not None else planck_units()
     return k.hbar * k.c / length / EV_IN_JOULES

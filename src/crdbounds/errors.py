@@ -2,6 +2,8 @@
 
 import math
 
+import numpy as np
+
 
 class ConfigurationError(ValueError):
     """A run configuration or scenario wiring problem (bad parameter values,
@@ -10,10 +12,16 @@ class ConfigurationError(ValueError):
 
 def check_range(name, value, low=0.0, high=math.inf, *, low_inclusive=False):
     """Raise a ConfigurationError naming `name` unless value is a finite real
-    with low < value <= high (low <= value when low_inclusive).
+    with low < value <= high (low <= value when low_inclusive), or a numpy
+    array of them (empty passes; the message names the first that fails).
 
     Integers too large for a double count as non-finite.
     """
+    if isinstance(value, np.ndarray):
+        ok = np.isfinite(value) & (value <= high) & (value >= low if low_inclusive else value > low)
+        if ok.all():
+            return
+        value = value[~ok].flat[0].item()
     try:
         ok = math.isfinite(value) and value <= high
         ok = ok and (low <= value if low_inclusive else low < value)

@@ -143,7 +143,7 @@ class FigureSeries:
 @dataclass(frozen=True)
 class Annotation:
     """A marker keyed either to the x axis (log2_neo) or the right-hand
-    energy axis (energy_ev)."""
+    energy axis (energy_ev, > 0), each a finite number."""
 
     label: str
     note: str
@@ -153,9 +153,10 @@ class Annotation:
     def __post_init__(self):
         if (self.log2_neo is None) == (self.energy_ev is None):
             raise ValueError("exactly one of log2_neo or energy_ev must be set")
-        value = self.log2_neo if self.log2_neo is not None else self.energy_ev
-        if not math.isfinite(value):
-            raise ValueError(f"annotation value must be finite, got {value!r}")
+        if self.energy_ev is None:
+            check_range("annotation log2_neo", self.log2_neo, -math.inf)
+        else:
+            check_range("annotation energy_ev", self.energy_ev)
 
 
 @dataclass(frozen=True)
@@ -237,8 +238,7 @@ def build_figure(
         # the ends of each array hold its extremes
         with np.errstate(over="ignore"):
             lengths = length_for_scenario(scenario, neo, tables)
-            for length in (lengths[0], lengths[-1]):
-                check_range(f"{label}: probed length", float(length))
+            check_range(f"{label}: probed length", lengths[[0, -1]])
             energies = energy_from_length(lengths, k)
         check_range(f"{label}: energy", float(energies[-1]))
         points = SeriesPoints(log2_neo, tuple(lengths.tolist()), tuple(energies.tolist()))

@@ -120,6 +120,8 @@ def integrate(
     bound above, and the result is a float.
     """
     _check_rel_tol(rel_tol)
+    check_range("lower integration bound", a, -math.inf)
+    check_range("upper integration bound", b, -math.inf)
     if a > b:
         raise ValueError(f"integration bounds out of order: a={a!r} > b={b!r}")
     if a == b:
@@ -177,8 +179,9 @@ class CumulativeTable:
 
     Abscissae are strictly increasing; ``derivatives`` optionally stores the
     integrand at the nodes, which upgrades interpolation from slope-estimated
-    monotone cubics to Hermite cubics with exact nodal slopes. The cubic's
-    coefficients are computed once, here.
+    monotone cubics to Hermite cubics with exact nodal slopes. Every node,
+    value and derivative must be finite (a ConfigurationError otherwise). The
+    cubic's coefficients are computed once, here.
     """
 
     abscissae: np.ndarray
@@ -202,6 +205,9 @@ class CumulativeTable:
             if d.shape != x.shape:
                 raise ValueError("derivatives must match abscissae in length")
             d.setflags(write=False)
+        for name, column in (("abscissae", x), ("values", y), ("derivatives", d)):
+            if column is not None:
+                check_range(name, column, -math.inf)
         x.setflags(write=False)
         y.setflags(write=False)
         coefficients = _hermite_coefficients(x, y, d)
@@ -291,6 +297,7 @@ def build_cumulative(
     x = np.asarray(grid, dtype=float)
     if x.ndim != 1 or x.size < 2 or not np.all(np.diff(x) > 0.0):
         raise ValueError("grid must be strictly increasing with at least 2 points")
+    check_range("grid", x, -math.inf)
 
     lo, hi = x[:-1], x[1:]
     mid = 0.5 * (lo + hi)

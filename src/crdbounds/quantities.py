@@ -11,6 +11,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Tuple
 
+from .errors import check_range
+
 # CODATA 2018 values (c and the eV are exact by definition since the 2019
 # SI redefinition); Mpc per the IAU definition, year = Julian year.
 SPEED_OF_LIGHT = 299_792_458.0  # m / s
@@ -42,8 +44,7 @@ class LogQuantity:
 
     @classmethod
     def from_real(cls, x: float) -> "LogQuantity":
-        if not x > 0.0:
-            raise ValueError(f"LogQuantity requires a positive value, got {x!r}")
+        check_range("LogQuantity value", x)
         # log2(x) = exponent + log2(mantissa) with log2(mantissa) in [-1, 0);
         # the integer part is exact, and Fast2Sum keeps the error of the sum.
         mantissa, exponent = math.frexp(x)
@@ -88,12 +89,12 @@ def log_quantity_from_product(factors: Iterable[Tuple[float, float]]) -> LogQuan
     """Product of ``base**exponent`` factors, evaluated entirely in log space.
 
     Uses exact summation (math.fsum) so the result is independent of factor
-    order. Each base must be positive.
+    order. Each base must be finite and positive, each exponent finite.
     """
     terms = []
     for i, (base, exponent) in enumerate(factors):
-        if not base > 0.0:
-            raise ValueError(f"factor {i}: base must be positive, got {base!r}")
+        check_range(f"factor {i}: base", base)
+        check_range(f"factor {i}: exponent", exponent, -math.inf)
         terms.append(exponent * math.log2(base))
     return LogQuantity(math.fsum(terms))
 
@@ -123,8 +124,7 @@ def planck_units(
     l_p = sqrt(hbar G / c^3), t_p = l_p / c, E_p = hbar / t_p (converted to eV).
     """
     for name, value in (("c", c), ("hbar", hbar), ("G", G)):
-        if not value > 0.0:
-            raise ValueError(f"{name} must be positive, got {value!r}")
+        check_range(name, value)
     l_p = math.sqrt(hbar * G / c**3)
     t_p = l_p / c
     e_p_ev = hbar / t_p / EV_IN_JOULES
