@@ -1,14 +1,17 @@
 """Command-line front end.
 
-Verbs: constants | kfactors | threshold | scale | figure. Exit codes:
-0 success, 1 runtime or I/O failure, 2 usage or configuration error.
-Diagnostics go to stderr, data to stdout. Every output carries a metadata
-block (parameter values, quadrature tolerance, version) so published numbers
-are reproducible.
+Verbs: constants | kfactors | threshold | scale | figure. Each verb runs in
+one frame, ``common_options``: the verb gets the loaded RunConfig and returns
+its numbers, (fields, text lines). The frame alone adds the metadata block
+(parameter values, quadrature tolerance, version), so every published number
+carries what produced it, and maps errors to the exit codes: 0 success,
+1 runtime or I/O failure, 2 usage or configuration error. Diagnostics go to
+stderr, data to stdout.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import sys
@@ -36,8 +39,12 @@ _SCENARIO_NAMES = [k.value for k in ScenarioKind]
 
 
 def common_options(fn):
-    """The shared flags, with every bad input value (a ConfigurationError,
-    wherever raised) a usage error, exit 2, and a QuadratureError exit 1."""
+    """The frame every verb runs in. It takes the shared flags, loads the
+    config once and calls fn(config, **the verb's own options), which
+    returns (fields, text lines). It prints them after the metadata block,
+    as JSON or as "# key = value" lines. Every bad input value (a
+    ConfigurationError, wherever raised) is a usage error, exit 2, and a
+    QuadratureError exit 1."""
     options = [
         click.option("--h0", "h0_km_s_mpc", type=float, default=None, help="Hubble constant in km/s/Mpc."),
         click.option("--omega-m", "omega_m", type=float, default=None, help="Matter density parameter."),
@@ -52,31 +59,27 @@ def common_options(fn):
     ]
 
     @functools.wraps(fn)
-    def verb(*args, **kwargs):
+    def verb(config_path, as_json, **kwargs):
+        overrides = {f.name: kwargs.pop(f.name) for f in dataclasses.fields(RunConfig)}
         try:
-            return fn(*args, **kwargs)
+            config = load_config(config_path, overrides)
+            fields, lines = fn(config, **kwargs)
         except ConfigurationError as exc:
             raise click.UsageError(str(exc)) from exc
         except QuadratureError as exc:
             raise click.ClickException(f"quadrature failed: {exc}") from exc
+        metadata = {"artifact": "crdbounds", "version": __version__, **config.as_dict()}
+        if as_json:
+            click.echo(json.dumps({"metadata": metadata, **fields}, indent=2))
+        else:
+            for key, value in metadata.items():
+                click.echo(f"# {key} = {value}")
+            for line in lines:
+                click.echo(line)
 
     for option in reversed(options):
         verb = option(verb)
     return verb
-
-
-def _metadata(config: RunConfig) -> dict:
-    return {"artifact": "crdbounds", "version": __version__, **config.as_dict()}
-
-
-def _emit(doc: dict, as_json: bool, text_lines) -> None:
-    if as_json:
-        click.echo(json.dumps(doc, indent=2))
-    else:
-        for key, value in doc["metadata"].items():
-            click.echo(f"# {key} = {value}")
-        for line in text_lines:
-            click.echo(line)
 
 
 def _tables(config: RunConfig):
@@ -106,36 +109,29 @@ def main():
 
 @main.command()
 @common_options
-def constants(config_path, as_json, **overrides):
+def constants(config):
     """Planck length, time, energy and rate-density ceiling."""
-    config = load_config(config_path, overrides)
     k = planck_units()
     ceiling = planck_crd(k)
-    doc = {
-        "metadata": _metadata(config),
+    return {
         "l_p_m": k.l_p,
         "t_p_s": k.t_p,
         "e_p_ev": k.e_p_ev,
         "c_p_log2": ceiling.log2_value,
         "c_p_pow2": ceiling.pow2_str(),
         "c_p_decimal": ceiling.decimal_str(),
-    }
-    _emit(
-        doc,
-        as_json,
-        [
-            f"l_P = {k.l_p:.10e} m",
-            f"t_P = {k.t_p:.10e} s",
-            f"E_P = {k.e_p_ev:.10e} eV",
-            f"C_P = {ceiling.pow2_str()} ops m^-3 s^-1 "
-            f"= {ceiling.decimal_str()} ops m^-3 s^-1 (log2 = {ceiling.log2_value:.6f})",
-        ],
-    )
+    }, [
+        f"l_P = {k.l_p:.10e} m",
+        f"t_P = {k.t_p:.10e} s",
+        f"E_P = {k.e_p_ev:.10e} eV",
+        f"C_P = {ceiling.pow2_str()} ops m^-3 s^-1 "
+        f"= {ceiling.decimal_str()} ops m^-3 s^-1 (log2 = {ceiling.log2_value:.6f})",
+    ]
 
 
 @main.command()
 @common_options
-def kfactors(config_path, as_json, **overrides):
+def kfactors(config):
     """Dimensionless cosmological prefactors k4u, k7u, k8u.
 
     k7u and k8u are Richardson-extrapolated over every other table node,
@@ -147,7 +143,6 @@ def kfactors(config_path, as_json, **overrides):
     (k7u_grid_err, k8u_grid_err), which bounds it in the O(h^4) regime:
     from 256 grid points up to about 8192 at the default quad_rel_tol.
     """
-    config = load_config(config_path, overrides)
     tables = _tables(config)
     params = tables.params
     check = k_integrals(params, tables.eta, tables.v4, tables.moments, config.quad_rel_tol * 0.1)
@@ -156,24 +151,18 @@ def kfactors(config_path, as_json, **overrides):
         "k7u": abs(tables.k7u - check.k7u) / check.k7u,
         "k8u": abs(tables.k8u - check.k8u) / check.k8u,
     }
-    doc = {
-        "metadata": _metadata(config),
+    return {
         "t_universe_gyr": s_to_gyr(params.t_universe),
         "k4u": tables.k4u,
         "k7u": tables.k7u,
         "k8u": tables.k8u,
         "achieved_rel_delta": deltas,
-    }
-    _emit(
-        doc,
-        as_json,
-        [
-            f"T_U  = {s_to_gyr(params.t_universe):.6f} Gyr",
-            f"k4u  = {tables.k4u:.10e}   (convergence delta {deltas['k4u']:.2e})",
-            f"k7u  = {tables.k7u:.10e}   (convergence delta {deltas['k7u']:.2e})",
-            f"k8u  = {tables.k8u:.10e}   (convergence delta {deltas['k8u']:.2e})",
-        ],
-    )
+    }, [
+        f"T_U  = {s_to_gyr(params.t_universe):.6f} Gyr",
+        f"k4u  = {tables.k4u:.10e}   (convergence delta {deltas['k4u']:.2e})",
+        f"k7u  = {tables.k7u:.10e}   (convergence delta {deltas['k7u']:.2e})",
+        f"k8u  = {tables.k8u:.10e}   (convergence delta {deltas['k8u']:.2e})",
+    ]
 
 
 @main.command()
@@ -185,17 +174,21 @@ def kfactors(config_path, as_json, **overrides):
     help="Restrict to one scenario.",
 )
 @common_options
-def threshold(config_path, as_json, scenario_name, **overrides):
+def threshold(config, scenario_name):
     """Logical-qubit thresholds at which each scenario reaches the Planck scale."""
-    config = load_config(config_path, overrides)
     tables = _tables(config)
     k = planck_units()
     rows = [
         planck_threshold(s, tables, k)
         for s in _scenarios(config, tables.params, scenario_name)
     ]
-    doc = {
-        "metadata": _metadata(config),
+    width = max(len(r.scenario_kind.value) for r in rows)
+    lines = [f"{'scenario':<{width}}  qubits  log2_nops_exact"]
+    lines += [
+        f"{r.scenario_kind.value:<{width}}  {r.qubits:>6d}  {r.log2_nops_exact:.6f}"
+        for r in rows
+    ]
+    return {
         "thresholds": [
             {
                 "scenario": r.scenario_kind.value,
@@ -205,14 +198,7 @@ def threshold(config_path, as_json, scenario_name, **overrides):
             }
             for r in rows
         ],
-    }
-    width = max(len(r.scenario_kind.value) for r in rows)
-    lines = [f"{'scenario':<{width}}  qubits  log2_nops_exact"]
-    lines += [
-        f"{r.scenario_kind.value:<{width}}  {r.qubits:>6d}  {r.log2_nops_exact:.6f}"
-        for r in rows
-    ]
-    _emit(doc, as_json, lines)
+    }, lines
 
 
 @main.command()
@@ -228,9 +214,8 @@ def threshold(config_path, as_json, scenario_name, **overrides):
     help="Restrict to one scenario.",
 )
 @common_options
-def scale(config_path, as_json, qubits, ops, volume, duration, scenario_name, **overrides):
+def scale(config, qubits, ops, volume, duration, scenario_name):
     """Probed length and energy scale for a given machine."""
-    config = load_config(config_path, overrides)
     machine_mode = ops is not None or volume is not None or duration is not None
     if machine_mode == (qubits is not None):
         raise click.UsageError("give either --qubits or the --ops/--volume/--duration triple")
@@ -244,31 +229,31 @@ def scale(config_path, as_json, qubits, ops, volume, duration, scenario_name, **
         length = max_length(volume, duration, n_ops)
         rate = crd(n_ops, volume, duration)
         energy = energy_from_length(length)
-        doc = {
-            "metadata": _metadata(config),
+        return {
             "max_length_m": length,
             "energy_ev": energy,
             "crd_log2": rate.log2_value,
             "crd_decimal": rate.decimal_str(),
-        }
-        _emit(
-            doc,
-            as_json,
-            [
-                f"max length = {length:.6e} m",
-                f"energy     = {energy:.6e} eV",
-                f"CRD        = {rate.decimal_str()} ops m^-3 s^-1",
-            ],
-        )
-        return
+        }, [
+            f"max length = {length:.6e} m",
+            f"energy     = {energy:.6e} eV",
+            f"CRD        = {rate.decimal_str()} ops m^-3 s^-1",
+        ]
 
     check_range("--qubits", qubits, 1, low_inclusive=True)
     tables = _tables(config)
     k = planck_units()
     scenarios = _scenarios(config, tables.params, scenario_name)
     report = classify_machine(qubits, scenarios, tables, k)
-    doc = {
-        "metadata": _metadata(config),
+    width = max(len(a.scenario_kind.value) for a in report)
+    lines = [f"{'scenario':<{width}}  threshold  probed_length_m  energy_ev      sub_planckian"]
+    for a in report:
+        lines.append(
+            f"{a.scenario_kind.value:<{width}}  {a.threshold_qubits:>9d}  "
+            f"{a.probed_length_m:.6e}     {a.energy_ev:.6e}   "
+            f"{'yes' if a.sub_planckian else 'no'}"
+        )
+    return {
         "qubits": qubits,
         "scenarios": [
             {
@@ -280,16 +265,7 @@ def scale(config_path, as_json, qubits, ops, volume, duration, scenario_name, **
             }
             for a in report
         ],
-    }
-    width = max(len(a.scenario_kind.value) for a in report)
-    lines = [f"{'scenario':<{width}}  threshold  probed_length_m  energy_ev      sub_planckian"]
-    for a in report:
-        lines.append(
-            f"{a.scenario_kind.value:<{width}}  {a.threshold_qubits:>9d}  "
-            f"{a.probed_length_m:.6e}     {a.energy_ev:.6e}   "
-            f"{'yes' if a.sub_planckian else 'no'}"
-        )
-    _emit(doc, as_json, lines)
+    }, lines
 
 
 @main.command()
@@ -299,9 +275,8 @@ def scale(config_path, as_json, qubits, ops, volume, duration, scenario_name, **
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
 @click.option("--out", "out_path", type=click.Path(), required=True, help="Output file path.")
 @common_options
-def figure(config_path, as_json, lo, hi, step, fmt, out_path, **overrides):
+def figure(config, lo, hi, step, fmt, out_path):
     """Emit the probed-length-versus-NEO data series."""
-    config = load_config(config_path, overrides)
     check_grid(lo, hi, step)
     k = planck_units()
     if lo < hi:
@@ -319,17 +294,15 @@ def figure(config_path, as_json, lo, hi, step, fmt, out_path, **overrides):
     crossings = {
         s.label: crossing for s in series if (crossing := planck_crossing(s, k.l_p)) is not None
     }
-    doc = {
-        "metadata": _metadata(config),
+    lines = [f"wrote {out_path} ({fmt}), series: {len(series)}"]
+    for label, value in crossings.items():
+        lines.append(f"planck crossing: {label} at log2 NEO = {value:.1f}")
+    return {
         "out": str(out_path),
         "format": fmt,
         "series_count": len(series),
         "planck_crossings_log2_neo": crossings,
-    }
-    lines = [f"wrote {out_path} ({fmt}), series: {len(series)}"]
-    for label, value in crossings.items():
-        lines.append(f"planck crossing: {label} at log2 NEO = {value:.1f}")
-    _emit(doc, as_json, lines)
+    }, lines
 
 
 if __name__ == "__main__":

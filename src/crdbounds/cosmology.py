@@ -99,10 +99,10 @@ class CosmologyParams:
             t_lambda = math.inf
         else:
             t_lambda = 2.0 / (3.0 * self.h0 * math.sqrt(self.omega_lambda))
+        t_universe = age_of_universe(self.h0, self.omega_m, self.omega_lambda)
+        check_range("t_universe (s)", t_universe)
         object.__setattr__(self, "t_lambda", t_lambda)
-        object.__setattr__(
-            self, "t_universe", age_of_universe(self.h0, self.omega_m, self.omega_lambda)
-        )
+        object.__setattr__(self, "t_universe", t_universe)
 
     @classmethod
     def create(
@@ -212,9 +212,22 @@ def build_tables(
     ``k_integrals`` removes it with one Richardson step on every other node:
     against the matter-only closed form and the fiducial reference, k7u and
     k8u are then within 5e-12 at 4096 nodes and 5e-10 at 2048. The error
-    before that step is kept as k7u_grid_err and k8u_grid_err.
+    before that step is kept as k7u_grid_err and k8u_grid_err. A cosmology
+    whose tables overflow, or whose k-factors cancel to zero or below, is a
+    ConfigurationError.
     """
     check_range("grid_points", grid_points, 16, MAX_GRID_POINTS, low_inclusive=True)
+    try:
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            return _tabulate(params, rel_tol, grid_points)
+    except (ArithmeticError, ValueError) as exc:
+        raise ConfigurationError(
+            f"H0={params.h0!r} s^-1, omega_m={params.omega_m!r}, omega_lambda="
+            f"{params.omega_lambda!r}: the light-cone tables cannot be computed in doubles ({exc})"
+        ) from exc
+
+
+def _tabulate(params: CosmologyParams, rel_tol: float, grid_points: int) -> LightconeTables:
     c = SPEED_OF_LIGHT
     u_max = params.t_universe ** (1.0 / 3.0)
     grid = np.concatenate(

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Tuple
 
-from .errors import check_range
+from .errors import ConfigurationError, check_range
 
 # CODATA 2018 values (c and the eV are exact by definition since the 2019
 # SI redefinition); Mpc per the IAU definition, year = Julian year.
@@ -122,12 +122,20 @@ def planck_units(
     """Derive the Planck length, time and energy from c, hbar and G.
 
     l_p = sqrt(hbar G / c^3), t_p = l_p / c, E_p = hbar / t_p (converted to eV).
+    Inputs whose units (or c^3) leave double range are a ConfigurationError.
     """
     for name, value in (("c", c), ("hbar", hbar), ("G", G)):
         check_range(name, value)
-    l_p = math.sqrt(hbar * G / c**3)
-    t_p = l_p / c
-    e_p_ev = hbar / t_p / EV_IN_JOULES
+    try:
+        l_p = math.sqrt(hbar * G / c**3)
+        t_p = l_p / c
+        e_p_ev = hbar / t_p / EV_IN_JOULES
+        for name, value in (("l_p", l_p), ("t_p", t_p), ("e_p_ev", e_p_ev)):
+            check_range(name, value)
+    except (ArithmeticError, ConfigurationError) as exc:
+        raise ConfigurationError(
+            f"c={c!r}, hbar={hbar!r}, G={G!r}: the Planck units leave double range ({exc})"
+        ) from exc
     return PhysicalConstants(
         c=c,
         hbar=hbar,

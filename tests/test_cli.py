@@ -284,3 +284,52 @@ def test_quad_rel_tol_below_the_floor_is_a_usage_error(runner):
     assert "Traceback" not in result.output
     errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
     assert errors == ["Error: quad_rel_tol must be a finite number in [2e-13, 0.01], got 1e-16"]
+
+
+NEAR_LAMBDA_ONE = ["--omega-lambda", "0.9999999999999999"]
+
+
+@pytest.mark.parametrize(
+    "args, code",
+    [
+        # t_universe is inf
+        (["kfactors", "--grid-points", "16", "--omega-m", "5e-324", *NEAR_LAMBDA_ONE], 2),
+        # the moment integrands overflow
+        (["kfactors", "--grid-points", "16", "--omega-m", "1e-300", *NEAR_LAMBDA_ONE], 2),
+        # the tables fit, the quadrature does not converge
+        (["threshold", "--omega-m", "1e-200", *NEAR_LAMBDA_ONE], 1),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else str(v),
+)
+def test_cosmology_near_omega_lambda_one_ends_in_one_line(runner, args, code):
+    result = runner.invoke(main, args)
+    assert result.exit_code == code, result.output
+    assert isinstance(result.exception, SystemExit)
+    errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+    assert len(errors) == 1
+    if code == 2:
+        assert f"omega_m={args[4]}, omega_lambda=0.9999999999999999: " in errors[0]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["constants"],
+        ["kfactors"],
+        ["threshold"],
+        ["scale", "--qubits", "2048"],
+        ["scale", "--ops", "3.352e15", "--volume", "7.44e-7", "--duration", "1"],
+        ["figure", "--min", "500", "--max", "600", "--step", "5"],
+    ],
+    ids=" ".join,
+)
+def test_text_output_begins_with_the_json_metadata(runner, tmp_path, args):
+    if args[0] == "figure":
+        args = [*args, "--out", str(tmp_path / "fig.csv")]
+    args = [*args, "--grid-points", "64"]
+    metadata = _json_out(runner.invoke(main, [*args, "--json"]))["metadata"]
+    text = runner.invoke(main, args)
+    assert text.exit_code == 0, text.output
+    lines = text.output.splitlines()
+    assert lines[: len(metadata)] == [f"# {key} = {value}" for key, value in metadata.items()]
+    assert not lines[len(metadata)].startswith("#")

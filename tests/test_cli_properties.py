@@ -20,8 +20,8 @@ INTS = st.sampled_from(["0", "-3", "1", "8", str(10**400)]) | st.integers().map(
 # figure range draws give at most a few hundred points or are rejected.
 COMMON = {
     "--h0": POSITIVE,
-    "--omega-m": FLOATS | st.sampled_from(["0.3", "1"]),
-    "--omega-lambda": FLOATS | st.sampled_from(["0.7", "0"]),
+    "--omega-m": FLOATS | st.sampled_from(["0.3", "1", "1e-300"]),
+    "--omega-lambda": FLOATS | st.sampled_from(["0.7", "0", "0.9999999999999999"]),
     "--lab-volume": POSITIVE,
     "--lab-duration": POSITIVE,
     "--inputs-per-op": INTS,

@@ -129,6 +129,13 @@ def test_cumulative_table_shape_and_order_messages_come_first():
     assert not isinstance(order.value, ConfigurationError)
 
 
+@pytest.mark.parametrize("kwargs", [{"hbar": 1e300, "G": 1e300}, {"c": 1e-110}], ids=str)
+def test_planck_units_out_of_double_range_are_configuration_errors(kwargs):
+    # finite inputs whose l_p overflows, or whose c^3 underflows to 0
+    with pytest.raises(ConfigurationError, match="the Planck units leave double range"):
+        planck_units(**kwargs)
+
+
 @pytest.mark.parametrize("t", [math.nan, np.array([1.0, math.nan])])
 def test_scale_factor_rejects_nan_time(fiducial_params, t):
     with pytest.raises(ValueError, match="t >= 0"):
