@@ -33,9 +33,9 @@ from .errors import ConfigurationError, check_range
 from .quantities import (
     EV_IN_JOULES,
     LOG2_SPEED_OF_LIGHT,
+    PLANCK_UNITS,
     LogQuantity,
     PhysicalConstants,
-    planck_units,
 )
 
 
@@ -196,10 +196,9 @@ def crd(n_ops: LogQuantity, v3: float, duration: float) -> LogQuantity:
     return LogQuantity(n_ops.log2_value - math.log2(v3) - math.log2(duration))
 
 
-def planck_crd(constants: Optional[PhysicalConstants] = None) -> LogQuantity:
+def planck_crd(constants: PhysicalConstants = PLANCK_UNITS) -> LogQuantity:
     """The Planck rate-density ceiling 1/(l_p^3 t_p) in ops m^-3 s^-1."""
-    k = constants if constants is not None else planck_units()
-    return LogQuantity(-3.0 * math.log2(k.l_p) - math.log2(k.t_p))
+    return LogQuantity(-3.0 * math.log2(constants.l_p) - math.log2(constants.t_p))
 
 
 def neo_from_qubits(n: int) -> LogQuantity:
@@ -231,9 +230,8 @@ def length_for_scenario(
     return power_law(scenario, tables).length(n_ops.log2_value)
 
 
-def energy_from_length(length, constants: Optional[PhysicalConstants] = None):
+def energy_from_length(length, constants: PhysicalConstants = PLANCK_UNITS):
     """Energy scale hbar c / l in eV (l a float or an array); reproduces the
     Planck energy at l = l_p."""
     check_range("length", length)
-    k = constants if constants is not None else planck_units()
-    return k.hbar * k.c / length / EV_IN_JOULES
+    return constants.hbar * constants.c / length / EV_IN_JOULES

@@ -32,7 +32,7 @@ from .cosmology import CosmologyParams, build_tables, k_integrals
 from .errors import ConfigurationError, check_range
 from .figure import FigureConfig, build_figure, check_grid, planck_crossing, write_series
 from .quadrature import QuadratureError
-from .quantities import LogQuantity, planck_units, s_to_gyr
+from .quantities import PLANCK_UNITS, LogQuantity, s_to_gyr
 from .thresholds import classify_machine, planck_threshold
 
 _SCENARIO_NAMES = [k.value for k in ScenarioKind]
@@ -111,8 +111,8 @@ def main():
 @common_options
 def constants(config):
     """Planck length, time, energy and rate-density ceiling."""
-    k = planck_units()
-    ceiling = planck_crd(k)
+    k = PLANCK_UNITS
+    ceiling = planck_crd()
     return {
         "l_p_m": k.l_p,
         "t_p_s": k.t_p,
@@ -177,11 +177,7 @@ def kfactors(config):
 def threshold(config, scenario_name):
     """Logical-qubit thresholds at which each scenario reaches the Planck scale."""
     tables = _tables(config)
-    k = planck_units()
-    rows = [
-        planck_threshold(s, tables, k)
-        for s in _scenarios(config, tables.params, scenario_name)
-    ]
+    rows = [planck_threshold(s, tables) for s in _scenarios(config, tables.params, scenario_name)]
     width = max(len(r.scenario_kind.value) for r in rows)
     lines = [f"{'scenario':<{width}}  qubits  log2_nops_exact"]
     lines += [
@@ -242,9 +238,8 @@ def scale(config, qubits, ops, volume, duration, scenario_name):
 
     check_range("--qubits", qubits, 1, low_inclusive=True)
     tables = _tables(config)
-    k = planck_units()
     scenarios = _scenarios(config, tables.params, scenario_name)
-    report = classify_machine(qubits, scenarios, tables, k)
+    report = classify_machine(qubits, scenarios, tables)
     width = max(len(a.scenario_kind.value) for a in report)
     lines = [f"{'scenario':<{width}}  threshold  probed_length_m  energy_ev      sub_planckian"]
     for a in report:
@@ -278,13 +273,12 @@ def scale(config, qubits, ops, volume, duration, scenario_name):
 def figure(config, lo, hi, step, fmt, out_path):
     """Emit the probed-length-versus-NEO data series."""
     check_grid(lo, hi, step)
-    k = planck_units()
     if lo < hi:
         tables = _tables(config)
         fig_config = FigureConfig(
             lab_volume_m3=config.lab_volume_m3, lab_duration_s=config.lab_duration_s
         )
-        series, annotations = build_figure((lo, hi), step, tables, k, fig_config)
+        series, annotations = build_figure((lo, hi), step, tables, config=fig_config)
     else:
         series, annotations = [], []
     try:
@@ -292,7 +286,7 @@ def figure(config, lo, hi, step, fmt, out_path):
     except OSError as exc:
         raise click.ClickException(f"cannot write {out_path}: {exc}") from exc
     crossings = {
-        s.label: crossing for s in series if (crossing := planck_crossing(s, k.l_p)) is not None
+        s.label: crossing for s in series if (crossing := planck_crossing(s, PLANCK_UNITS.l_p)) is not None
     }
     lines = [f"wrote {out_path} ({fmt}), series: {len(series)}"]
     for label, value in crossings.items():

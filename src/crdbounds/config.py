@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Mapping, Optional, Union
 
-from .cosmology import MAX_GRID_POINTS, CosmologyParams
+from .cosmology import DEFAULT_GRID_POINTS, MAX_GRID_POINTS, CosmologyParams
 from .errors import ConfigurationError, check_range
+from .quadrature import DEFAULT_REL_TOL
 from .quantities import JULIAN_YEAR_S
 
 ENV_CONFIG_PATH = "CRDBOUNDS_CONFIG"
@@ -21,19 +22,22 @@ MIN_QUAD_REL_TOL = 2e-13
 
 @dataclass(frozen=True)
 class RunConfig:
+    """One run's parameters, checked when the instance is built: a bad
+    value is a ConfigurationError naming it."""
+
     h0_km_s_mpc: float = 70.0
     omega_m: float = 0.3
     omega_lambda: float = 0.7
     lab_volume_m3: float = 1000.0
     lab_duration_s: float = JULIAN_YEAR_S
     inputs_per_op: int = 8
-    quad_rel_tol: float = 1e-9
-    grid_points: int = 4096
+    quad_rel_tol: float = DEFAULT_REL_TOL
+    grid_points: int = DEFAULT_GRID_POINTS
 
     def cosmology(self) -> CosmologyParams:
         return CosmologyParams.create(self.h0_km_s_mpc, self.omega_m, self.omega_lambda)
 
-    def validate(self) -> "RunConfig":
+    def __post_init__(self):
         try:
             self.cosmology()
         except ConfigurationError as exc:
@@ -46,7 +50,6 @@ class RunConfig:
         check_range("inputs_per_op", self.inputs_per_op, 1, low_inclusive=True)
         check_range("quad_rel_tol", self.quad_rel_tol, MIN_QUAD_REL_TOL, 1e-2, low_inclusive=True)
         check_range("grid_points", self.grid_points, 16, MAX_GRID_POINTS, low_inclusive=True)
-        return self
 
     def as_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -91,19 +94,15 @@ def load_config(
     path: Optional[Union[str, Path]] = None,
     overrides: Optional[Mapping[str, object]] = None,
 ) -> RunConfig:
-    """Defaults, then the config file (explicit path or $CRDBOUNDS_CONFIG),
-    then explicit overrides; validated before returning."""
-    config = RunConfig()
+    """Build one checked RunConfig from the defaults, then the config file
+    (explicit path or $CRDBOUNDS_CONFIG), then the non-None overrides. The
+    values are merged before the RunConfig is built, so an override that
+    mends a bad file value loads."""
     if path is None:
-        env_path = os.environ.get(ENV_CONFIG_PATH)
-        if env_path:
-            path = env_path
-    if path is not None:
-        config = replace(config, **parse_config_file(path))
-    if overrides:
-        cleaned = {k: v for k, v in overrides.items() if v is not None}
-        unknown = set(cleaned) - set(_FIELD_TYPES)
-        if unknown:
-            raise ConfigurationError(f"unknown configuration keys: {sorted(unknown)}")
-        config = replace(config, **cleaned)
-    return config.validate()
+        path = os.environ.get(ENV_CONFIG_PATH) or None
+    values = parse_config_file(path) if path is not None else {}
+    cleaned = {k: v for k, v in (overrides or {}).items() if v is not None}
+    unknown = set(cleaned) - set(_FIELD_TYPES)
+    if unknown:
+        raise ConfigurationError(f"unknown configuration keys: {sorted(unknown)}")
+    return RunConfig(**{**values, **cleaned})

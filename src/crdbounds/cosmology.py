@@ -213,8 +213,8 @@ def build_tables(
     against the matter-only closed form and the fiducial reference, k7u and
     k8u are then within 5e-12 at 4096 nodes and 5e-10 at 2048. The error
     before that step is kept as k7u_grid_err and k8u_grid_err. A cosmology
-    whose tables overflow, or whose k-factors cancel to zero or below, is a
-    ConfigurationError.
+    whose tables overflow, whose V4 nodes lose rel_tol to cancellation, or
+    whose k-factors cancel to zero or below, is a ConfigurationError.
     """
     check_range("grid_points", grid_points, 16, MAX_GRID_POINTS, low_inclusive=True)
     try:
@@ -261,10 +261,20 @@ def _tabulate(params: CosmologyParams, rel_tol: float, grid_points: int) -> Ligh
 
     eta_n = eta.values
     m0, m1, m2, m3 = (m.values for m in moments)
-    v4_nodes = (4.0 * math.pi / 3.0) * c**3 * (
-        eta_n**3 * m0 - 3.0 * eta_n**2 * m1 + 3.0 * eta_n * m2 - m3
-    )
-    np.maximum(v4_nodes, 0.0, out=v4_nodes)  # guard cancellation noise at tiny t
+    terms = np.stack([eta_n**3 * m0, 3.0 * eta_n**2 * m1, 3.0 * eta_n * m2, m3])
+    cube = terms[0] - terms[1] + terms[2] - terms[3]
+    # The sum's rounding error is at least 2^-53 of its largest term; where
+    # that exceeds rel_tol of the sum (or the sum is not positive), v4 has
+    # cancelled beyond the tolerance asked of it.
+    cancelled = np.flatnonzero(2.0**-53 * terms[:, 1:].max(axis=0) > rel_tol * cube[1:])
+    if cancelled.size:
+        i = cancelled[0] + 1
+        raise ConfigurationError(
+            f"cancellation leaves V4 short of rel_tol={rel_tol!r} at t={float(grid[i]) ** 3!r} "
+            f"s: its four terms, the largest {float(terms[:, i].max())!r}, sum to "
+            f"{float(cube[i])!r}"
+        )
+    v4_nodes = (4.0 * math.pi / 3.0) * c**3 * cube
     v4_derivs = np.zeros_like(grid)  # dV4/du = 3 u^2 dV4/dt
     v4_derivs[1:] = 3.0 * inner**2 * _v4_rate(eta_n[1:], m0[1:], m1[1:], m2[1:], a(inner))
     v4 = CumulativeTable(grid, v4_nodes, v4_derivs)
@@ -313,7 +323,8 @@ def k_integrals(
     (about 1e-10 at rel_tol 1e-9) can exceed it.
 
     eta, v4 and the moments must share one grid (ValueError otherwise). A
-    QuadratureError carries the estimate [k7u, k8u], extrapolated.
+    QuadratureError carries the estimate [k7u, k8u], extrapolated, and its
+    message shows that estimate.
     """
     c = SPEED_OF_LIGHT
     u = eta.abscissae
@@ -368,7 +379,8 @@ def k_integrals(
         k7, k8, d7, d8 = integrate(k_rows, 0.0, u[-1], rel_tol) / scale[:, 0]
     except QuadratureError as exc:
         estimate = list(k_values(*(np.array(exc.estimate) / scale[:, 0])[:2]))
-        raise QuadratureError(str(exc), estimate, exc.achieved_rel_tol) from exc
+        message = str(exc).replace(f"estimate {exc.estimate!r}", f"estimate {estimate!r}")
+        raise QuadratureError(message, estimate, exc.achieved_rel_tol) from exc
     return KIntegrals(*k_values(k7, k8), float(abs(d7 / k7)), float(abs(d8 / k8)))
 
 

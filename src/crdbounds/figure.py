@@ -39,7 +39,7 @@ import numpy as np
 from .bounds import Scenario, ScenarioKind, energy_from_length, length_for_scenario
 from .cosmology import LightconeTables
 from .errors import ConfigurationError, check_range
-from .quantities import JULIAN_YEAR_S, LogQuantity, PhysicalConstants, planck_units
+from .quantities import JULIAN_YEAR_S, PLANCK_UNITS, LogQuantity, PhysicalConstants
 
 STYLE_HINTS = ("dotted", "solid_lower", "solid_upper", "dashed", "dashdot")
 
@@ -189,8 +189,8 @@ def build_figure(
     qubit_range: Tuple[float, float],
     step: float,
     tables: LightconeTables,
-    constants: Optional[PhysicalConstants] = None,
-    config: Optional[FigureConfig] = None,
+    constants: PhysicalConstants = PLANCK_UNITS,
+    config: FigureConfig = FigureConfig(),
 ) -> Tuple[List[FigureSeries], List[Annotation]]:
     """Sample the five canonical series over a log2-NEO grid.
 
@@ -201,8 +201,6 @@ def build_figure(
     check_grid(lo, hi, step)
     if not lo < hi:
         raise ValueError(f"qubit range must satisfy min < max, got ({lo!r}, {hi!r})")
-    k = constants if constants is not None else planck_units()
-    cfg = config if config is not None else FigureConfig()
     params = tables.params
 
     specs = [
@@ -212,14 +210,14 @@ def build_figure(
             "dotted",
         ),
         (
-            f"lab {cfg.lab_volume_m3:g} m3 for {cfg.lab_duration_s:g} s",
-            Scenario.lab(cfg.lab_volume_m3, cfg.lab_duration_s),
+            f"lab {config.lab_volume_m3:g} m3 for {config.lab_duration_s:g} s",
+            Scenario.lab(config.lab_volume_m3, config.lab_duration_s),
             "solid_lower",
         ),
         ("universe", Scenario.universe(params), "solid_upper"),
         (
-            f"fully connected lab {cfg.lab_volume_m3:g} m3 for {cfg.lab_duration_s:g} s",
-            Scenario.lab_fully_connected(cfg.lab_volume_m3, cfg.lab_duration_s),
+            f"fully connected lab {config.lab_volume_m3:g} m3 for {config.lab_duration_s:g} s",
+            Scenario.lab_fully_connected(config.lab_volume_m3, config.lab_duration_s),
             "dashed",
         ),
         (
@@ -239,7 +237,7 @@ def build_figure(
         with np.errstate(over="ignore"):
             lengths = length_for_scenario(scenario, neo, tables)
             check_range(f"{label}: probed length", lengths[[0, -1]])
-            energies = energy_from_length(lengths, k)
+            energies = energy_from_length(lengths, constants)
         check_range(f"{label}: energy", float(energies[-1]))
         points = SeriesPoints(log2_neo, tuple(lengths.tolist()), tuple(energies.tolist()))
         series.append(FigureSeries(label=label, kind=scenario.kind, style_hint=style, points=points))
@@ -247,8 +245,8 @@ def build_figure(
     annotations = [
         Annotation(
             label="planck_scale",
-            note=f"l_p = {k.l_p:.6e} m",
-            energy_ev=k.e_p_ev,
+            note=f"l_p = {constants.l_p:.6e} m",
+            energy_ev=constants.e_p_ev,
         ),
         Annotation(
             label="rsa_qubits_min",

@@ -146,6 +146,10 @@ def planck_units(
     )
 
 
+# The CODATA Planck units, the default wherever a function takes constants.
+PLANCK_UNITS = planck_units()
+
+
 def m_to_mpc(length_m: float) -> float:
     return length_m / MPC_IN_M
 

@@ -20,7 +20,7 @@ import numpy as np
 from .bounds import Scenario, ScenarioKind, neo_from_qubits, power_law
 from .cosmology import LightconeTables
 from .errors import check_range
-from .quantities import EV_IN_JOULES, PhysicalConstants, planck_units
+from .quantities import EV_IN_JOULES, PLANCK_UNITS, PhysicalConstants
 
 
 def round_half_up(x: float) -> int:
@@ -40,15 +40,14 @@ class ThresholdResult:
 def planck_threshold(
     scenario: Scenario,
     tables: Optional[LightconeTables] = None,
-    constants: Optional[PhysicalConstants] = None,
+    constants: PhysicalConstants = PLANCK_UNITS,
 ) -> ThresholdResult:
-    k = constants if constants is not None else planck_units()
-    exact = float(power_law(scenario, tables).log2_n_ops(k.l_p))
+    exact = float(power_law(scenario, tables).log2_n_ops(constants.l_p))
     return ThresholdResult(
         scenario_kind=scenario.kind,
         log2_nops_exact=exact,
         qubits=round_half_up(exact),
-        length_at_threshold=k.l_p,
+        length_at_threshold=constants.l_p,
     )
 
 
@@ -66,7 +65,7 @@ def classify_machine(
     n: int,
     scenarios: Sequence[Scenario],
     tables: Optional[LightconeTables] = None,
-    constants: Optional[PhysicalConstants] = None,
+    constants: PhysicalConstants = PLANCK_UNITS,
 ) -> List[ScenarioAssessment]:
     """Probe every scenario with a 2^n operation count.
 
@@ -82,12 +81,11 @@ def classify_machine(
     the results are the same doubles, at about 20 us a call for seven
     scenarios.
     """
-    k = constants if constants is not None else planck_units()
     log2_n = neo_from_qubits(n).log2_value
     laws = [power_law(scenario, tables) for scenario in scenarios]
-    l_p = k.l_p
+    l_p = constants.l_p
     log2_lp = float(np.log2(l_p))
-    hbar_c = k.hbar * k.c
+    hbar_c = constants.hbar * constants.c
     assessments = []
     for scenario, (log2_k, p) in zip(scenarios, laws):
         length = 2.0 ** ((log2_k - log2_n) / p)

@@ -296,8 +296,8 @@ NEAR_LAMBDA_ONE = ["--omega-lambda", "0.9999999999999999"]
         (["kfactors", "--grid-points", "16", "--omega-m", "5e-324", *NEAR_LAMBDA_ONE], 2),
         # the moment integrands overflow
         (["kfactors", "--grid-points", "16", "--omega-m", "1e-300", *NEAR_LAMBDA_ONE], 2),
-        # the tables fit, the quadrature does not converge
-        (["threshold", "--omega-m", "1e-200", *NEAR_LAMBDA_ONE], 1),
+        # the tables fit, but cancellation leaves V4 short of rel_tol
+        (["threshold", "--omega-m", "1e-200", *NEAR_LAMBDA_ONE], 2),
     ],
     ids=lambda v: " ".join(v) if isinstance(v, list) else str(v),
 )
@@ -308,7 +308,37 @@ def test_cosmology_near_omega_lambda_one_ends_in_one_line(runner, args, code):
     errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
     assert len(errors) == 1
     if code == 2:
-        assert f"omega_m={args[4]}, omega_lambda=0.9999999999999999: " in errors[0]
+        omega_m = args[args.index("--omega-m") + 1]
+        assert f"omega_m={omega_m}, omega_lambda=0.9999999999999999: " in errors[0]
+
+
+@pytest.mark.parametrize(
+    "omega_m, omega_lambda, grid",
+    [
+        ("1e-07", "0.9999999", []),
+        ("1e-12", "0.999999999999", []),
+        *[
+            (omega_m, "0.9999999999999999", grid)
+            for omega_m in ("1e-17", "1e-30", "1e-60")
+            for grid in ([], ["--grid-points", "16"])
+        ],
+    ],
+)
+def test_v4_cancelled_beyond_rel_tol_is_one_line_exit_2(runner, omega_m, omega_lambda, grid):
+    args = ["kfactors", "--omega-m", omega_m, "--omega-lambda", omega_lambda, *grid]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+    assert len(errors) == 1
+    assert f"omega_m={omega_m}, omega_lambda={omega_lambda}: " in errors[0]
+    assert "cancellation leaves V4 short of rel_tol=1e-09" in errors[0]
+
+
+def test_v4_within_rel_tol_is_accepted(runner):
+    result = runner.invoke(main, ["kfactors", "--omega-m", "1e-5", "--omega-lambda", "0.99999"])
+    assert result.exit_code == 0, result.output
 
 
 @pytest.mark.parametrize(

@@ -108,6 +108,19 @@ def test_overrides_beat_file(tmp_path):
     assert config.omega_m == 0.31  # None overrides are ignored
 
 
+def test_overrides_merge_before_the_check(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("grid_points = 5\n", encoding="utf-8")
+    assert load_config(path, {"grid_points": 64}).grid_points == 64
+
+
+@pytest.mark.parametrize("values", [{"grid_points": 5}, {"omega_m": 0.5}])
+def test_run_config_checks_itself(values):
+    with pytest.raises(ConfigurationError):
+        RunConfig(**values)
+    assert not hasattr(RunConfig, "validate")
+
+
 def test_flatness_validated():
     with pytest.raises(ConfigurationError, match="flatness"):
         load_config(overrides={"omega_m": 0.3, "omega_lambda": 0.75})

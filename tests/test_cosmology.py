@@ -12,6 +12,7 @@ from crdbounds.cosmology import (
     v4,
     v4_rate,
 )
+from crdbounds.errors import ConfigurationError
 from crdbounds.quadrature import integrate
 from crdbounds.quantities import GYR_IN_S, MPC_IN_M, SPEED_OF_LIGHT
 
@@ -253,3 +254,9 @@ class TestEarlyTimes:
         rates = np.array([v4_rate(x**3, tables) for x in u])
         expected = tables.v4.derivatives[2:] / (3.0 * u**2)
         assert np.max(np.abs(rates / expected - 1.0)) <= 1e-12
+
+
+def test_v4_cancelled_beyond_rel_tol_is_refused():
+    params = CosmologyParams.create(70.0, 1e-7, 1.0 - 1e-7)
+    with pytest.raises(ConfigurationError, match="cancellation leaves V4 short of rel_tol"):
+        build_tables(params)

@@ -90,3 +90,12 @@ def test_k_integrals_failure_carries_k7u_and_k8u(monkeypatch, eds_tables):
     with pytest.raises(QuadratureError) as excinfo:
         cz.k_integrals(t.params, t.eta, t.v4, t.moments, 1e-9)
     assert excinfo.value.estimate == pytest.approx([t.k7u, t.k8u], rel=1e-2)
+
+
+def test_k_integrals_failure_message_shows_k7u_and_k8u(monkeypatch, eds_tables):
+    t = eds_tables
+    monkeypatch.setattr(cz, "integrate", functools.partial(integrate, max_panels=4))
+    with pytest.raises(QuadratureError) as excinfo:
+        cz.k_integrals(t.params, t.eta, t.v4, t.moments, 1e-9)
+    err = excinfo.value
+    assert f"estimate {err.estimate!r}" in str(err)

@@ -1,6 +1,7 @@
 import pytest
 
 from crdbounds.bounds import Scenario, ScenarioKind, length_for_scenario, neo_from_qubits
+from crdbounds.quantities import planck_units
 from crdbounds.thresholds import classify_machine, planck_threshold, round_half_up
 
 import oracles
@@ -86,3 +87,13 @@ def test_underflowing_probe_rejected(paper_scenarios, fiducial_tables, constants
 
     with pytest.raises(ConfigurationError, match="probed"):
         classify_machine(1_000_000, paper_scenarios, fiducial_tables, constants)
+
+
+def test_default_constants_are_the_planck_units(paper_scenarios, fiducial_tables):
+    explicit = planck_units()
+    for s in paper_scenarios:
+        assert planck_threshold(s, fiducial_tables) == planck_threshold(s, fiducial_tables, explicit)
+    for n in (1, 900, 2048):
+        assert classify_machine(n, paper_scenarios, fiducial_tables) == classify_machine(
+            n, paper_scenarios, fiducial_tables, explicit
+        )
