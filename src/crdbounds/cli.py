@@ -53,7 +53,7 @@ def common_options(fn):
         click.option("--lab-duration", "lab_duration_s", type=float, default=None, help="Lab run time in seconds."),
         click.option("--inputs-per-op", "inputs_per_op", type=int, default=None, help="Inputs per operation for the nearest-neighbor lab."),
         click.option("--quad-rel-tol", "quad_rel_tol", type=float, default=None, help="Relative tolerance for all integrals."),
-        click.option("--grid-points", "grid_points", type=int, default=None, help="Nodes in the cumulative tables."),
+        click.option("--grid-points", "grid_points", type=int, default=None, help="Nodes in the lookup tables, which also set k4u; k7u and k8u do not depend on it."),
         click.option("--json", "as_json", is_flag=True, help="Emit JSON instead of text."),
         click.option("--config", "config_path", type=click.Path(), default=None, help="Flat key=value config file (also honored via $CRDBOUNDS_CONFIG)."),
     ]
@@ -134,22 +134,19 @@ def constants(config):
 def kfactors(config):
     """Dimensionless cosmological prefactors k4u, k7u, k8u.
 
-    k7u and k8u are Richardson-extrapolated over every other table node,
-    which removes their O(h^4) grid error (cosmology.k_integrals). The
-    convergence delta (achieved_rel_delta) measures only the quad_rel_tol
-    knob: the shift of the k-integrals rerun on the same tables at a tenfold
-    tighter tolerance (0 for k4u, a table node). The grid error left after
-    the extrapolation is not in it; the tables keep the error before it
-    (k7u_grid_err, k8u_grid_err), which bounds it in the O(h^4) regime:
-    from 256 grid points up to about 8192 at the default quad_rel_tol.
+    k4u is the last node of the 4-volume table. k7u and k8u come from the
+    cosmology alone (cosmology.k_integrals), so --grid-points does not move
+    them. achieved_rel_delta is not an error bar: for k7u and k8u it is the
+    shift of the k-integrals rerun at a tenfold tighter quad_rel_tol, and for
+    k4u it is 0 by construction.
     """
     tables = _tables(config)
     params = tables.params
-    check = k_integrals(params, tables.eta, tables.v4, tables.moments, config.quad_rel_tol * 0.1)
+    check = k_integrals(params, config.quad_rel_tol * 0.1)
     deltas = {
         "k4u": 0.0,
-        "k7u": abs(tables.k7u - check.k7u) / check.k7u,
-        "k8u": abs(tables.k8u - check.k8u) / check.k8u,
+        "k7u": abs(tables.k7u - check[0]) / check[0],
+        "k8u": abs(tables.k8u - check[1]) / check[1],
     }
     return {
         "t_universe_gyr": s_to_gyr(params.t_universe),

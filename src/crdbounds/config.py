@@ -14,9 +14,11 @@ from .quantities import JULIAN_YEAR_S
 
 ENV_CONFIG_PATH = "CRDBOUNDS_CONFIG"
 
-# Tightest accepted quad_rel_tol. `kfactors` re-integrates k7u/k8u at a
-# tenth of it, and at 1e-14 the k-integrals run out of their panels, so
-# anything tighter could only end in a quadrature failure.
+# Tightest accepted quad_rel_tol. Below it the V4 table's cancellation check
+# refuses most cosmologies, since V4's rounding (2^-53 of the largest of its
+# four terms) then exceeds the tolerance: at 1e-13 it refuses Omega_M 0.25
+# and below, at 5e-14 every Omega_M from 0.06 to 1. The k-integrals, which
+# `kfactors` reruns at a tenth of it, converge down to 1e-15.
 MIN_QUAD_REL_TOL = 2e-13
 
 

@@ -5,11 +5,11 @@ light-cone 4-volume tables, comoving distances, the 4-volume growth rate, and
 the three dimensionless prefactors (k4u, k7u, k8u) that convert powers of
 c/(H0 l) into operation counts for the universe-scale bounds.
 
-All times are SI seconds internally; a(t) is normalized to 1 today. Radiation
-density is ignored. The matter-era integrable singularity 1/a(t) ~ t^(-2/3)
-is removed by the substitution u = t^(1/3): every table is sampled on a grid
-of u values, and integrands are written as functions of u. The nested
-4-volume integral
+All times are SI seconds internally (``k_integrals`` alone works in H0 t);
+a(t) is normalized to 1 today. Radiation density is ignored. The matter-era
+integrable singularity 1/a(t) ~ t^(-2/3) is removed by the substitution
+u = t^(1/3): every table is sampled on a grid of u values, and integrands
+are written as functions of u. The nested 4-volume integral
 
     V4(t2) = (4 pi / 3) * int_0^t2 a(t1)^3 [c (eta(t2) - eta(t1))]^3 dt1
 
@@ -18,6 +18,10 @@ expanding the cube, so V4 and its time derivative are O(1) table lookups:
 
     V4(t)    = (4 pi / 3) c^3 (eta^3 M0 - 3 eta^2 M1 + 3 eta M2 - M3)
     V4dot(t) = 4 pi c^3 / a(t) * (eta^2 M0 - 2 eta M1 + M2)
+
+k4u is the last V4 node. k7u and k8u read no table: ``k_integrals`` computes
+them from the cosmology alone, on Gauss-Legendre panels with centered
+moments that do not cancel, so they do not depend on the grid.
 
 Early times: below the third node u2 (t = 1.0136e-24 T at 4096 nodes), where a
 cubic cannot follow u^12, v4 and v4_rate return the matter-era power laws
@@ -29,17 +33,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, NamedTuple, Sequence, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
 from .quadrature import (
+    DEFAULT_MAX_PANELS,
     DEFAULT_REL_TOL,
+    GL_INTEGRATION,
+    GL_NODES,
+    GL_WEIGHTS,
     CumulativeTable,
     QuadratureError,
-    TableGroup,
     build_cumulative,
-    integrate,
     interpolate,
     interpolate_shared,
 )
@@ -166,9 +172,7 @@ class LightconeTables:
     of a^3 eta^k (k = 0..3) that v4, v4_rate and the k-factors are assembled
     from. eta and the moments share one grid (equal abscissae), so v4_rate
     finds its node once for all four. Precomputed: k4u = H0^4 V4(T) / c^3, the
-    last v4 node, and k7u, k8u from ``k_integrals`` on these tables, with
-    their grid errors before its Richardson step (relative), which bound the
-    error after it from 256 nodes up to about 8192 at the default rel_tol.
+    last v4 node, and k7u, k8u from ``k_integrals``, which reads no table.
 
     log2_k maps each universe exponent p (4, 7, 8) to log2 K of the law
     N_ops = K / l^p, K = k_p (c/H0)^p. It is derived once, here, from the
@@ -182,8 +186,6 @@ class LightconeTables:
     k4u: float
     k7u: float
     k8u: float
-    k7u_grid_err: float
-    k8u_grid_err: float
     log2_k: Dict[int, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -206,15 +208,10 @@ def build_tables(
     """Build the conformal-time, moment and 4-volume tables over [0, T].
 
     The tables hold grid_points log-spaced u nodes plus the u = 0 anchor.
-    Each panel integral meets rel_tol. The k-integrands evaluate the
-    interpolated tables, whose O(h^4) error in node spacing would leave k7u
-    and k8u off by about 1.6e-8 and 5e-9 relative at the default 4096 nodes.
-    ``k_integrals`` removes it with one Richardson step on every other node:
-    against the matter-only closed form and the fiducial reference, k7u and
-    k8u are then within 5e-12 at 4096 nodes and 5e-10 at 2048. The error
-    before that step is kept as k7u_grid_err and k8u_grid_err. A cosmology
-    whose tables overflow, whose V4 nodes lose rel_tol to cancellation, or
-    whose k-factors cancel to zero or below, is a ConfigurationError.
+    Each panel integral meets rel_tol. k4u is the last V4 node; k7u and k8u
+    come from ``k_integrals`` at rel_tol and do not depend on grid_points.
+    A cosmology whose tables overflow or whose V4 nodes lose rel_tol to
+    cancellation is a ConfigurationError.
     """
     check_range("grid_points", grid_points, 16, MAX_GRID_POINTS, low_inclusive=True)
     try:
@@ -279,109 +276,96 @@ def _tabulate(params: CosmologyParams, rel_tol: float, grid_points: int) -> Ligh
     v4_derivs[1:] = 3.0 * inner**2 * _v4_rate(eta_n[1:], m0[1:], m1[1:], m2[1:], a(inner))
     v4 = CumulativeTable(grid, v4_nodes, v4_derivs)
 
+    k7u, k8u = k_integrals(params, rel_tol)
     return LightconeTables(
-        params, eta, v4, moments,
-        k4u=float(params.h0**4 * v4_nodes[-1] / c**3),
-        **k_integrals(params, eta, v4, moments, rel_tol)._asdict(),
+        params, eta, v4, moments, k4u=float(params.h0**4 * v4_nodes[-1] / c**3), k7u=k7u, k8u=k8u
     )
 
 
-class KIntegrals(NamedTuple):
-    """k7u and k8u, Richardson-extrapolated, with the grid error each had
-    before the extrapolation, relative (see ``k_integrals``)."""
-
-    k7u: float
-    k8u: float
-    k7u_grid_err: float
-    k8u_grid_err: float
-
-
-def k_integrals(
-    params: CosmologyParams, eta: CumulativeTable, v4: CumulativeTable,
-    moments: Sequence[CumulativeTable], rel_tol: float,
-) -> KIntegrals:
-    """(k7u, k8u) integrated over [0, T] to rel_tol, d(t, T) = c (eta(T) - eta(t)):
+def k_integrals(params: CosmologyParams, rel_tol: float) -> Tuple[float, float]:
+    """(k7u, k8u) to rel_tol from the cosmology alone, d(t, T) = c (eta(T) - eta(t)):
 
     k7u = (4 pi H0^7 / 3 c^6) int_0^T a^3(t) d^3(t, T) V4dot(t) dt
     k8u = (4 pi H0^8 / 3 c^6) int_0^T V4(t) a^3(t) d^3(t, T) dt
 
-    The integrands read the interpolated tables, so the integrals carry the
-    tables' Hermite interpolation error, O(h^4) in node spacing h. One
-    Richardson step removes it (Press et al., Numerical Recipes, 3rd ed.,
-    sec. 4.3): with f the integral on these tables and c the same integral on
-    coarse tables made of every other node (the u = 0 anchor, the last node,
-    and the stored values and derivatives of the nodes between), the result
-    is f + (f - c)/15. The fine and coarse integrands share one adaptive pass
-    over rows: the extrapolated integrands f + (f - c)/15 = (16 f - c)/15 to
-    rel_tol, and the corrections (f - c)/15 to rel_tol of their k-integral.
-    The grid errors returned are the corrections, relative: the error of f,
-    and a conservative bound on the error of the result (hundreds to
-    thousands of times it at 2048 and 4096 nodes). Both rest on the h^4 term
-    dominating: on the matter-only and fiducial cosmologies the bound holds
-    from 256 nodes up to about 8192. Below 145 nodes it falls below the error
-    at some grid sizes, and from about 10^4 nodes the quadrature's own error
-    (about 1e-10 at rel_tol 1e-9) can exceed it.
+    Everything is computed at the nodes of equal 16-point Gauss-Legendre
+    panels in x = (H0 t)^(1/3), where every quantity is dimensionless and of
+    order one. eta at the nodes comes from the spectral integration matrix
+    (``GL_INTEGRATION``) on each panel; eta(T) - eta(t) is summed from the
+    panel's remaining part and the later panels, so d(t, T) takes no
+    difference of nearby values. The centered moments
+    C_k(t) = int_0^t a^3 (eta(t) - eta)^k dt, k = 2 and 3, are carried from
+    panel to panel by the binomial shift (Chan, Golub & LeVeque, Am. Stat. 37
+    (1983) 242), whose terms are all non-negative; V4 = (4 pi / 3) c^3 C_3 and
+    V4dot = 4 pi c^3 C_2 / a, so neither cancels. k7u and k8u are then
+    composite Gauss-Legendre sums.
 
-    eta, v4 and the moments must share one grid (ValueError otherwise). A
-    QuadratureError carries the estimate [k7u, k8u], extrapolated, and its
-    message shows that estimate.
+    The panel count starts at 4 and doubles until two successive results
+    agree within rel_tol; the finer one is returned. The convergence is
+    spectral, so the finer result is far closer than that shift: at 8 panels
+    the matter-only closed form is met to about 2e-15. If the next count
+    would pass DEFAULT_MAX_PANELS, a QuadratureError carries the last
+    estimate [k7u, k8u], and its message shows that estimate.
     """
-    c = SPEED_OF_LIGHT
-    u = eta.abscissae
-    for table in (v4, *moments[:3]):
-        if not (table.abscissae is u or np.array_equal(table.abscissae, u)):
-            raise ValueError("k_integrals needs eta, v4 and the moments on one grid")
-    every_other = np.minimum(np.arange(0, u.size + 1, 2), u.size - 1)
-    coarse_u = u[every_other]
-    fine = TableGroup((eta, v4, *moments[:3]))
-    coarse = TableGroup(
-        CumulativeTable(coarse_u, t.values[every_other], t.derivatives[every_other]) for t in fine
-    )
-    eta_today = eta.values[-1]
+    check_range("rel_tol", rel_tol, 0.0, 1e-2)
+    panels, shift = 4, math.inf
+    k = _k_sums(params, panels)
+    while shift > rel_tol:
+        if 2 * panels > DEFAULT_MAX_PANELS:
+            estimate = list(k)
+            raise QuadratureError(
+                f"k7u and k8u: no convergence after {panels} panels: estimate {estimate!r}, "
+                f"achieved relative tolerance {shift:.3e}, needs {rel_tol:.3e}",
+                estimate=estimate,
+                achieved_rel_tol=shift,
+            )
+        panels *= 2
+        coarse, k = k, _k_sums(params, panels)
+        shift = max(abs(f - c) / f for f, c in zip(k, coarse))
+    return k
 
-    def integrands(values, u, a, out):
-        """The k7 and k8 integrands in u into out's two rows, from the values
-        of eta, v4 and the moments M0..M2 at u."""
-        e, w, m0, m1, m2 = values
-        kernel = 3.0 * u * u * a**3 * (c * np.maximum(eta_today - e, 0.0)) ** 3
-        np.multiply(kernel, _v4_rate(e, m0, m1, m2, a), out=out[0])
-        np.multiply(kernel, w, out=out[1])
-        return out
 
-    # integrate holds rows to the max norm, so each k-integral is scaled to
-    # about 1 by a Riemann sum of its integrand over the coarse nodes, where
-    # the tables are exact: both are then held to rel_tol of themselves, and
-    # each correction row to rel_tol of its k-integral.
-    inner = coarse_u[1:]
-    at_nodes = np.empty((2, inner.size))
-    integrands([t.values[1:] for t in coarse], inner, scale_factor(inner**3, params), at_nodes)
-    scale = np.tile(1.0 / (at_nodes @ np.diff(coarse_u)), 2)[:, None]
+def _k_sums(params: CosmologyParams, panels: int) -> Tuple[float, float]:
+    """k7u and k8u from ``panels`` equal Gauss-Legendre panels (see
+    ``k_integrals``). Time is tau = H0 t and conformal time H0 eta; the
+    light-cone prefactors in c and H0 then cancel."""
+    edges = np.linspace(0.0, (params.h0 * params.t_universe) ** (1.0 / 3.0), panels + 1)
+    half = 0.5 * np.diff(edges)[:, None]
+    x = 0.5 * (edges[:-1] + edges[1:])[:, None] + half * GL_NODES
+    a = scale_factor(x**3 / params.h0, params)
+    dtau = 3.0 * x * x  # dtau/dx
+    weight = half * dtau * a**3  # a^3 dtau/dx, times the half width
+    de = half * dtau / a  # d(eta)/dx, times the half width
+    since_lo = de @ GL_INTEGRATION.T  # eta(x_j) - eta(lo), per panel
+    to_hi = de @ (GL_WEIGHTS - GL_INTEGRATION).T  # eta(hi) - eta(x_j)
+    span = de @ GL_WEIGHTS  # eta(hi) - eta(lo)
+    later = np.append(np.cumsum(span[:0:-1])[::-1], 0.0)  # eta(T) - eta(hi)
+    to_today = later[:, None] + to_hi
 
-    def k_rows(u):
-        """Rows k7 and k8 extrapolated, f + (f - c)/15, then their corrections
-        (f - c)/15, all scaled; f and c are the fine and coarse integrands."""
-        a = scale_factor(u**3, params)
-        rows = np.empty((4,) + u.shape)
-        f = integrands(interpolate_shared(fine, u), u, a, rows[:2])
-        correction = integrands(interpolate_shared(coarse, u), u, a, rows[2:])
-        np.subtract(f, correction, out=correction)
-        correction /= 15.0
-        f += correction
-        rows *= scale
-        return rows
-
-    common = 4.0 * math.pi / 3.0 / c**6
-
-    def k_values(k7, k8):
-        return float(common * params.h0**7 * k7), float(common * params.h0**8 * k8)
-
-    try:
-        k7, k8, d7, d8 = integrate(k_rows, 0.0, u[-1], rel_tol) / scale[:, 0]
-    except QuadratureError as exc:
-        estimate = list(k_values(*(np.array(exc.estimate) / scale[:, 0])[:2]))
-        message = str(exc).replace(f"estimate {exc.estimate!r}", f"estimate {estimate!r}")
-        raise QuadratureError(message, estimate, exc.achieved_rel_tol) from exc
-    return KIntegrals(*k_values(k7, k8), float(abs(d7 / k7)), float(abs(d8 / k8)))
+    # each panel's own part of C_2, C_3 at its nodes, and of C_0..C_3 at its end
+    lag = since_lo[:, :, None] - since_lo[:, None, :]
+    own = weight[:, None, :] * GL_INTEGRATION
+    inside2 = np.einsum("pjl,pjl->pj", own, lag**2)
+    inside3 = np.einsum("pjl,pjl->pj", own, lag**3)
+    ends = [weight * to_hi**k @ GL_WEIGHTS for k in range(4)]
+    # B[p] = C_0..C_3 centered at panel p's lower edge, carried by the binomial shift
+    b = np.zeros((panels, 4))
+    for p in range(panels - 1):
+        b0, b1, b2, b3 = b[p]
+        d = span[p]
+        b[p + 1] = (
+            b0 + ends[0][p],
+            b1 + d * b0 + ends[1][p],
+            b2 + 2.0 * d * b1 + d * d * b0 + ends[2][p],
+            b3 + 3.0 * d * b2 + 3.0 * d * d * b1 + d**3 * b0 + ends[3][p],
+        )
+    b0, b1, b2, b3 = (column[:, None] for column in b.T)
+    c2 = inside2 + b2 + 2.0 * since_lo * b1 + since_lo**2 * b0
+    c3 = inside3 + b3 + 3.0 * since_lo * b2 + 3.0 * since_lo**2 * b1 + since_lo**3 * b0
+    cone = weight * to_today**3
+    k7 = (16.0 * math.pi**2 / 3.0) * float(np.sum(cone / a * c2 @ GL_WEIGHTS))
+    k8 = (16.0 * math.pi**2 / 9.0) * float(np.sum(cone * c3 @ GL_WEIGHTS))
+    return k7, k8
 
 
 def _v4_rate(e, m0, m1, m2, a):

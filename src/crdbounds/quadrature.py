@@ -21,9 +21,13 @@ first scalar lookup (``CumulativeTable._scalar_rows``), and the node is found
 by ``bisect``. The branch does the array path's operations in the same order,
 so its results are bit-identical to it, in a few microseconds per call.
 ``interpolate_shared`` does the same for several tables on one grid, with one
-``bisect`` for all of them; for an array, and tables given as a
-``TableGroup``, it makes one ``searchsorted`` for all of them and sums their
-cubics in ``interpolate``'s array path.
+``bisect`` for all of them.
+
+``GL_NODES`` and ``GL_WEIGHTS`` are the 16-point Gauss-Legendre rule on
+[-1, 1]; ``GL_INTEGRATION`` is its spectral integration matrix, S[j][l] the
+integral of the l-th Lagrange basis polynomial of the nodes from -1 to node j
+(Greengard, SIAM J. Numer. Anal. 28 (1991) 1071), so ``S @ f`` is the running
+integral of f at the nodes, exact for polynomials of degree 15 or less.
 """
 
 from __future__ import annotations
@@ -36,12 +40,18 @@ from functools import cached_property
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
+from numpy.polynomial.legendre import leggauss, legint, legval, legvander
 
 from .errors import check_range
 
 _GL_ORDER = 16
-_GL_NODES, _GL_WEIGHTS = leggauss(_GL_ORDER)
+GL_NODES, GL_WEIGHTS = leggauss(_GL_ORDER)
+# Column l holds the Legendre coefficients of the l-th Lagrange basis
+# polynomial, (n + 1/2) w_l P_n(x_l) for n = 0..15 (the rule is exact for it)
+_LAGRANGE_IN_LEGENDRE = (
+    legvander(GL_NODES, _GL_ORDER - 1).T * (np.arange(_GL_ORDER)[:, None] + 0.5) * GL_WEIGHTS
+)
+GL_INTEGRATION = legval(GL_NODES, legint(_LAGRANGE_IN_LEGENDRE, lbnd=-1)).T
 
 # The bisection error estimate |I_halves - I_whole| tracks the error of the
 # *coarse* value; the refined value kept is far better. A singular panel is the
@@ -90,11 +100,11 @@ def _panel_sums(f: Integrand, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
-    nodes = mid[:, None] + half[:, None] * _GL_NODES[None, :]
+    nodes = mid[:, None] + half[:, None] * GL_NODES[None, :]
     values = np.asarray(f(nodes.ravel()), dtype=float)
     if not np.isfinite(values).all():
         raise ValueError("integrand returned a non-finite value inside the interval")
-    sums = values.reshape(-1, _GL_ORDER) @ _GL_WEIGHTS
+    sums = values.reshape(-1, _GL_ORDER) @ GL_WEIGHTS
     return half * sums.reshape(values.shape[:-1] + half.shape)
 
 
@@ -353,39 +363,32 @@ def interpolate(table: CumulativeTable, x: Union[float, np.ndarray]):
         i = bisect_right(nodes, x) - 1
         s = x - nodes[i]
         return c0[i] + c1[i] * s + c2[i] * (s * s) + c3[i] * ((s * s) * s)
-    result = _interpolate_rows(table.abscissae, table._coefficients[:, None], x)[0]
+    xs = np.asarray(x, dtype=float)
+    nodes = table.abscissae
+    lo, hi = float(nodes[0]), float(nodes[-1])
+    if not ((xs >= lo).all() and (xs <= hi).all()):  # NaN fails both
+        raise _out_of_range(lo, hi)
+    idx = np.searchsorted(nodes, xs, side="right") - 1
+    c3, c2, c1, c0 = table._coefficients
+    # one gathered coefficient array at a time keeps large batches light on memory
+    s = xs - nodes.take(idx)
+    result = c0.take(idx) + c1.take(idx) * s
+    power = s * s
+    result += c2.take(idx) * power
+    power *= s
+    result += c3.take(idx) * power
     return float(result) if result.ndim == 0 else result
 
 
-class TableGroup(tuple):
-    """Tables on one grid (equal abscissae; not checked), for array lookups
-    in ``interpolate_shared``. Their coefficients are stacked on the first
-    array lookup and kept, so each lookup gathers each coefficient row of all
-    the tables in one take."""
-
-    @cached_property
-    def _coefficients(self) -> np.ndarray:
-        """Shape (4, tables, nodes): the rows (c3, c2, c1, c0) of each table."""
-        return np.stack([table._coefficients for table in self], axis=1)
-
-
-def interpolate_shared(tables: Sequence[CumulativeTable], x: Union[float, np.ndarray]):
+def interpolate_shared(tables: Sequence[CumulativeTable], x: float) -> List[float]:
     """``interpolate(table, x)`` for each of several tables on one grid, with
     one node search.
 
-    For a Python float x, ``bisect`` runs once over the first table's nodes,
+    x is a Python float. ``bisect`` runs once over the first table's nodes,
     and each table's cubic is summed in the order of ``interpolate``'s scalar
-    branch; the result is a list of floats. An array x needs the tables as a
-    ``TableGroup``: one ``searchsorted`` serves them all, and the cubics are
-    summed by ``interpolate``'s array path; the result has shape
-    (len(tables),) + x.shape. Either way every value is the double
-    ``interpolate`` gives. The tables' abscissae must be equal; this is not
-    checked.
+    branch, so every value is the double ``interpolate`` gives. The tables'
+    abscissae must be equal; this is not checked.
     """
-    if not isinstance(x, (float, int)):
-        if not isinstance(tables, TableGroup):
-            raise TypeError("an array lookup in interpolate_shared needs the tables as a TableGroup")
-        return _interpolate_rows(tables[0].abscissae, tables._coefficients, x)
     nodes = tables[0]._scalar_rows[0]
     if not nodes[0] <= x <= nodes[-1]:  # NaN fails too
         raise _out_of_range(nodes[0], nodes[-1])
@@ -397,27 +400,6 @@ def interpolate_shared(tables: Sequence[CumulativeTable], x: Union[float, np.nda
         c0[i] + c1[i] * s + c2[i] * s2 + c3[i] * s3
         for _, c0, c1, c2, c3 in (table._scalar_rows for table in tables)
     ]
-
-
-def _interpolate_rows(nodes: np.ndarray, coefficients: np.ndarray, x):
-    """The array path of ``interpolate`` for T tables on the grid ``nodes``,
-    coefficients of shape (4, T, nodes); the result has shape (T,) + x.shape."""
-    xs = np.asarray(x, dtype=float)
-    lo, hi = float(nodes[0]), float(nodes[-1])
-    if not ((xs >= lo).all() and (xs <= hi).all()):  # NaN fails both
-        raise _out_of_range(lo, hi)
-    idx = np.searchsorted(nodes, xs, side="right") - 1
-    c3, c2, c1, c0 = coefficients
-    # one gathered coefficient array at a time keeps large batches light on
-    # memory; s takes the gathers' leading table axis, so that with one table
-    # numpy can reuse their temporaries in place
-    s = (xs - nodes.take(idx))[None]
-    result = c0.take(idx, axis=-1) + c1.take(idx, axis=-1) * s
-    power = s * s
-    result += c2.take(idx, axis=-1) * power
-    power *= s
-    result += c3.take(idx, axis=-1) * power
-    return result
 
 
 def _out_of_range(lo: float, hi: float) -> ValueError:

@@ -1,21 +1,22 @@
-"""k7u and k8u to 1e-9 by one Richardson step on the tables' own nodes, and a
-grid-error bound that covers the error actually made.
+"""k7u and k8u from the cosmology alone, on Gauss-Legendre panels.
 
-The extrapolated values are checked against the matter-only closed form and
-the independent fiducial reference; the bound, |f - c|/15 of the fine and
-every-other-node integrals, must exceed the error of the extrapolated value.
+They are checked against the matter-only closed form and the independent
+fiducial reference at every grid size, and must not depend on the grid: the
+lookup tables' node count moves k4u only.
 """
 
-import functools
+import json
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 import oracles
 from crdbounds.cli import main
 from crdbounds import cosmology as cz
-from crdbounds.cosmology import build_tables
-from crdbounds.quadrature import CumulativeTable, QuadratureError, integrate
+from crdbounds.cosmology import CosmologyParams, build_tables
+from crdbounds.quadrature import GL_INTEGRATION, GL_NODES, QuadratureError
+from crdbounds.quantities import SPEED_OF_LIGHT
 
 TARGET = 1e-9
 FIDUCIAL = (oracles.K4U_FIDUCIAL, oracles.K7U_FIDUCIAL, oracles.K8U_FIDUCIAL)
@@ -34,15 +35,6 @@ def coarse_tables(eds_params, fiducial_params):
     }
 
 
-def _cases(request, coarse_tables):
-    return [
-        (request.getfixturevalue("eds_tables"), oracles.eds_k_factors()),
-        (request.getfixturevalue("fiducial_tables"), FIDUCIAL),
-        (coarse_tables["eds"], oracles.eds_k_factors()),
-        (coarse_tables["fiducial"], FIDUCIAL),
-    ]
-
-
 def test_defaults_meet_the_target_on_the_closed_form(eds_tables):
     assert max(_errors(eds_tables, oracles.eds_k_factors())) <= TARGET
 
@@ -53,22 +45,7 @@ def test_half_the_default_grid_meets_the_target(coarse_tables, name):
     assert max(_errors(coarse_tables[name], expected)) <= TARGET
 
 
-def test_grid_error_bound_exceeds_the_error(request, coarse_tables):
-    for tables, expected in _cases(request, coarse_tables):
-        _, err7, err8 = _errors(tables, expected)
-        assert tables.k7u_grid_err > err7
-        assert tables.k8u_grid_err > err8
-
-
-def test_grid_error_bound_shrinks_as_h4(request, coarse_tables):
-    # halving the node spacing divides the Hermite error by about 16
-    cases = _cases(request, coarse_tables)
-    for (fine, _), (coarse, _) in zip(cases[:2], cases[2:]):
-        for name in ("k7u_grid_err", "k8u_grid_err"):
-            assert 12.0 < getattr(coarse, name) / getattr(fine, name) < 20.0
-
-
-@pytest.mark.parametrize("omega_m", ["0.3", "1.0", "0.15"])
+@pytest.mark.parametrize("omega_m", ["0.3", "1.0", "0.15", "0.1"])
 def test_kfactors_at_the_tolerance_floor(omega_m):
     # the build at 2e-13 and the check at 2e-14 both converge
     omega_lambda = repr(1.0 - float(omega_m))
@@ -77,25 +54,72 @@ def test_kfactors_at_the_tolerance_floor(omega_m):
     assert result.exit_code == 0, result.output
 
 
-def test_k_integrals_rejects_tables_off_eta_s_grid(eds_tables):
-    t = eds_tables
-    shifted = CumulativeTable(t.v4.abscissae * 1.5, t.v4.values, t.v4.derivatives)
-    with pytest.raises(ValueError, match="one grid"):
-        cz.k_integrals(t.params, t.eta, shifted, t.moments, 1e-9)
-
-
 def test_k_integrals_failure_carries_k7u_and_k8u(monkeypatch, eds_tables):
     t = eds_tables
-    monkeypatch.setattr(cz, "integrate", functools.partial(integrate, max_panels=4))
+    monkeypatch.setattr(cz, "DEFAULT_MAX_PANELS", 4)
     with pytest.raises(QuadratureError) as excinfo:
-        cz.k_integrals(t.params, t.eta, t.v4, t.moments, 1e-9)
+        cz.k_integrals(t.params, 1e-9)
     assert excinfo.value.estimate == pytest.approx([t.k7u, t.k8u], rel=1e-2)
 
 
 def test_k_integrals_failure_message_shows_k7u_and_k8u(monkeypatch, eds_tables):
     t = eds_tables
-    monkeypatch.setattr(cz, "integrate", functools.partial(integrate, max_panels=4))
+    monkeypatch.setattr(cz, "DEFAULT_MAX_PANELS", 4)
     with pytest.raises(QuadratureError) as excinfo:
-        cz.k_integrals(t.params, t.eta, t.v4, t.moments, 1e-9)
+        cz.k_integrals(t.params, 1e-9)
     err = excinfo.value
     assert f"estimate {err.estimate!r}" in str(err)
+
+
+@pytest.mark.parametrize("grid_points", [16, 64, 2048, 4096])
+def test_eds_k7u_and_k8u_meet_the_closed_form_at_every_grid(eds_params, grid_points):
+    tables = build_tables(eds_params, grid_points=grid_points)
+    _, err7, err8 = _errors(tables, oracles.eds_k_factors())
+    assert max(err7, err8) <= 1e-13
+
+
+def test_fiducial_k7u_and_k8u_meet_the_reference(fiducial_tables):
+    # the reference has 11 significant digits
+    _, err7, err8 = _errors(fiducial_tables, FIDUCIAL)
+    assert max(err7, err8) <= 1e-11
+
+
+def test_k7u_and_k8u_do_not_depend_on_the_grid(fiducial_params):
+    got = {(t.k7u, t.k8u) for t in (build_tables(fiducial_params, grid_points=g) for g in [16, 17, 64, 1000, 4096])}
+    assert len(got) == 1
+
+
+@pytest.mark.parametrize(
+    "cosmology, expected",
+    [([], (1609, 1409)), (["--omega-m", "1", "--omega-lambda", "0"], (1605, 1406))],
+    ids=["fiducial", "eds"],
+)
+@pytest.mark.parametrize("grid_points", ["16", "64"])
+def test_coarse_grids_publish_the_default_thresholds(cosmology, expected, grid_points):
+    runner = CliRunner(env={"CRDBOUNDS_CONFIG": None})
+    rows = {}
+    for extra in ([], ["--grid-points", grid_points]):
+        result = runner.invoke(main, ["threshold", "--json", *cosmology, *extra])
+        assert result.exit_code == 0, result.output
+        rows[tuple(extra)] = {r["scenario"]: r for r in json.loads(result.stdout)["thresholds"]}
+    default, coarse = rows[()], rows[("--grid-points", grid_points)]
+    for name, qubits in zip(["universe-fully-connected", "universe-broadcast"], expected):
+        assert default[name]["qubits"] == coarse[name]["qubits"] == qubits
+        assert default[name]["log2_nops_exact"] == coarse[name]["log2_nops_exact"]
+
+
+@pytest.mark.parametrize("k", range(16))
+def test_integration_matrix_is_exact_to_degree_15(k):
+    x = GL_NODES
+    exact = (x ** (k + 1) - (-1.0) ** (k + 1)) / (k + 1)
+    assert np.abs(GL_INTEGRATION @ x**k - exact).max() <= 1e-14
+
+
+@pytest.mark.parametrize("h0", [SPEED_OF_LIGHT / 1e38, 1e38], ids=["smallest", "largest"])
+@pytest.mark.parametrize("omega_m", [1.0, 0.3, 1e-6])
+def test_k_integrals_at_both_h0_ends(h0, omega_m):
+    # dimensionless panels: neither end overflows or underflows, and H0 drops out
+    with np.errstate(all="raise"):
+        got = cz.k_integrals(CosmologyParams(h0, omega_m, 1.0 - omega_m), 1e-9)
+    expected = cz.k_integrals(CosmologyParams.create(70.0, omega_m, 1.0 - omega_m), 1e-9)
+    assert got == pytest.approx(expected, rel=1e-13)

@@ -1,14 +1,12 @@
 """v4_rate finds its node once for the four tables it reads, and gives the
-same doubles as four separate scalar interpolate calls; the array form of
-interpolate_shared, which k_integrals reads its tables through, gives the
-same doubles as interpolate on each table."""
+same doubles as four separate scalar interpolate calls."""
 
 import numpy as np
 import pytest
 
 from crdbounds import cosmology as cz
 from crdbounds.cosmology import CosmologyParams, build_tables, scale_factor
-from crdbounds.quadrature import TableGroup, interpolate, interpolate_shared
+from crdbounds.quadrature import interpolate, interpolate_shared
 
 PROBES = 5_000
 
@@ -78,50 +76,3 @@ def test_v4_rate_at_random_times(tables):
 def test_shared_lookup_rejects_points_off_the_grid(fiducial_tables, x):
     with pytest.raises(ValueError, match="out of range"):
         interpolate_shared((fiducial_tables.eta, fiducial_tables.moments[0]), x)
-
-
-def _group(tables):
-    """The tables k_integrals reads, as a TableGroup."""
-    return TableGroup((tables.eta, tables.v4, *tables.moments[:3]))
-
-
-def test_array_lookup_matches_interpolate_at_every_node(tables):
-    nodes = tables.eta.abscissae
-    group = _group(tables)
-    got = interpolate_shared(group, nodes)
-    assert got.shape == (5, nodes.size)
-    for row, table in zip(got, group):
-        assert np.array_equal(_bits(row), _bits(interpolate(table, nodes)))
-
-
-def test_array_lookup_matches_interpolate_at_random_points(tables):
-    rng = np.random.default_rng(11)
-    u_max = tables.u_max
-    half = PROBES // 2
-    xs = np.concatenate([rng.uniform(0.0, u_max, half), u_max * 10.0 ** rng.uniform(-8.0, 0.0, PROBES - half)])
-    group = _group(tables)
-    for shape in [(PROBES,), (50, PROBES // 50)]:
-        probe = xs.reshape(shape)
-        got = interpolate_shared(group, probe)
-        assert got.shape == (5,) + shape
-        for row, table in zip(got, group):
-            assert np.array_equal(_bits(row), _bits(interpolate(table, probe)))
-
-
-def test_array_lookup_of_a_0d_array(fiducial_tables):
-    group = _group(fiducial_tables)
-    x = np.array(0.5 * fiducial_tables.u_max)
-    got = interpolate_shared(group, x)
-    assert got.shape == (5,)
-    assert _bits(got).tolist() == _bits([interpolate(t, float(x)) for t in group]).tolist()
-
-
-@pytest.mark.parametrize("x", [-1e-300, float("nan"), float("inf")])
-def test_array_lookup_rejects_points_off_the_grid(fiducial_tables, x):
-    with pytest.raises(ValueError, match="out of range"):
-        interpolate_shared(_group(fiducial_tables), np.array([0.0, x]))
-
-
-def test_array_lookup_needs_a_table_group(fiducial_tables):
-    with pytest.raises(TypeError, match="TableGroup"):
-        interpolate_shared(tuple(_group(fiducial_tables)), np.array([0.0]))

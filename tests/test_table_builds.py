@@ -1,10 +1,9 @@
 """One light-cone table build per CLI call, and one error boundary for the
 quadrature behind it.
 
-`kfactors` checks its k-integrals by rerunning them at a tenfold tighter
-tolerance on the tables it already built; the reference here is the older
-route, a second full build at that tolerance, whose shift it must reproduce
-exactly.
+`kfactors` checks its k-integrals by rerunning them, without the tables, at
+a tenfold tighter tolerance; the reference here is the older route, a second
+full build at that tolerance, whose shift it must reproduce exactly.
 """
 
 import json
@@ -78,16 +77,17 @@ def test_delta_is_the_shift_of_a_tighter_rebuild(request, cosmology_args):
     assert expected["k4u"] == 0.0
 
 
-def _failing_integrate(monkeypatch, below):
+def _failing_k_integrals(monkeypatch, below):
     """Make every k-integral asked for a tolerance under `below` fail."""
-    real = cosmology.integrate
+    real = cosmology.k_integrals
 
-    def integrate(f, a, b, rel_tol, *rest):
+    def k_integrals(params, rel_tol):
         if rel_tol < below:
             raise QuadratureError("ran out of panels", 0.0, 1e-3)
-        return real(f, a, b, rel_tol, *rest)
+        return real(params, rel_tol)
 
-    monkeypatch.setattr(cosmology, "integrate", integrate)
+    monkeypatch.setattr(cosmology, "k_integrals", k_integrals)
+    monkeypatch.setattr(cli, "k_integrals", k_integrals)
 
 
 @pytest.mark.parametrize(
@@ -103,7 +103,7 @@ def _failing_integrate(monkeypatch, below):
     ids=lambda v: " ".join(v) if isinstance(v, list) else f"below {v:g}",
 )
 def test_quadrature_failure_is_one_line_exit_1(monkeypatch, tmp_path, args, below):
-    _failing_integrate(monkeypatch, below)
+    _failing_k_integrals(monkeypatch, below)
     result = _invoke(_with_out(args, tmp_path) + ["--grid-points", "64"])
     assert result.exit_code == 1, result.output
     assert isinstance(result.exception, SystemExit)
