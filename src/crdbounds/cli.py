@@ -28,7 +28,7 @@ from .bounds import (
     planck_crd,
 )
 from .config import RunConfig, load_config
-from .cosmology import CosmologyParams, build_tables, k_integrals
+from .cosmology import CosmologyParams, build_tables
 from .errors import ConfigurationError, check_range
 from .figure import FigureConfig, build_figure, check_grid, planck_crossing, write_series
 from .quadrature import QuadratureError
@@ -52,8 +52,8 @@ def common_options(fn):
         click.option("--lab-volume", "lab_volume_m3", type=float, default=None, help="Lab volume in m^3."),
         click.option("--lab-duration", "lab_duration_s", type=float, default=None, help="Lab run time in seconds."),
         click.option("--inputs-per-op", "inputs_per_op", type=int, default=None, help="Inputs per operation for the nearest-neighbor lab."),
-        click.option("--quad-rel-tol", "quad_rel_tol", type=float, default=None, help="Relative tolerance for all integrals."),
-        click.option("--grid-points", "grid_points", type=int, default=None, help="Nodes in the lookup tables, which also set k4u; k7u and k8u do not depend on it."),
+        click.option("--quad-rel-tol", "quad_rel_tol", type=float, default=None, help="Relative tolerance of the k-factor integrals."),
+        click.option("--grid-points", "grid_points", type=int, default=None, help="Nodes in the lookup tables, a multiple of 16 (16 per panel, at least 1024 used); no k-factor depends on it."),
         click.option("--json", "as_json", is_flag=True, help="Emit JSON instead of text."),
         click.option("--config", "config_path", type=click.Path(), default=None, help="Flat key=value config file (also honored via $CRDBOUNDS_CONFIG)."),
     ]
@@ -134,20 +134,15 @@ def constants(config):
 def kfactors(config):
     """Dimensionless cosmological prefactors k4u, k7u, k8u.
 
-    k4u is the last node of the 4-volume table. k7u and k8u come from the
-    cosmology alone (cosmology.k_integrals), so --grid-points does not move
-    them. achieved_rel_delta is not an error bar: for k7u and k8u it is the
-    shift of the k-integrals rerun at a tenfold tighter quad_rel_tol, and for
-    k4u it is 0 by construction.
+    All three come from the cosmology alone (cosmology.k_integrals), so
+    --grid-points does not move them. achieved_rel_delta is each one's
+    relative shift between the last two panel counts of that computation,
+    the coarser result's error bar; the finer result printed is far closer,
+    since the panels converge spectrally.
     """
     tables = _tables(config)
     params = tables.params
-    check = k_integrals(params, config.quad_rel_tol * 0.1)
-    deltas = {
-        "k4u": 0.0,
-        "k7u": abs(tables.k7u - check[0]) / check[0],
-        "k8u": abs(tables.k8u - check[1]) / check[1],
-    }
+    deltas = dict(zip(("k4u", "k7u", "k8u"), tables.k_shift))
     return {
         "t_universe_gyr": s_to_gyr(params.t_universe),
         "k4u": tables.k4u,

@@ -14,12 +14,12 @@ from .quantities import JULIAN_YEAR_S
 
 ENV_CONFIG_PATH = "CRDBOUNDS_CONFIG"
 
-# Tightest accepted quad_rel_tol. Below it the V4 table's cancellation check
-# refuses most cosmologies, since V4's rounding (2^-53 of the largest of its
-# four terms) then exceeds the tolerance: at 1e-13 it refuses Omega_M 0.25
-# and below, at 5e-14 every Omega_M from 0.06 to 1. The k-integrals, which
-# `kfactors` reruns at a tenth of it, converge down to 1e-15.
-MIN_QUAD_REL_TOL = 2e-13
+# Tightest accepted quad_rel_tol. Once converged, the k-integrals' shift
+# between two panel counts is rounding noise that more panels do not reduce:
+# up to 1.6e-15 over 8 to 512 panels for Omega_M from 1e-250 to 1 (23 values
+# measured). A target at that noise could keep doubling to the panel limit,
+# so the floor sits about 3 times above it.
+MIN_QUAD_REL_TOL = 5e-15
 
 
 @dataclass(frozen=True)
@@ -52,6 +52,8 @@ class RunConfig:
         check_range("inputs_per_op", self.inputs_per_op, 1, low_inclusive=True)
         check_range("quad_rel_tol", self.quad_rel_tol, MIN_QUAD_REL_TOL, 1e-2, low_inclusive=True)
         check_range("grid_points", self.grid_points, 16, MAX_GRID_POINTS, low_inclusive=True)
+        if self.grid_points % 16:
+            raise ConfigurationError(f"grid_points must be a multiple of 16, got {self.grid_points!r}")
 
     def as_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}

@@ -1,33 +1,30 @@
-"""Deterministic adaptive quadrature and cumulative-integral tables.
+"""Gauss-Legendre quadrature: adaptive integrals, and running integrals
+tabulated at the nodes of fixed panels.
 
-Integration uses a fixed-order Gauss-Legendre rule per panel with global
+``integrate`` uses a fixed-order Gauss-Legendre rule per panel with global
 adaptive bisection: the panel with the largest error estimate is split until
 the summed estimate meets the requested relative tolerance. Node placement is
 a pure function of the inputs, so results are bit-identical across runs on a
-given platform.
-
-Integrands must be vectorized: ``f(x)`` receives a 1-d numpy array and returns
-an array of the same shape. ``integrate`` and ``build_cumulative`` also accept
-an integrand that returns one row per component, shape ``(R, x.size)``:
-``integrate`` refines all R integrals in one adaptive pass, and
-``build_cumulative`` tabulates all R running integrals from the same
-evaluations. Panel endpoints are never evaluated, which makes integrable
-endpoint singularities (after a suitable substitution) safe.
-
-``interpolate`` evaluates one monotone cubic per node in power form. A Python
-``float`` or ``int`` takes a scalar branch with no numpy array work: the
-table's nodes and coefficient rows are converted to Python lists on its
-first scalar lookup (``CumulativeTable._scalar_rows``), and the node is found
-by ``bisect``. The branch does the array path's operations in the same order,
-so its results are bit-identical to it, in a few microseconds per call.
-``interpolate_shared`` does the same for several tables on one grid, with one
-``bisect`` for all of them.
+given platform. Integrands must be vectorized: ``f(x)`` receives a 1-d numpy
+array and returns an array of the same shape, or one row per component,
+shape ``(R, x.size)``, which refines all R integrals in one adaptive pass.
+Panel endpoints are never evaluated, which makes integrable endpoint
+singularities (after a suitable substitution) safe.
 
 ``GL_NODES`` and ``GL_WEIGHTS`` are the 16-point Gauss-Legendre rule on
 [-1, 1]; ``GL_INTEGRATION`` is its spectral integration matrix, S[j][l] the
 integral of the l-th Lagrange basis polynomial of the nodes from -1 to node j
 (Greengard, SIAM J. Numer. Anal. 28 (1991) 1071), so ``S @ f`` is the running
 integral of f at the nodes, exact for polynomials of degree 15 or less.
+
+A ``CumulativeTable`` holds a function's values at the 16 nodes of each
+panel between its edges; ``build_cumulative`` fills one with a running
+integral. ``interpolate`` reads it with the barycentric formula for
+Gauss-Legendre nodes, weights (-1)^j sqrt((1 - x_j^2) w_j) (Berrut &
+Trefethen, SIAM Review 46 (2004) 501): the degree-15 polynomial through the
+panel's 16 values. A scalar read takes a few microseconds in Python floats;
+an array is read in one numpy pass. ``panel_nodes`` places the nodes for
+both, and for the light-cone tables.
 """
 
 from __future__ import annotations
@@ -36,8 +33,7 @@ import heapq
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Sequence, Tuple, Union
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss, legint, legval, legvander
@@ -52,6 +48,9 @@ _LAGRANGE_IN_LEGENDRE = (
     legvander(GL_NODES, _GL_ORDER - 1).T * (np.arange(_GL_ORDER)[:, None] + 0.5) * GL_WEIGHTS
 )
 GL_INTEGRATION = legval(GL_NODES, legint(_LAGRANGE_IN_LEGENDRE, lbnd=-1)).T
+_NODE_LIST = GL_NODES.tolist()
+_BARYCENTRIC_WEIGHTS = (-1.0) ** np.arange(_GL_ORDER) * np.sqrt((1.0 - GL_NODES**2) * GL_WEIGHTS)
+_BARYCENTRIC = _BARYCENTRIC_WEIGHTS.tolist()
 
 # The bisection error estimate |I_halves - I_whole| tracks the error of the
 # *coarse* value; the refined value kept is far better. A singular panel is the
@@ -62,16 +61,6 @@ _ABS_FLOOR = 1e-300
 
 DEFAULT_REL_TOL = 1e-9
 DEFAULT_MAX_PANELS = 4096
-
-# build_cumulative's vectorised pass takes at most this many panels per
-# integrand call, which caps a 32768-node build at 49 MB of arrays instead of
-# 90 MB; tables of up to 16384 nodes are one batch. Smaller batches save more
-# memory but make later builds refault the heap glibc trims (8192 panels:
-# 8192-node builds about 20% slower). Keep it a power of two: BLAS sums the
-# last (rows mod 4) rows of a matrix-vector product by another path, so a
-# power of two gives every panel the same double as one batch does (a batch
-# of 5 panels does not).
-_BATCH_PANELS = 16384
 
 Integrand = Callable[[np.ndarray], np.ndarray]
 
@@ -185,221 +174,115 @@ def integrate(
 
 @dataclass(frozen=True, eq=False)  # identity semantics: fields hold arrays
 class CumulativeTable:
-    """A sampled running integral: values[i] accumulates from abscissae[0].
+    """One function's values at the 16 Gauss-Legendre nodes of each panel.
 
-    Abscissae are strictly increasing; ``derivatives`` optionally stores the
-    integrand at the nodes, which upgrades interpolation from slope-estimated
-    monotone cubics to Hermite cubics with exact nodal slopes. Every node,
-    value and derivative must be finite (a ConfigurationError otherwise). The
-    cubic's coefficients are computed once, here.
+    Panel p is [edges[p], edges[p + 1]]; row p of ``values`` holds its node
+    values, in the order of ``GL_NODES``. Edges are strictly increasing, and
+    every edge and value must be finite (a ConfigurationError otherwise).
+    The Python lists that ``interpolate`` reads are made once, here.
     """
 
-    abscissae: np.ndarray
+    edges: np.ndarray
     values: np.ndarray
-    derivatives: Optional[np.ndarray] = None
-    # shape (4, nodes): see _hermite_coefficients
-    _coefficients: np.ndarray = field(init=False, repr=False)
+    _lists: Tuple[list, list] = field(init=False, repr=False)
 
     def __post_init__(self):
-        x = np.asarray(self.abscissae, dtype=float)
-        y = np.asarray(self.values, dtype=float)
-        if x.ndim != 1 or x.size < 2:
-            raise ValueError("abscissae must be a 1-d array of length >= 2")
-        if y.shape != x.shape:
-            raise ValueError("values must match abscissae in length")
-        if not np.all(np.diff(x) > 0.0):
-            raise ValueError("abscissae must be strictly increasing")
-        d = self.derivatives
-        if d is not None:
-            d = np.asarray(d, dtype=float)
-            if d.shape != x.shape:
-                raise ValueError("derivatives must match abscissae in length")
-            d.setflags(write=False)
-        for name, column in (("abscissae", x), ("values", y), ("derivatives", d)):
-            if column is not None:
-                check_range(name, column, -math.inf)
-        x.setflags(write=False)
-        y.setflags(write=False)
-        coefficients = _hermite_coefficients(x, y, d)
-        coefficients.setflags(write=False)
-        object.__setattr__(self, "abscissae", x)
-        object.__setattr__(self, "values", y)
-        object.__setattr__(self, "derivatives", d)
-        object.__setattr__(self, "_coefficients", coefficients)
-
-    @cached_property
-    def _scalar_rows(self) -> Tuple[list, list, list, list, list]:
-        """Nodes and coefficient rows (c0, c1, c2, c3) as Python lists, built on
-        the first scalar lookup (cached in the instance dict; the class has no
-        ``__slots__``, so this works on the frozen dataclass)."""
-        c3, c2, c1, c0 = self._coefficients.tolist()
-        return self.abscissae.tolist(), c0, c1, c2, c3
+        edges = np.asarray(self.edges, dtype=float)
+        values = np.asarray(self.values, dtype=float)
+        if edges.ndim != 1 or edges.size < 2:
+            raise ValueError("edges must be a 1-d array of length >= 2")
+        if values.shape != (edges.size - 1, _GL_ORDER):
+            raise ValueError(f"values must have shape (panels, {_GL_ORDER}) to match the edges")
+        if not np.all(np.diff(edges) > 0.0):
+            raise ValueError("edges must be strictly increasing")
+        check_range("edges", edges, -math.inf)
+        check_range("values", values, -math.inf)
+        edges.setflags(write=False)
+        values.setflags(write=False)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "_lists", (edges.tolist(), values.tolist()))
 
 
-def _monotone_slopes(h: np.ndarray, secants: np.ndarray, derivs: Optional[np.ndarray]) -> np.ndarray:
-    """Nodal slopes clamped into the Fritsch-Carlson box, so the cubic is
-    monotone wherever the data are (Fritsch & Carlson, SIAM J. Numer. Anal.
-    17 (1980) 238-246).
+def panel_nodes(edges: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Each panel's half width, shape (panels, 1), and its 16 Gauss nodes,
+    shape (panels, 16), in the order of ``GL_NODES``, for the panels
+    between the given edges."""
+    half = 0.5 * np.diff(edges)[:, None]
+    return half, 0.5 * (edges[:-1] + edges[1:])[:, None] + half * GL_NODES
 
-    The slopes are ``derivs`` if given, else the PCHIP estimate: the
-    Fritsch-Butland weighted harmonic mean of the adjacent secants inside, a
-    one-sided three-point formula at the ends. The clamp is zero where the
-    adjacent secants differ in sign, else [0, 3 min|secant|] in their
-    direction.
+
+def build_cumulative(f: Integrand, grid: Sequence[float]) -> Union[CumulativeTable, Tuple[CumulativeTable, ...]]:
+    """The running integral of f from grid[0], at the Gauss nodes of each
+    panel of grid.
+
+    f is called once, on every node. Within a panel the integral is
+    ``GL_INTEGRATION``'s, exact for polynomials of degree 15 or less; the
+    panels before it add their 16-point Gauss-Legendre sums. If f returns R
+    rows, the result is a tuple of R tables.
     """
-    if derivs is None:
-        if h.size == 1:  # two nodes: the straight line
-            return np.repeat(secants, 2)
-        derivs = np.empty(h.size + 1)
-        w1 = 2.0 * h[1:] + h[:-1]
-        w2 = h[1:] + 2.0 * h[:-1]
-        with np.errstate(divide="ignore", invalid="ignore"):  # zero secants are clamped below
-            derivs[1:-1] = 1.0 / ((w1 / secants[:-1] + w2 / secants[1:]) / (w1 + w2))
-        h0, h1, m0, m1 = h[[0, -1]], h[[1, -2]], secants[[0, -1]], secants[[1, -2]]
-        derivs[[0, -1]] = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-    left = np.concatenate([secants[:1], secants])
-    right = np.concatenate([secants, secants[-1:]])
-    sign = np.sign(right)
-    cap = np.where(np.sign(left) == sign, 3.0 * np.minimum(np.abs(left), np.abs(right)), 0.0)
-    with np.errstate(invalid="ignore"):
-        return np.where(cap > 0.0, sign * np.clip(sign * derivs, 0.0, cap), 0.0)
-
-
-def _hermite_coefficients(x: np.ndarray, y: np.ndarray, derivs: Optional[np.ndarray]) -> np.ndarray:
-    """Rows (c3, c2, c1, c0) per node i: the cubic c0 + c1 s + c2 s^2 + c3 s^3
-    in s = x - x_i on [x_i, x_i+1]. The last node gets its own constant cubic,
-    so evaluation at s = 0 returns every stored value exactly.
-
-    These coefficient formulas and the power-form sum in ``interpolate``
-    (rather than Horner's rule) keep every table and k-factor bit-identical
-    to the compiled piecewise-polynomial evaluation they were validated with.
-    """
-    h = np.diff(x)
-    secants = np.diff(y) / h
-    d = _monotone_slopes(h, secants, derivs)
-    curvature = (d[:-1] + d[1:] - 2.0 * secants) / h
-    zero = np.zeros(1)
-    return np.stack([
-        np.concatenate([curvature / h, zero]),
-        np.concatenate([(secants - d[:-1]) / h - curvature, zero]),
-        np.concatenate([d[:-1], zero]),
-        y,
-    ])
-
-
-def build_cumulative(
-    f: Integrand,
-    grid: Sequence[float],
-    rel_tol: float = DEFAULT_REL_TOL,
-    node_derivatives: Optional[Sequence[float]] = None,
-    max_panels: int = DEFAULT_MAX_PANELS,
-) -> Union[CumulativeTable, Tuple[CumulativeTable, ...]]:
-    """Running integral of f over a strictly increasing grid.
-
-    Each grid panel is integrated to rel_tol; values[0] = 0. A fast vectorized
-    pass handles panels the base rule already resolves, and only stubborn
-    panels fall back to full adaptive refinement.
-
-    If f returns R rows, the result is a tuple of R tables, and
-    ``node_derivatives`` (if given) has one row per table.
-    """
-    _check_rel_tol(rel_tol)
-    x = np.asarray(grid, dtype=float)
-    if x.ndim != 1 or x.size < 2 or not np.all(np.diff(x) > 0.0):
+    edges = np.asarray(grid, dtype=float)
+    if edges.ndim != 1 or edges.size < 2 or not np.all(np.diff(edges) > 0.0):
         raise ValueError("grid must be strictly increasing with at least 2 points")
-    check_range("grid", x, -math.inf)
-
-    lo, hi = x[:-1], x[1:]
-    mid = 0.5 * (lo + hi)
-    whole, refined = [], []  # per batch of panels, see _BATCH_PANELS
-    for start in range(0, lo.size, _BATCH_PANELS):
-        b = slice(start, start + _BATCH_PANELS)
-        whole.append(_panel_sums(f, lo[b], hi[b]))
-        halves = _panel_sums(f, np.concatenate([lo[b], mid[b]]), np.concatenate([mid[b], hi[b]]))
-        left, right = np.split(halves, 2, axis=-1)
-        refined.append(left + right)
-    whole = np.concatenate(whole, axis=-1)
-    refined = np.concatenate(refined, axis=-1)
-    err = np.abs(refined - whole)
-    needs_work = err > _SAFETY * (rel_tol * np.abs(refined) + _ABS_FLOOR)
-    rows = refined.reshape(-1, lo.size)  # a view: writes land in refined
-    for r, i in zip(*np.nonzero(needs_work.reshape(rows.shape))):
-
-        def row(u, r=r):
-            return np.asarray(f(u), dtype=float).reshape(len(rows), -1)[r]
-
-        try:
-            rows[r, i] = integrate(row, lo[i], hi[i], rel_tol, max_panels)
-        except QuadratureError as exc:
-            raise QuadratureError(
-                f"panel {i} ([{float(lo[i])!r}, {float(hi[i])!r}]) failed: {exc}",
-                estimate=exc.estimate,
-                achieved_rel_tol=exc.achieved_rel_tol,
-            ) from exc
-    values = np.concatenate([np.zeros_like(refined[..., :1]), np.cumsum(refined, axis=-1)], axis=-1)
-    if values.ndim == 1:
-        return CumulativeTable(x, values, node_derivatives)
-    derivs = [None] * len(values) if node_derivatives is None else node_derivatives
-    return tuple(CumulativeTable(x, v, d) for v, d in zip(values, derivs, strict=True))
+    check_range("grid", edges, -math.inf)
+    half, nodes = panel_nodes(edges)
+    f_values = np.asarray(f(nodes.ravel()), dtype=float)
+    scaled = half * f_values.reshape(-1, *nodes.shape)  # (rows, panels, nodes)
+    sums = scaled @ GL_WEIGHTS
+    before = np.concatenate([np.zeros_like(sums[:, :1]), np.cumsum(sums[:, :-1], axis=-1)], axis=-1)
+    tables = tuple(CumulativeTable(edges, v) for v in before[..., None] + scaled @ GL_INTEGRATION.T)
+    return tables if f_values.ndim == 2 else tables[0]
 
 
 def interpolate(table: CumulativeTable, x: Union[float, np.ndarray]):
-    """Monotone cubic interpolation of a table; exact at the stored nodes.
+    """The table's degree-15 panel polynomial at x, by the barycentric formula.
 
-    x (scalar or array) must lie within [first, last] abscissa. Each point
-    takes the cubic of the last node at or below it and sums
-    c0 + c1 s + c2 s^2 + c3 s^3 in s = x - x_i, in that order. A Python
-    ``float`` or ``int`` (``np.float64`` included) returns a float from the
-    scalar branch: ``bisect`` over the table's lazily built lists and Python
-    float arithmetic in the same operation order, so the result is the same
-    double the array path gives. Arrays, 0-d arrays and other numpy scalars
-    take the array path.
+    x must lie within [first edge, last edge]. A panel is found by bisection
+    and its 16-term sum evaluated; where x maps onto a node exactly, the
+    stored value is returned. A Python ``float`` or ``int`` (``np.float64``
+    included), or a 0-d array, gives a float, summed in Python floats. Any
+    other array gives an array of the same shape from one numpy pass, which
+    adds the 16 terms in the same order, so each element equals the scalar
+    result.
     """
-    if isinstance(x, (float, int)):
-        nodes, c0, c1, c2, c3 = table._scalar_rows
-        x = float(x)
-        if not nodes[0] <= x <= nodes[-1]:  # NaN fails too
-            raise _out_of_range(nodes[0], nodes[-1])
-        i = bisect_right(nodes, x) - 1
-        s = x - nodes[i]
-        return c0[i] + c1[i] * s + c2[i] * (s * s) + c3[i] * ((s * s) * s)
-    xs = np.asarray(x, dtype=float)
-    nodes = table.abscissae
-    lo, hi = float(nodes[0]), float(nodes[-1])
-    if not ((xs >= lo).all() and (xs <= hi).all()):  # NaN fails both
-        raise _out_of_range(lo, hi)
-    idx = np.searchsorted(nodes, xs, side="right") - 1
-    c3, c2, c1, c0 = table._coefficients
-    # one gathered coefficient array at a time keeps large batches light on memory
-    s = xs - nodes.take(idx)
-    result = c0.take(idx) + c1.take(idx) * s
-    power = s * s
-    result += c2.take(idx) * power
-    power *= s
-    result += c3.take(idx) * power
-    return float(result) if result.ndim == 0 else result
+    xs = x if isinstance(x, (float, int)) else np.asarray(x, dtype=float)
+    if isinstance(xs, np.ndarray) and xs.ndim > 0:
+        return _interpolate_array(table, xs)
+    edges, rows = table._lists
+    x = float(xs)
+    if not edges[0] <= x <= edges[-1]:  # NaN fails too
+        raise _out_of_range(edges[0], edges[-1])
+    p = min(bisect_right(edges, x), len(rows)) - 1  # the last edge reads the last panel
+    lo, hi = edges[p], edges[p + 1]
+    s = ((x - lo) - (hi - x)) / (hi - lo)
+    num = den = 0.0
+    for w, node, f in zip(_BARYCENTRIC, _NODE_LIST, rows[p]):
+        d = s - node
+        if d == 0.0:
+            return f
+        q = w / d
+        num += q * f
+        den += q
+    return num / den
 
 
-def interpolate_shared(tables: Sequence[CumulativeTable], x: float) -> List[float]:
-    """``interpolate(table, x)`` for each of several tables on one grid, with
-    one node search.
-
-    x is a Python float. ``bisect`` runs once over the first table's nodes,
-    and each table's cubic is summed in the order of ``interpolate``'s scalar
-    branch, so every value is the double ``interpolate`` gives. The tables'
-    abscissae must be equal; this is not checked.
-    """
-    nodes = tables[0]._scalar_rows[0]
-    if not nodes[0] <= x <= nodes[-1]:  # NaN fails too
-        raise _out_of_range(nodes[0], nodes[-1])
-    i = bisect_right(nodes, x) - 1
-    s = x - nodes[i]
-    s2 = s * s
-    s3 = s2 * s
-    return [
-        c0[i] + c1[i] * s + c2[i] * s2 + c3[i] * s3
-        for _, c0, c1, c2, c3 in (table._scalar_rows for table in tables)
-    ]
+def _interpolate_array(table: CumulativeTable, xs: np.ndarray) -> np.ndarray:
+    edges = table.edges
+    if not np.all((xs >= edges[0]) & (xs <= edges[-1])):  # NaN fails too
+        raise _out_of_range(float(edges[0]), float(edges[-1]))
+    p = np.minimum(np.searchsorted(edges, xs, side="right"), edges.size - 1) - 1
+    lo, hi = edges[p], edges[p + 1]
+    s = ((xs - lo) - (hi - xs)) / (hi - lo)
+    d = s[..., None] - GL_NODES
+    f = table.values[p]
+    on_node = d == 0.0
+    q = _BARYCENTRIC_WEIGHTS / np.where(on_node, 1.0, d)
+    num = den = 0.0
+    for j in range(_GL_ORDER):
+        num = num + q[..., j] * f[..., j]
+        den = den + q[..., j]
+    hit = on_node.any(axis=-1)
+    return np.where(hit, np.sum(np.where(on_node, f, 0.0), axis=-1), num / np.where(hit, 1.0, den))
 
 
 def _out_of_range(lo: float, hi: float) -> ValueError:

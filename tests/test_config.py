@@ -169,10 +169,17 @@ def test_grid_points_capped():
         load_config(overrides={"grid_points": MAX_GRID_POINTS + 1})
 
 
+@pytest.mark.parametrize("grid_points", [17, 31, 10001])
+def test_grid_points_must_fill_whole_panels(grid_points):
+    # the tables have 16 nodes per panel, so no node count is rounded away
+    with pytest.raises(ConfigurationError, match="grid_points must be a multiple of 16, got"):
+        load_config(overrides={"grid_points": grid_points})
+
+
 def test_quad_rel_tol_floor():
     from crdbounds.config import MIN_QUAD_REL_TOL
 
     assert load_config(overrides={"quad_rel_tol": MIN_QUAD_REL_TOL}).quad_rel_tol == MIN_QUAD_REL_TOL
-    for value in (1.9e-13, 1e-16):
+    for value in (4.9e-15, 1e-16):
         with pytest.raises(ConfigurationError, match="quad_rel_tol"):
             load_config(overrides={"quad_rel_tol": value})

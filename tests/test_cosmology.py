@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import legendre
 
+from crdbounds import cosmology as cz
 from crdbounds.cosmology import (
     CosmologyParams,
     age_of_universe,
@@ -90,8 +92,8 @@ class TestTables:
         assert v4(0.0, fiducial_tables) == 0.0
 
     def test_node_values_monotone(self, fiducial_tables):
-        assert np.all(np.diff(fiducial_tables.eta.values) > 0.0)
-        assert np.all(np.diff(fiducial_tables.v4.values) >= 0.0)
+        assert np.all(np.diff(fiducial_tables.eta.values.ravel()) > 0.0)
+        assert np.all(np.diff(fiducial_tables.v4.values.ravel()) >= 0.0)
 
     def test_k_factors_match_independent_reference(self, fiducial_tables):
         assert fiducial_tables.k4u == pytest.approx(oracles.K4U_FIDUCIAL, rel=1e-8)
@@ -238,7 +240,7 @@ class TestParamLimits:
 
 
 class TestEarlyTimes:
-    """Below the third node, where a cubic cannot follow V4 ~ u^12."""
+    """Below the first node, where the lookups take the matter-era laws."""
 
     @pytest.mark.parametrize("fraction", [1e-26, 1e-25, 1e-24, 1.0045e-24, 1.01e-24])
     def test_matter_only_closed_form(self, eds_tables, eds_params, fraction):
@@ -248,15 +250,35 @@ class TestEarlyTimes:
 
     @pytest.mark.parametrize("which", ["fiducial_tables", "eds_tables"])
     def test_rate_matches_v4_node_slopes(self, request, which):
-        # v4_rate (moments) and the v4 table's slopes come from one formula
+        # the rate (from C_2) is the time derivative of v4 (from C_3): each
+        # panel's v4 polynomial, differentiated, gives the stored rate at
+        # the nodes; differentiation amplifies V4's rounding about n^2-fold
         tables = request.getfixturevalue(which)
-        u = tables.v4.abscissae[2:]
-        rates = np.array([v4_rate(x**3, tables) for x in u])
-        expected = tables.v4.derivatives[2:] / (3.0 * u**2)
-        assert np.max(np.abs(rates / expected - 1.0)) <= 1e-12
+        nodes, _ = legendre.leggauss(16)
+        edges, h0 = tables.v4.edges, tables.params.h0
+        for p, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
+            dv4_ds = legendre.legval(nodes, legendre.legder(legendre.legfit(nodes, tables.v4.values[p], 15)))
+            x = 0.5 * (lo + hi) + 0.5 * (hi - lo) * nodes
+            slope = dv4_ds * 2.0 / (hi - lo) / (3.0 * x * x / h0)  # dt/dx = 3 x^2 / H0
+            assert np.max(np.abs(slope / tables.rate.values[p] - 1.0)) <= 1e-11
 
 
-def test_v4_cancelled_beyond_rel_tol_is_refused():
-    params = CosmologyParams.create(70.0, 1e-7, 1.0 - 1e-7)
-    with pytest.raises(ConfigurationError, match="cancellation leaves V4 short of rel_tol"):
-        build_tables(params)
+@pytest.mark.parametrize("omega_m", [1e-7, 1e-12, 1e-17, 1e-30, 1e-60])
+def test_near_lambda_one_tables_build(omega_m):
+    # V4 no longer cancels, and panels longer than t_lambda are split: these
+    # cosmologies build, their lookups are finite and positive, and V4(T)
+    # gives k4u
+    omega_lambda = min(1.0 - omega_m, 0.9999999999999999)
+    tables = build_tables(CosmologyParams.create(70.0, omega_m, omega_lambda))
+    p = tables.params
+    assert p.h0**4 * v4(p.t_universe, tables) / C**3 == pytest.approx(tables.k4u, rel=1e-12)
+    for t in p.t_universe * np.geomspace(1e-26, 1.0, 200):
+        values = (v4(t, tables), v4_rate(t, tables), comoving_distance(0.0, t, tables))
+        assert all(math.isfinite(v) and v > 0.0 for v in values)
+
+
+def test_tables_that_miss_the_lambda_era_are_refused(monkeypatch):
+    # unsplit, the last geometric panels cannot follow a^3 ~ e^(2 t / t_lambda)
+    monkeypatch.setattr(cz, "_LAMBDA_SPAN", math.inf)
+    with pytest.raises(ConfigurationError, match="the panels do not resolve it"):
+        build_tables(CosmologyParams.create(70.0, 1e-30, 0.9999999999999999))

@@ -1,8 +1,8 @@
-"""k7u and k8u from the cosmology alone, on Gauss-Legendre panels.
+"""k4u, k7u and k8u from the cosmology alone, on Gauss-Legendre panels.
 
 They are checked against the matter-only closed form and the independent
 fiducial reference at every grid size, and must not depend on the grid: the
-lookup tables' node count moves k4u only.
+lookup tables' node count moves no k-factor.
 """
 
 import json
@@ -47,7 +47,7 @@ def test_half_the_default_grid_meets_the_target(coarse_tables, name):
 
 @pytest.mark.parametrize("omega_m", ["0.3", "1.0", "0.15", "0.1"])
 def test_kfactors_at_the_tolerance_floor(omega_m):
-    # the build at 2e-13 and the check at 2e-14 both converge
+    # the k-integrals converge at 2e-13, as at every tolerance down to the floor
     omega_lambda = repr(1.0 - float(omega_m))
     args = ["kfactors", "--quad-rel-tol", "2e-13", "--omega-m", omega_m, "--omega-lambda", omega_lambda, "--json"]
     result = CliRunner(env={"CRDBOUNDS_CONFIG": None}).invoke(main, args)
@@ -59,7 +59,7 @@ def test_k_integrals_failure_carries_k7u_and_k8u(monkeypatch, eds_tables):
     monkeypatch.setattr(cz, "DEFAULT_MAX_PANELS", 4)
     with pytest.raises(QuadratureError) as excinfo:
         cz.k_integrals(t.params, 1e-9)
-    assert excinfo.value.estimate == pytest.approx([t.k7u, t.k8u], rel=1e-2)
+    assert excinfo.value.estimate == pytest.approx([t.k4u, t.k7u, t.k8u], rel=1e-2)
 
 
 def test_k_integrals_failure_message_shows_k7u_and_k8u(monkeypatch, eds_tables):
@@ -85,8 +85,28 @@ def test_fiducial_k7u_and_k8u_meet_the_reference(fiducial_tables):
 
 
 def test_k7u_and_k8u_do_not_depend_on_the_grid(fiducial_params):
-    got = {(t.k7u, t.k8u) for t in (build_tables(fiducial_params, grid_points=g) for g in [16, 17, 64, 1000, 4096])}
+    grids = [16, 17, 64, 1000, 4096]
+    got = {(t.k4u, t.k7u, t.k8u) for t in (build_tables(fiducial_params, grid_points=g) for g in grids)}
     assert len(got) == 1
+
+
+def test_k4u_meets_the_closed_form_and_the_reference(eds_tables, fiducial_tables):
+    assert _errors(eds_tables, oracles.eds_k_factors())[0] <= 1e-14
+    assert _errors(fiducial_tables, FIDUCIAL)[0] <= 1e-11
+
+
+@pytest.mark.parametrize("omega_m", ["0.3", "1.0", "0.06", "1e-7", "1e-30", "1e-200"])
+def test_kfactors_at_the_new_tolerance_floor(omega_m):
+    omega_lambda = repr(min(1.0 - float(omega_m), 0.9999999999999999))
+    args = ["kfactors", "--quad-rel-tol", "5e-15", "--omega-m", omega_m, "--omega-lambda", omega_lambda, "--json"]
+    result = CliRunner(env={"CRDBOUNDS_CONFIG": None}).invoke(main, args)
+    assert result.exit_code == 0, result.output
+    assert max(json.loads(result.stdout)["achieved_rel_delta"].values()) <= 5e-15
+
+
+def test_tables_at_the_tolerance_floor_meet_the_reference(fiducial_params):
+    tables = build_tables(fiducial_params, rel_tol=1e-15)
+    assert max(_errors(tables, FIDUCIAL)) <= 1e-11
 
 
 @pytest.mark.parametrize(
@@ -120,6 +140,6 @@ def test_integration_matrix_is_exact_to_degree_15(k):
 def test_k_integrals_at_both_h0_ends(h0, omega_m):
     # dimensionless panels: neither end overflows or underflows, and H0 drops out
     with np.errstate(all="raise"):
-        got = cz.k_integrals(CosmologyParams(h0, omega_m, 1.0 - omega_m), 1e-9)
-    expected = cz.k_integrals(CosmologyParams.create(70.0, omega_m, 1.0 - omega_m), 1e-9)
+        got, _ = cz.k_integrals(CosmologyParams(h0, omega_m, 1.0 - omega_m), 1e-9)
+    expected, _ = cz.k_integrals(CosmologyParams.create(70.0, omega_m, 1.0 - omega_m), 1e-9)
     assert got == pytest.approx(expected, rel=1e-13)

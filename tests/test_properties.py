@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from crdbounds.bounds import Scenario, length_for_scenario, max_length, n_ops_for_scenario
 from crdbounds.cosmology import comoving_distance, scale_factor
-from crdbounds.quadrature import CumulativeTable, integrate, interpolate
+from crdbounds.quadrature import build_cumulative, integrate, interpolate
 from crdbounds.quantities import LogQuantity
 
 
@@ -33,15 +33,16 @@ def test_polynomials_integrate_to_antiderivative(coeffs, a, width):
     st.floats(min_value=0.0, max_value=1.0),
 )
 @settings(max_examples=40, deadline=None)
-def test_interpolation_brackets_node_values(increments, frac):
-    # any monotone table: interpolated values stay inside the bracketing nodes
-    x = np.arange(len(increments) + 1.0)
-    y = np.concatenate([[0.0], np.cumsum(increments)])
-    table = CumulativeTable(x, y)
+def test_interpolation_brackets_node_values(coefficients, frac):
+    # the running integral of any positive polynomial: the value read between
+    # two edges stays inside the values read at them
+    x = np.arange(len(coefficients) + 1.0)
+    table = build_cumulative(np.polynomial.Polynomial(coefficients), x)
     probe = x[0] + frac * (x[-1] - x[0])
-    i = min(int(probe), len(increments) - 1)
-    value = interpolate(table, probe)
-    assert y[i] - 1e-12 <= value <= y[i + 1] + 1e-12
+    i = min(int(probe), len(coefficients) - 1)
+    low, value, high = (interpolate(table, v) for v in (x[i], probe, x[i + 1]))
+    slack = 1e-13 * high
+    assert low - slack <= value <= high + slack
 
 
 @given(

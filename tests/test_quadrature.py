@@ -5,6 +5,7 @@ import pytest
 
 from crdbounds.errors import ConfigurationError
 from crdbounds.quadrature import (
+    GL_NODES,
     CumulativeTable,
     QuadratureError,
     build_cumulative,
@@ -75,154 +76,152 @@ def test_deterministic_repeat():
     assert first == second
 
 
+def _read(table, xs):
+    return [interpolate(table, float(x)) for x in xs]
+
+
 def test_cumulative_constant():
-    table = build_cumulative(lambda x: np.ones_like(x), [0.0, 1.0, 2.0], 1e-10)
-    assert table.values == pytest.approx([0.0, 1.0, 2.0], rel=1e-13)
+    table = build_cumulative(lambda x: np.ones_like(x), [0.0, 1.0, 2.0])
+    assert _read(table, [0.0, 1.0, 2.0]) == pytest.approx([0.0, 1.0, 2.0], rel=1e-13, abs=1e-15)
 
 
 def test_cumulative_linear():
-    table = build_cumulative(lambda x: 2.0 * x, [0.0, 1.0, 3.0], 1e-10)
-    assert table.values == pytest.approx([0.0, 1.0, 9.0], rel=1e-13)
+    table = build_cumulative(lambda x: 2.0 * x, [0.0, 1.0, 3.0])
+    assert _read(table, [0.0, 1.0, 3.0]) == pytest.approx([0.0, 1.0, 9.0], rel=1e-13, abs=1e-15)
 
 
 def test_cumulative_regularized_power_law():
     # int_0^x t^(-2/3) dt = 3 x^(1/3); after u = x^(1/3) the integrand is
     # 3 u^2 (u^3)^(-2/3) = 3, and panel endpoints are never evaluated
     grid = np.linspace(0.0, 1.0, 5)
-    table = build_cumulative(lambda u: 3.0 * u * u * (u**3) ** (-2.0 / 3.0), grid, 1e-10)
-    assert table.values[1:] == pytest.approx(3.0 * (grid[1:] ** 3) ** (1.0 / 3.0), rel=1e-8)
-    assert table.values[0] == 0.0
-
-
-def test_cumulative_propagates_failure_with_panel_index():
-    def f(x):
-        return 1.0 / np.sqrt(np.abs(x - 2.0))
-
-    with pytest.raises(QuadratureError, match="panel 1"):
-        build_cumulative(f, [0.0, 1.0, 2.0], 1e-10, max_panels=8)
+    table = build_cumulative(lambda u: 3.0 * u * u * (u**3) ** (-2.0 / 3.0), grid)
+    assert _read(table, grid[1:]) == pytest.approx(3.0 * (grid[1:] ** 3) ** (1.0 / 3.0), rel=1e-8)
+    assert interpolate(table, 0.0) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_cumulative_grid_validation():
     with pytest.raises(ValueError, match="strictly increasing"):
-        build_cumulative(np.sin, [0.0, 0.0, 1.0], 1e-9)
+        build_cumulative(np.sin, [0.0, 0.0, 1.0])
     with pytest.raises(ValueError, match="strictly increasing"):
-        build_cumulative(np.sin, [1.0], 1e-9)
+        build_cumulative(np.sin, [1.0])
 
 
 def test_table_validation():
     with pytest.raises(ValueError, match="strictly increasing"):
-        CumulativeTable(np.array([0.0, 2.0, 1.0]), np.zeros(3))
+        CumulativeTable(np.array([0.0, 2.0, 1.0]), np.zeros((2, 16)))
     with pytest.raises(ValueError, match="match"):
-        CumulativeTable(np.array([0.0, 1.0]), np.zeros(3))
-    with pytest.raises(ValueError, match="derivatives"):
-        CumulativeTable(np.array([0.0, 1.0]), np.zeros(2), np.zeros(3))
+        CumulativeTable(np.array([0.0, 1.0]), np.zeros((2, 16)))
+    with pytest.raises(ValueError, match="shape"):
+        CumulativeTable(np.array([0.0, 1.0]), np.zeros(16))
 
 
 def test_table_is_immutable():
-    table = CumulativeTable(np.array([0.0, 1.0]), np.array([0.0, 1.0]))
+    table = CumulativeTable(np.array([0.0, 1.0]), np.zeros((1, 16)))
     with pytest.raises(ValueError):
-        table.values[0] = 5.0
+        table.values[0, 0] = 5.0
+
+
+def _nodes(table):
+    lo, hi = table.edges[:-1, None], table.edges[1:, None]
+    return 0.5 * (lo + hi) + 0.5 * (hi - lo) * GL_NODES
 
 
 def test_interpolate_exact_at_nodes():
+    # exact to rounding: a node's panel coordinate is recomputed from x
     grid = np.geomspace(0.1, 10.0, 40)
-    table = build_cumulative(lambda x: x**1.5, grid, 1e-10)
-    for i in (0, 7, 39):
-        assert interpolate(table, grid[i]) == table.values[i]
+    table = build_cumulative(lambda x: x**1.5, grid)
+    nodes = _nodes(table)
+    for p, j in ((0, 0), (7, 9), (38, 15)):
+        assert interpolate(table, nodes[p, j]) == pytest.approx(table.values[p, j], rel=5e-16)
 
 
 def test_interpolate_linear_midpoint():
-    table = CumulativeTable(np.array([0.0, 1.0, 2.0]), np.array([0.0, 1.0, 2.0]))
+    table = build_cumulative(lambda x: np.ones_like(x), [0.0, 1.0, 2.0])
     assert interpolate(table, 0.5) == pytest.approx(0.5, abs=1e-14)
 
 
 def test_interpolate_range_error_names_interval():
-    table = CumulativeTable(np.array([0.0, 1.0]), np.array([0.0, 1.0]))
+    table = build_cumulative(lambda x: np.ones_like(x), [0.0, 1.0])
     with pytest.raises(ValueError, match=r"\[0\.0, 1\.0\]"):
         interpolate(table, 1.5)
 
 
 def test_interpolate_preserves_monotonicity():
     grid = np.linspace(0.0, 4.0, 30)
-    table = build_cumulative(lambda x: np.exp(-((x - 2.0) ** 2) * 4.0), grid, 1e-10)
+    table = build_cumulative(lambda x: np.exp(-((x - 2.0) ** 2) * 4.0), grid)
     dense = np.linspace(0.0, 4.0, 2000)
     values = interpolate(table, dense)
     assert np.all(np.diff(values) >= -1e-15 * values[-1])
 
 
 def test_interpolate_with_exact_derivatives_is_high_order():
-    # running integral of cos: sin(x); supplying the exact nodal slopes must
-    # beat the slope-estimating fallback by well over an order of magnitude
+    # the running integral of cos from its exact values at the nodes: the
+    # panel polynomials read sin to rounding
     grid = np.linspace(0.0, 1.4, 24)
     probe = np.linspace(0.0, 1.4, 331)
-    with_derivs = build_cumulative(np.cos, grid, 1e-12, node_derivatives=np.cos(grid))
-    without = build_cumulative(np.cos, grid, 1e-12)
-    err_with = np.max(np.abs(interpolate(with_derivs, probe) - np.sin(probe)))
-    err_without = np.max(np.abs(interpolate(without, probe) - np.sin(probe)))
-    assert err_with < 1e-7  # two-point Hermite bound f''''h^4/384 at h = 1.4/23
-    assert err_with < err_without / 10.0
+    table = build_cumulative(np.cos, grid)
+    assert np.max(np.abs(interpolate(table, probe) - np.sin(probe))) < 1e-14
 
 
 def test_interpolate_vectorized_matches_scalar():
     grid = np.linspace(0.0, 2.0, 9)
-    table = build_cumulative(lambda x: 1.0 + x**2, grid, 1e-10)
+    table = build_cumulative(lambda x: 1.0 + x**2, grid)
     xs = np.array([0.0, 0.3, 1.0, 1.99, 2.0])
     vector = interpolate(table, xs)
     assert vector.tolist() == [interpolate(table, float(x)) for x in xs]
 
 
+def test_interpolate_array_reads_nodes_and_keeps_the_scalar_bits():
+    # one numpy pass adds the 16 terms in the scalar loop's order; a point on
+    # a node reads its stored value, and a 0-d array gives a float
+    grid = np.geomspace(0.1, 10.0, 7)
+    table = build_cumulative(lambda x: np.exp(np.sin(3.0 * x)), grid)
+    xs = np.concatenate([_nodes(table)[2], np.geomspace(0.1, 10.0, 304)]).reshape(-1, 8)
+    vector = interpolate(table, xs)
+    assert vector.shape == xs.shape
+    assert vector.ravel().tolist() == [interpolate(table, x) for x in xs.ravel().tolist()]
+    assert vector.ravel()[:16] == pytest.approx(table.values[2], rel=5e-16)
+    zero_d = interpolate(table, np.array(2.5))
+    assert type(zero_d) is float and zero_d == interpolate(table, 2.5)
+
+
 def test_exact_derivatives_reproduce_a_cubic():
-    # cubic Hermite interpolation with exact nodal values and slopes is exact
-    # for a cubic; this one is increasing, so no slope is clamped
+    # the running integral of a cubic's exact derivative is the cubic, which
+    # the panel polynomials hold exactly
     grid = np.array([-2.0, -1.3, -0.2, 0.4, 1.1, 2.0, 3.0])
-    table = CumulativeTable(grid, grid**3 + grid + 20.0, 3.0 * grid**2 + 1.0)
+    table = build_cumulative(lambda x: 3.0 * x**2 + 1.0, grid)
     probe = np.linspace(-2.0, 3.0, 1001)
-    np.testing.assert_allclose(interpolate(table, probe), probe**3 + probe + 20.0, rtol=1e-14, atol=0.0)
+    got = interpolate(table, probe) + (-8.0 - 2.0 + 20.0)
+    np.testing.assert_allclose(got, probe**3 + probe + 20.0, rtol=1e-14, atol=0.0)
 
 
 def test_fused_rows_match_scalar_builds():
-    # the sqrt row needs the adaptive fallback on its first panel
     rows = [np.cos, lambda x: np.exp(-x), lambda x: x * x, np.sqrt]
     grid = np.concatenate([[0.0], np.geomspace(1e-3, 2.0, 12)])
-    derivs = np.array([f(grid) for f in rows])
-    fused = build_cumulative(
-        lambda x: np.stack([f(x) for f in rows]), grid, 1e-10, node_derivatives=derivs
-    )
+    fused = build_cumulative(lambda x: np.stack([f(x) for f in rows]), grid)
     assert isinstance(fused, tuple) and len(fused) == len(rows)
     probe = np.linspace(0.0, 2.0, 257)
-    for f, d, table in zip(rows, derivs, fused):
-        single = build_cumulative(f, grid, 1e-10, node_derivatives=d)
+    for f, table in zip(rows, fused):
+        single = build_cumulative(f, grid)
         np.testing.assert_allclose(table.values, single.values, rtol=1e-15, atol=0.0)
-        np.testing.assert_array_equal(table.derivatives, d)
         np.testing.assert_allclose(
             interpolate(table, probe), interpolate(single, probe), rtol=1e-15, atol=0.0
         )
 
 
 def test_interpolate_exact_at_last_node_with_derivatives():
+    # built from x^1.5, the exact derivative of its running integral: the last
+    # node reads back to rounding, and the last edge gives the integral
     grid = np.geomspace(0.1, 10.0, 40)
-    table = build_cumulative(lambda x: x**1.5, grid, 1e-10, node_derivatives=grid**1.5)
-    assert interpolate(table, grid[-1]) == table.values[-1]
-    nodes = grid[[0, 7, 38, 39]]
-    assert interpolate(table, nodes).tolist() == table.values[[0, 7, 38, 39]].tolist()
-
-
-def test_interpolate_stays_within_each_interval_for_nonmonotone_data():
-    # supplied slopes are clamped node by node, so every interval's cubic is
-    # monotone even where the data turn around
-    grid = np.linspace(0.0, 7.0, 15)
-    table = CumulativeTable(grid, np.sin(grid), np.cos(grid))
-    probe = np.linspace(0.0, 7.0, 3001)
-    values = interpolate(table, probe)
-    i = np.minimum(np.searchsorted(grid, probe, side="right") - 1, grid.size - 2)
-    low = np.minimum(table.values[i], table.values[i + 1])
-    high = np.maximum(table.values[i], table.values[i + 1])
-    assert np.all(values >= low) and np.all(values <= high)
+    table = build_cumulative(lambda x: x**1.5, grid)
+    last = _nodes(table)[-1, -1]
+    assert interpolate(table, last) == pytest.approx(table.values[-1, -1], rel=5e-16)
+    assert interpolate(table, grid[-1]) == pytest.approx((10.0**2.5 - 0.1**2.5) / 2.5, rel=1e-14)
 
 
 @pytest.mark.parametrize("x", [math.nan, np.array([0.5, math.nan])])
 def test_interpolate_rejects_nan(x):
-    table = CumulativeTable(np.array([0.0, 1.0]), np.array([0.0, 1.0]))
+    table = build_cumulative(lambda x: np.ones_like(x), [0.0, 1.0])
     with pytest.raises(ValueError, match=r"\[0\.0, 1\.0\]"):
         interpolate(table, x)
 

@@ -1,30 +1,15 @@
-"""v4_rate finds its node once for the four tables it reads, and gives the
-same doubles as four separate scalar interpolate calls."""
+"""eta and the moment tables share one set of panel edges: v4 holds the
+centered moment C_3 and rate C_2 / a, scaled. v4_rate reads its stored
+values, at every node and between them."""
 
 import numpy as np
 import pytest
 
 from crdbounds import cosmology as cz
-from crdbounds.cosmology import CosmologyParams, build_tables, scale_factor
-from crdbounds.quadrature import interpolate, interpolate_shared
+from crdbounds.cosmology import CosmologyParams, build_tables
+from crdbounds.quadrature import GL_NODES, interpolate
 
 PROBES = 5_000
-
-
-def _bits(values):
-    return np.asarray(values, dtype=float).view(np.uint64)
-
-
-def _v4_rate_four_calls(t2, tables):
-    """The lookup as it was assembled before: one interpolate (one node
-    search) per table."""
-    u = cz._checked_u(t2, tables, "t2")
-    u2 = tables.v4.abscissae[2]
-    if u < u2:
-        return float(tables.v4.derivatives[2] / (3.0 * u2 * u2) * (u / u2) ** 9)
-    e = float(interpolate(tables.eta, u))
-    m0, m1, m2 = (float(interpolate(m, u)) for m in tables.moments[:3])
-    return cz._v4_rate(e, m0, m1, m2, scale_factor(u**3, tables.params))
 
 
 @pytest.fixture(scope="module")
@@ -39,40 +24,56 @@ def tables(request):
     return request.getfixturevalue(request.param)
 
 
+def _nodes(table):
+    lo, hi = table.edges[:-1, None], table.edges[1:, None]
+    return 0.5 * (lo + hi) + 0.5 * (hi - lo) * GL_NODES
+
+
 def test_eta_and_moments_share_one_grid(tables):
-    for m in tables.moments:
-        assert np.array_equal(m.abscissae, tables.eta.abscissae)
+    for table in (tables.v4, tables.rate):
+        assert np.array_equal(table.edges, tables.eta.edges)
 
 
 def test_shared_grid_at_higher_resolution(eds_params):
     tables = build_tables(eds_params, grid_points=5000)
-    for m in tables.moments:
-        assert np.array_equal(m.abscissae, tables.eta.abscissae)
+    assert tables.eta.values.shape == (5000 // 16, 16)
+    for table in (tables.v4, tables.rate):
+        assert np.array_equal(table.edges, tables.eta.edges)
 
 
 def test_shared_lookup_matches_interpolate_at_every_node(tables):
-    group = (tables.eta, *tables.moments[:3])
-    for x in tables.eta.abscissae.tolist():
-        assert _bits(interpolate_shared(group, x)).tolist() == _bits([interpolate(t, x) for t in group]).tolist()
+    # above the first node, v4 and v4_rate read their tables at x = (H0 t)^(1/3)
+    h0 = tables.params.h0
+    for x in _nodes(tables.eta).ravel().tolist()[1:]:
+        t = x**3 / h0
+        x_t = cz._checked_x(t, tables)
+        assert cz.v4(t, tables) == interpolate(tables.v4, x_t)
+        assert cz.v4_rate(t, tables) == interpolate(tables.rate, x_t)
 
 
 def test_v4_rate_at_every_node(tables):
-    ts = [u**3 for u in tables.eta.abscissae.tolist()] + [tables.params.t_universe]
-    got = [cz.v4_rate(t, tables) for t in ts]
+    # t = x^3 / H0 and x = (H0 t)^(1/3) round, and the rate varies up to
+    # x^9, so the node is read back to within a few dozen ulps
+    h0 = tables.params.h0
+    xs = _nodes(tables.rate).ravel().tolist()
+    got = [cz.v4_rate(x**3 / h0, tables) for x in xs]
     assert all(type(v) is float for v in got)
-    assert np.array_equal(_bits(got), _bits([_v4_rate_four_calls(t, tables) for t in ts]))
+    np.testing.assert_allclose(got, tables.rate.values.ravel(), rtol=3e-14, atol=0.0)
 
 
 def test_v4_rate_at_random_times(tables):
+    # against the same cosmology on 8 times the panels
+    fine = build_tables(tables.params, grid_points=8 * 4096)
     rng = np.random.default_rng(7)
     t_u = tables.params.t_universe
     half = PROBES // 2
     ts = np.concatenate([rng.uniform(0.0, t_u, half), t_u * 10.0 ** rng.uniform(-24.0, 0.0, PROBES - half)])
-    ts = ts.tolist()
-    assert np.array_equal(_bits([cz.v4_rate(t, tables) for t in ts]), _bits([_v4_rate_four_calls(t, tables) for t in ts]))
+    got = [cz.v4_rate(t, tables) for t in ts.tolist()]
+    np.testing.assert_allclose(got, [cz.v4_rate(t, fine) for t in ts.tolist()], rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("x", [-1e-300, float("nan"), float("inf")])
 def test_shared_lookup_rejects_points_off_the_grid(fiducial_tables, x):
-    with pytest.raises(ValueError, match="out of range"):
-        interpolate_shared((fiducial_tables.eta, fiducial_tables.moments[0]), x)
+    for table in (fiducial_tables.eta, fiducial_tables.v4, fiducial_tables.rate):
+        with pytest.raises(ValueError, match="out of range"):
+            interpolate(table, x)

@@ -1,9 +1,8 @@
 """One light-cone table build per CLI call, and one error boundary for the
 quadrature behind it.
 
-`kfactors` checks its k-integrals by rerunning them, without the tables, at
-a tenfold tighter tolerance; the reference here is the older route, a second
-full build at that tolerance, whose shift it must reproduce exactly.
+`kfactors` reports, as its convergence delta, the k-factors' shift between
+the last two panel counts of the one k-integral its build makes.
 """
 
 import json
@@ -13,7 +12,6 @@ from click.testing import CliRunner
 
 import crdbounds.cli as cli
 import crdbounds.cosmology as cosmology
-from crdbounds.cosmology import build_tables
 from crdbounds.quadrature import QuadratureError
 
 EDS = ["--omega-m", "1", "--omega-lambda", "0"]
@@ -62,19 +60,14 @@ def test_one_build_per_call(builds, tmp_path, args, expected):
 
 
 @pytest.mark.parametrize("cosmology_args", [[], EDS], ids=["fiducial", "eds"])
-def test_delta_is_the_shift_of_a_tighter_rebuild(request, cosmology_args):
+def test_delta_is_the_shift_between_the_last_two_panel_counts(request, cosmology_args):
     doc = json.loads(_invoke(["kfactors", "--json", *cosmology_args]).stdout)
     name = "eds" if cosmology_args else "fiducial"
     params = request.getfixturevalue(f"{name}_params")
-    tables = request.getfixturevalue(f"{name}_tables")
-    # the former check: a second build at a tenth of the default 1e-9
-    tighter = build_tables(params, rel_tol=1e-9 * 0.1)
-    expected = {
-        k: abs(getattr(tables, k) - getattr(tighter, k)) / getattr(tighter, k)
-        for k in ("k4u", "k7u", "k8u")
-    }
-    assert doc["achieved_rel_delta"] == expected
-    assert expected["k4u"] == 0.0
+    _, shifts = cosmology.k_integrals(params, 1e-9)
+    assert doc["achieved_rel_delta"] == dict(zip(("k4u", "k7u", "k8u"), shifts))
+    # spectral convergence: 4 and 8 panels already agree to rounding
+    assert 0.0 < max(shifts) <= 1e-14
 
 
 def _failing_k_integrals(monkeypatch, below):
@@ -87,7 +80,6 @@ def _failing_k_integrals(monkeypatch, below):
         return real(params, rel_tol)
 
     monkeypatch.setattr(cosmology, "k_integrals", k_integrals)
-    monkeypatch.setattr(cli, "k_integrals", k_integrals)
 
 
 @pytest.mark.parametrize(
@@ -97,8 +89,6 @@ def _failing_k_integrals(monkeypatch, below):
         (["threshold"], 1.0),
         (["scale", "--qubits", "2048"], 1.0),
         (FIGURE, 1.0),
-        # the build passes; only kfactors' tenfold tighter check fails
-        (["kfactors"], 1e-9),
     ],
     ids=lambda v: " ".join(v) if isinstance(v, list) else f"below {v:g}",
 )
