@@ -7,8 +7,8 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Mapping, Optional, Union
 
-from .cosmology import DEFAULT_GRID_POINTS, MAX_GRID_POINTS, CosmologyParams
-from .errors import ConfigurationError, check_range
+from .cosmology import DEFAULT_GRID_POINTS, CosmologyParams, check_grid_points
+from .errors import ConfigurationError, check_integer, check_range
 from .quadrature import DEFAULT_REL_TOL
 from .quantities import JULIAN_YEAR_S
 
@@ -49,11 +49,9 @@ class RunConfig:
             ) from exc
         check_range("lab_volume_m3", self.lab_volume_m3)
         check_range("lab_duration_s", self.lab_duration_s)
-        check_range("inputs_per_op", self.inputs_per_op, 1, low_inclusive=True)
+        check_integer("inputs_per_op", self.inputs_per_op, 1)
         check_range("quad_rel_tol", self.quad_rel_tol, MIN_QUAD_REL_TOL, 1e-2, low_inclusive=True)
-        check_range("grid_points", self.grid_points, 16, MAX_GRID_POINTS, low_inclusive=True)
-        if self.grid_points % 16:
-            raise ConfigurationError(f"grid_points must be a multiple of 16, got {self.grid_points!r}")
+        check_grid_points(self.grid_points)
 
     def as_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}

@@ -51,7 +51,7 @@ from .quadrature import (
     interpolate,
     panel_nodes,
 )
-from .errors import ConfigurationError, check_range
+from .errors import ConfigurationError, check_integer, check_range
 from .quantities import LOG2_SPEED_OF_LIGHT, MPC_IN_M, SPEED_OF_LIGHT
 
 DEFAULT_GRID_POINTS = 4096
@@ -212,6 +212,16 @@ class LightconeTables:
         object.__setattr__(self, "x_first", float(panel_nodes(self.eta.edges[:2])[1][0, 0]))
 
 
+def check_grid_points(grid_points: int) -> int:
+    """grid_points as an int, by the one rule ``build_tables`` and ``RunConfig``
+    share: an integer in [16, MAX_GRID_POINTS] and a multiple of 16, so every
+    panel holds 16 of the nodes asked for; a ConfigurationError otherwise."""
+    grid_points = check_integer("grid_points", grid_points, 16, MAX_GRID_POINTS)
+    if grid_points % 16:
+        raise ConfigurationError(f"grid_points must be a multiple of 16, got {grid_points!r}")
+    return grid_points
+
+
 def build_tables(
     params: CosmologyParams,
     rel_tol: float = DEFAULT_REL_TOL,
@@ -219,15 +229,16 @@ def build_tables(
 ) -> LightconeTables:
     """Tabulate eta, V4 and dV4/dt over [0, T] and compute the k-factors.
 
-    The tables have grid_points // 16 geometric panels of 16 nodes each,
+    The tables have grid_points / 16 geometric panels of 16 nodes each,
     from t = 1e-24 T to T, but at least 64 (``_MIN_PANELS``); panels longer
     than t_lambda are split (``_LAMBDA_SPAN``). grid_points sets only the
     lookups' resolution: the k-factors come from ``k_integrals`` at rel_tol
-    and do not depend on it. A cosmology whose values leave double range,
-    or whose tables do not resolve it (a node value that is not positive,
-    or V4(T) off k4u by more than rel_tol + 1e-12), is a ConfigurationError.
+    and do not depend on it. A grid_points that ``check_grid_points``
+    refuses, a cosmology whose values leave double range, or one whose
+    tables do not resolve it (a node value that is not positive, or V4(T)
+    off k4u by more than rel_tol + 1e-12), is a ConfigurationError.
     """
-    check_range("grid_points", grid_points, 16, MAX_GRID_POINTS, low_inclusive=True)
+    grid_points = check_grid_points(grid_points)
     try:
         with np.errstate(divide="raise", over="raise", invalid="raise"):
             return _tabulate(params, rel_tol, grid_points)

@@ -1,6 +1,7 @@
 """Shared exception types and the range check every input goes through."""
 
 import math
+import operator
 
 import numpy as np
 
@@ -30,3 +31,14 @@ def check_range(name, value, low=0.0, high=math.inf, *, low_inclusive=False):
     if not ok:
         interval = f"{'[' if low_inclusive else '('}{low:g}, {high:g}{']' if high < math.inf else ')'}"
         raise ConfigurationError(f"{name} must be a finite number in {interval}, got {value!r}")
+
+
+def check_integer(name, value, low, high=math.inf):
+    """check_range for a count, low <= value <= high, that must also be an
+    integer (``operator.index``: 4096.0 is refused); returns it as an int."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}") from None
+    check_range(name, value, low, high, low_inclusive=True)
+    return value

@@ -200,7 +200,7 @@ def build_figure(
     lo, hi = qubit_range
     check_grid(lo, hi, step)
     if not lo < hi:
-        raise ValueError(f"qubit range must satisfy min < max, got ({lo!r}, {hi!r})")
+        raise ConfigurationError(f"qubit range must satisfy min < max, got ({lo!r}, {hi!r})")
     params = tables.params
 
     specs = [

@@ -6,10 +6,9 @@ adaptive bisection: the panel with the largest error estimate is split until
 the summed estimate meets the requested relative tolerance. Node placement is
 a pure function of the inputs, so results are bit-identical across runs on a
 given platform. Integrands must be vectorized: ``f(x)`` receives a 1-d numpy
-array and returns an array of the same shape, or one row per component,
-shape ``(R, x.size)``, which refines all R integrals in one adaptive pass.
-Panel endpoints are never evaluated, which makes integrable endpoint
-singularities (after a suitable substitution) safe.
+array and returns an array of the same shape. Panel endpoints are never
+evaluated, which makes integrable endpoint singularities (after a suitable
+substitution) safe.
 
 ``GL_NODES`` and ``GL_WEIGHTS`` are the 16-point Gauss-Legendre rule on
 [-1, 1]; ``GL_INTEGRATION`` is its spectral integration matrix, S[j][l] the
@@ -22,9 +21,9 @@ panel between its edges; ``build_cumulative`` fills one with a running
 integral. ``interpolate`` reads it with the barycentric formula for
 Gauss-Legendre nodes, weights (-1)^j sqrt((1 - x_j^2) w_j) (Berrut &
 Trefethen, SIAM Review 46 (2004) 501): the degree-15 polynomial through the
-panel's 16 values. A scalar read takes a few microseconds in Python floats;
-an array is read in one numpy pass. ``panel_nodes`` places the nodes for
-both, and for the light-cone tables.
+panel's 16 values, read at one real number in Python floats in a few
+microseconds. ``panel_nodes`` places the nodes for both, and for the
+light-cone tables.
 """
 
 from __future__ import annotations
@@ -49,8 +48,7 @@ _LAGRANGE_IN_LEGENDRE = (
 )
 GL_INTEGRATION = legval(GL_NODES, legint(_LAGRANGE_IN_LEGENDRE, lbnd=-1)).T
 _NODE_LIST = GL_NODES.tolist()
-_BARYCENTRIC_WEIGHTS = (-1.0) ** np.arange(_GL_ORDER) * np.sqrt((1.0 - GL_NODES**2) * GL_WEIGHTS)
-_BARYCENTRIC = _BARYCENTRIC_WEIGHTS.tolist()
+_BARYCENTRIC = ((-1.0) ** np.arange(_GL_ORDER) * np.sqrt((1.0 - GL_NODES**2) * GL_WEIGHTS)).tolist()
 
 # The bisection error estimate |I_halves - I_whole| tracks the error of the
 # *coarse* value; the refined value kept is far better. A singular panel is the
@@ -68,8 +66,9 @@ Integrand = Callable[[np.ndarray], np.ndarray]
 class QuadratureError(RuntimeError):
     """Adaptive refinement ran out of panels before reaching tolerance.
 
-    Carries the partial estimate (a list of row values for an integrand with
-    rows) and the relative tolerance actually achieved.
+    Carries the partial estimate (a float from ``integrate``, or
+    ``k_integrals``' [k4u, k7u, k8u]) and the relative tolerance actually
+    achieved.
     """
 
     def __init__(self, message: str, estimate: Union[float, List[float]], achieved_rel_tol: float):
@@ -78,23 +77,15 @@ class QuadratureError(RuntimeError):
         self.achieved_rel_tol = achieved_rel_tol
 
 
-def _check_rel_tol(rel_tol: float) -> None:
-    check_range("rel_tol", rel_tol, 0.0, 1e-2)
-
-
 def _panel_sums(f: Integrand, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Gauss-Legendre estimates for a batch of intervals, one f call total.
-
-    Returns shape (P,) for P intervals, or (R, P) if f returns R rows.
-    """
+    """Gauss-Legendre estimates for P intervals, shape (P,), from one f call."""
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
     nodes = mid[:, None] + half[:, None] * GL_NODES[None, :]
     values = np.asarray(f(nodes.ravel()), dtype=float)
     if not np.isfinite(values).all():
         raise ValueError("integrand returned a non-finite value inside the interval")
-    sums = values.reshape(-1, _GL_ORDER) @ GL_WEIGHTS
-    return half * sums.reshape(values.shape[:-1] + half.shape)
+    return half * (values.reshape(-1, _GL_ORDER) @ GL_WEIGHTS)
 
 
 def integrate(
@@ -103,22 +94,14 @@ def integrate(
     b: float,
     rel_tol: float = DEFAULT_REL_TOL,
     max_panels: int = DEFAULT_MAX_PANELS,
-):
+) -> float:
     """Integrate f over [a, b] to a relative tolerance.
 
     The returned value I satisfies |I - integral| <= rel_tol*|I| + 1e-300 for
     integrands the refinement can resolve; if ``max_panels`` panels are
     exhausted first a QuadratureError carrying the partial estimate is raised.
-
-    If f returns R rows, shape (R, x.size), the rows share one adaptive pass
-    and the result is an array of R integrals. The tolerance then holds in
-    the max norm over rows: every row's error is within rel_tol times the
-    largest row's magnitude, and the panel split next is the one with the
-    largest error in any row. Rows should be scaled alike; a row much smaller
-    than the largest is held to the largest's scale. With one row this is the
-    bound above, and the result is a float.
     """
-    _check_rel_tol(rel_tol)
+    check_range("rel_tol", rel_tol, 0.0, 1e-2)
     check_range("lower integration bound", a, -math.inf)
     check_range("upper integration bound", b, -math.inf)
     if a > b:
@@ -127,49 +110,41 @@ def integrate(
         return 0.0
 
     mid = 0.5 * (a + b)
-    # transposed, each interval's sum is a float, or its R row sums
-    whole, left, right = _panel_sums(f, np.array([a, a, mid]), np.array([b, mid, b])).T
+    whole, left, right = _panel_sums(f, np.array([a, a, mid]), np.array([b, mid, b])).tolist()
     total = left + right
-    err = abs(total - whole)
-    total_err = err.copy()  # updated in place; err stays with its heap entry
-    # heap entries: (-largest row error, lo, hi, coarse value of each half, row errors)
-    heap = [(-err.max(), a, b, left, right, err)]
+    total_err = err = abs(total - whole)
+    # heap entries: (-error, lo, hi, coarse value of each half, error)
+    heap = [(-err, a, b, left, right, err)]
     panels = 1
 
-    while total_err.max() > _SAFETY * (rel_tol * abs(total).max() + _ABS_FLOOR):
+    while total_err > _SAFETY * (rel_tol * abs(total) + _ABS_FLOOR):
         _, lo, hi, v_left, v_right, err = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:  # interval has collapsed to float resolution
             total_err -= err
             continue
-        lo_mid = 0.5 * (lo + mid)
-        mid_hi = 0.5 * (mid + hi)
-        quarters = _panel_sums(
-            f,
-            np.array([lo, lo_mid, mid, mid_hi]),
-            np.array([lo_mid, mid, mid_hi, hi]),
-        ).T
+        quarter_edges = np.array([lo, 0.5 * (lo + mid), mid, 0.5 * (mid + hi), hi])
+        quarters = _panel_sums(f, quarter_edges[:-1], quarter_edges[1:]).tolist()
         refined_left = quarters[0] + quarters[1]
         refined_right = quarters[2] + quarters[3]
         err_left = abs(refined_left - v_left)
         err_right = abs(refined_right - v_right)
         total += (refined_left + refined_right) - (v_left + v_right)
         total_err += (err_left + err_right) - err
-        heapq.heappush(heap, (-err_left.max(), lo, mid, quarters[0], quarters[1], err_left))
-        heapq.heappush(heap, (-err_right.max(), mid, hi, quarters[2], quarters[3], err_right))
+        heapq.heappush(heap, (-err_left, lo, mid, quarters[0], quarters[1], err_left))
+        heapq.heappush(heap, (-err_right, mid, hi, quarters[2], quarters[3], err_right))
         panels += 1
         if panels > max_panels:
-            scale = abs(total).max()
-            achieved = float(total_err.max() / scale) if scale != 0.0 else math.inf
-            estimate = total.tolist()
+            scale = abs(total)
+            achieved = total_err / scale if scale != 0.0 else math.inf
             raise QuadratureError(
                 f"no convergence after {max_panels} panels on [{a}, {b}]: "
-                f"estimate {estimate!r}, achieved relative tolerance {achieved:.3e}, "
+                f"estimate {total!r}, achieved relative tolerance {achieved:.3e}, "
                 f"needs {_SAFETY * rel_tol:.3e} ({_SAFETY:g} times the requested {rel_tol:.3e})",
-                estimate=estimate,
+                estimate=total,
                 achieved_rel_tol=achieved,
             )
-    return float(total) if np.ndim(total) == 0 else total
+    return total
 
 
 @dataclass(frozen=True, eq=False)  # identity semantics: fields hold arrays
@@ -212,46 +187,37 @@ def panel_nodes(edges: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return half, 0.5 * (edges[:-1] + edges[1:])[:, None] + half * GL_NODES
 
 
-def build_cumulative(f: Integrand, grid: Sequence[float]) -> Union[CumulativeTable, Tuple[CumulativeTable, ...]]:
+def build_cumulative(f: Integrand, grid: Sequence[float]) -> CumulativeTable:
     """The running integral of f from grid[0], at the Gauss nodes of each
     panel of grid.
 
     f is called once, on every node. Within a panel the integral is
     ``GL_INTEGRATION``'s, exact for polynomials of degree 15 or less; the
-    panels before it add their 16-point Gauss-Legendre sums. If f returns R
-    rows, the result is a tuple of R tables.
+    panels before it add their 16-point Gauss-Legendre sums.
     """
     edges = np.asarray(grid, dtype=float)
     if edges.ndim != 1 or edges.size < 2 or not np.all(np.diff(edges) > 0.0):
         raise ValueError("grid must be strictly increasing with at least 2 points")
     check_range("grid", edges, -math.inf)
     half, nodes = panel_nodes(edges)
-    f_values = np.asarray(f(nodes.ravel()), dtype=float)
-    scaled = half * f_values.reshape(-1, *nodes.shape)  # (rows, panels, nodes)
+    scaled = half * np.asarray(f(nodes.ravel()), dtype=float).reshape(nodes.shape)
     sums = scaled @ GL_WEIGHTS
-    before = np.concatenate([np.zeros_like(sums[:, :1]), np.cumsum(sums[:, :-1], axis=-1)], axis=-1)
-    tables = tuple(CumulativeTable(edges, v) for v in before[..., None] + scaled @ GL_INTEGRATION.T)
-    return tables if f_values.ndim == 2 else tables[0]
+    before = np.append(0.0, np.cumsum(sums[:-1]))  # the panels before each
+    return CumulativeTable(edges, before[:, None] + scaled @ GL_INTEGRATION.T)
 
 
-def interpolate(table: CumulativeTable, x: Union[float, np.ndarray]):
-    """The table's degree-15 panel polynomial at x, by the barycentric formula.
+def interpolate(table: CumulativeTable, x: float) -> float:
+    """The table's degree-15 panel polynomial at the real number x (a Python
+    ``float`` or ``int``, ``np.float64`` included), by the barycentric formula.
 
     x must lie within [first edge, last edge]. A panel is found by bisection
-    and its 16-term sum evaluated; where x maps onto a node exactly, the
-    stored value is returned. A Python ``float`` or ``int`` (``np.float64``
-    included), or a 0-d array, gives a float, summed in Python floats. Any
-    other array gives an array of the same shape from one numpy pass, which
-    adds the 16 terms in the same order, so each element equals the scalar
-    result.
+    and its 16-term sum evaluated in Python floats; where x maps onto a node
+    exactly, the stored value is returned.
     """
-    xs = x if isinstance(x, (float, int)) else np.asarray(x, dtype=float)
-    if isinstance(xs, np.ndarray) and xs.ndim > 0:
-        return _interpolate_array(table, xs)
     edges, rows = table._lists
-    x = float(xs)
+    x = float(x)
     if not edges[0] <= x <= edges[-1]:  # NaN fails too
-        raise _out_of_range(edges[0], edges[-1])
+        raise ValueError(f"interpolation point out of range: permitted interval is [{edges[0]!r}, {edges[-1]!r}]")
     p = min(bisect_right(edges, x), len(rows)) - 1  # the last edge reads the last panel
     lo, hi = edges[p], edges[p + 1]
     s = ((x - lo) - (hi - x)) / (hi - lo)
@@ -264,26 +230,3 @@ def interpolate(table: CumulativeTable, x: Union[float, np.ndarray]):
         num += q * f
         den += q
     return num / den
-
-
-def _interpolate_array(table: CumulativeTable, xs: np.ndarray) -> np.ndarray:
-    edges = table.edges
-    if not np.all((xs >= edges[0]) & (xs <= edges[-1])):  # NaN fails too
-        raise _out_of_range(float(edges[0]), float(edges[-1]))
-    p = np.minimum(np.searchsorted(edges, xs, side="right"), edges.size - 1) - 1
-    lo, hi = edges[p], edges[p + 1]
-    s = ((xs - lo) - (hi - xs)) / (hi - lo)
-    d = s[..., None] - GL_NODES
-    f = table.values[p]
-    on_node = d == 0.0
-    q = _BARYCENTRIC_WEIGHTS / np.where(on_node, 1.0, d)
-    num = den = 0.0
-    for j in range(_GL_ORDER):
-        num = num + q[..., j] * f[..., j]
-        den = den + q[..., j]
-    hit = on_node.any(axis=-1)
-    return np.where(hit, np.sum(np.where(on_node, f, 0.0), axis=-1), num / np.where(hit, 1.0, den))
-
-
-def _out_of_range(lo: float, hi: float) -> ValueError:
-    return ValueError(f"interpolation point out of range: permitted interval is [{lo!r}, {hi!r}]")

@@ -1,4 +1,4 @@
-"""Log-space arithmetic for numbers far beyond double range, plus physical constants.
+"""Base-2 logarithms for numbers far beyond double range, plus physical constants.
 
 Operation counts in this package reach 2^1700 and beyond, so positive
 quantities are carried as base-2 logarithms and only exponentiated when the
@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Tuple
 
 from .errors import ConfigurationError, check_range
 
@@ -52,19 +51,6 @@ class LogQuantity:
         log2_value = exponent + fraction
         return cls(log2_value, (exponent - log2_value) + fraction)
 
-    def to_real(self) -> float:
-        """The represented value as a double; overflows beyond ~2^1024."""
-        return 2.0 ** self.log2_value
-
-    def __mul__(self, other: "LogQuantity") -> "LogQuantity":
-        return LogQuantity(self.log2_value + other.log2_value)
-
-    def __truediv__(self, other: "LogQuantity") -> "LogQuantity":
-        return LogQuantity(self.log2_value - other.log2_value)
-
-    def __pow__(self, exponent: float) -> "LogQuantity":
-        return LogQuantity(self.log2_value * exponent)
-
     def decimal_str(self) -> str:
         """Scientific notation "m × 10^e" with 1 <= m < 10, 4 significant digits."""
         log10_value = self.log2_value * _LOG10_2
@@ -83,20 +69,6 @@ class LogQuantity:
             k /= 2.0
             n += 1
         return f"{k:.2f} × 2^{n}"
-
-
-def log_quantity_from_product(factors: Iterable[Tuple[float, float]]) -> LogQuantity:
-    """Product of ``base**exponent`` factors, evaluated entirely in log space.
-
-    Uses exact summation (math.fsum) so the result is independent of factor
-    order. Each base must be finite and positive, each exponent finite.
-    """
-    terms = []
-    for i, (base, exponent) in enumerate(factors):
-        check_range(f"factor {i}: base", base)
-        check_range(f"factor {i}: exponent", exponent, -math.inf)
-        terms.append(exponent * math.log2(base))
-    return LogQuantity(math.fsum(terms))
 
 
 @dataclass(frozen=True)
@@ -148,14 +120,6 @@ def planck_units(
 
 # The CODATA Planck units, the default wherever a function takes constants.
 PLANCK_UNITS = planck_units()
-
-
-def m_to_mpc(length_m: float) -> float:
-    return length_m / MPC_IN_M
-
-
-def mpc_to_m(length_mpc: float) -> float:
-    return length_mpc * MPC_IN_M
 
 
 def s_to_gyr(time_s: float) -> float:

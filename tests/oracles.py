@@ -53,7 +53,6 @@ THRESHOLD_QUBITS = {
 }
 
 # misc spot values
-LOG2_PRODUCT_10E158_13866 = 525.3361906578425887  # 158 log2(10) + log2(1.3866)
 GPU_MAX_LENGTH_M = 5.07893210378e-4  # 744 mm^3, 3.352e15 ops, 1 s
 GPU_CRD = 4.505376344086e21  # 3.352e15 / 7.44e-7
 LHC_LENGTH_M = 1.97326980338e-20  # hbar c / 1e13 eV

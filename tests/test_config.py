@@ -140,6 +140,8 @@ def test_flatness_tolerance_is_loose_enough():
         ("inputs_per_op", 0),
         ("quad_rel_tol", 1.0),
         ("grid_points", 2),
+        ("grid_points", 4096.0),  # counts must be integers
+        ("inputs_per_op", 2.5),
     ],
 )
 def test_positivity_and_ranges(field, value):
@@ -174,6 +176,15 @@ def test_grid_points_must_fill_whole_panels(grid_points):
     # the tables have 16 nodes per panel, so no node count is rounded away
     with pytest.raises(ConfigurationError, match="grid_points must be a multiple of 16, got"):
         load_config(overrides={"grid_points": grid_points})
+
+
+@pytest.mark.parametrize("grid_points", [10001, 17, 4096.0])
+def test_build_tables_takes_the_same_grid_points_rule(eds_params, grid_points):
+    # no node count is rounded down or floored to the minimum, and a float is refused
+    from crdbounds.cosmology import build_tables
+
+    with pytest.raises(ConfigurationError, match="grid_points"):
+        build_tables(eds_params, grid_points=grid_points)
 
 
 def test_quad_rel_tol_floor():

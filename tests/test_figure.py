@@ -208,6 +208,13 @@ def test_unusable_grids_rejected(fiducial_tables, qubit_range, step):
         build_figure(qubit_range, step, fiducial_tables)
 
 
+def test_an_empty_range_is_a_configuration_error(fiducial_tables):
+    from crdbounds.errors import ConfigurationError
+
+    with pytest.raises(ConfigurationError, match="min < max"):
+        build_figure((600.0, 600.0), 1.0, fiducial_tables)
+
+
 def test_csv_label_with_percent_sign_is_literal(tmp_path, fiducial_figure):
     series, annotations = fiducial_figure
     s = series[0]

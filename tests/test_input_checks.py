@@ -23,7 +23,7 @@ from crdbounds.cosmology import _H0_MAX, CosmologyParams, build_tables, scale_fa
 from crdbounds.errors import ConfigurationError, check_range
 from crdbounds.figure import Annotation
 from crdbounds.quadrature import CumulativeTable, build_cumulative, integrate
-from crdbounds.quantities import SPEED_OF_LIGHT, LogQuantity, log_quantity_from_product, planck_units
+from crdbounds.quantities import SPEED_OF_LIGHT, LogQuantity, planck_units
 
 NOT_POSITIVE_FINITE = [0.0, -1.0, math.inf, -math.inf, math.nan]
 NOT_FINITE = [math.inf, -math.inf, math.nan]
@@ -32,14 +32,6 @@ LAB = Scenario.lab(1.0, 1.0)
 # entry point -> (call taking the bad value, the bad values it must reject)
 ENTRY_POINTS = {
     "LogQuantity.from_real": (LogQuantity.from_real, NOT_POSITIVE_FINITE),
-    "log_quantity_from_product base": (
-        lambda x: log_quantity_from_product([(2.0, 1.0), (x, 1.0)]),
-        NOT_POSITIVE_FINITE,
-    ),
-    "log_quantity_from_product exponent": (
-        lambda x: log_quantity_from_product([(2.0, x)]),
-        NOT_FINITE,
-    ),
     "planck_units c": (lambda x: planck_units(c=x), NOT_POSITIVE_FINITE),
     "planck_units hbar": (lambda x: planck_units(hbar=x), NOT_POSITIVE_FINITE),
     "planck_units G": (lambda x: planck_units(G=x), NOT_POSITIVE_FINITE),

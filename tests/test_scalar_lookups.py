@@ -1,6 +1,6 @@
-"""The scalar branches of `interpolate` and `scale_factor` give the array
-path's results to the last bit, and the lookups read the panel polynomial
-through the stored node values."""
+"""The scalar branch of `scale_factor` gives the array path's results to the
+last bit, and the lookups read the panel polynomial through the stored node
+values."""
 
 import numpy as np
 import pytest
@@ -8,12 +8,8 @@ from numpy.polynomial import legendre
 
 from crdbounds import cosmology as cz
 from crdbounds.cosmology import scale_factor
-from crdbounds.quadrature import GL_NODES, interpolate
+from crdbounds.quadrature import GL_NODES
 from crdbounds.quantities import SPEED_OF_LIGHT
-
-# random probes per table: 5,100 per cosmology over its three tables
-PROBES = 1_700
-
 
 def _bits(values):
     return np.asarray(values, dtype=float).view(np.uint64)
@@ -24,7 +20,7 @@ def tables(request):
     return request.getfixturevalue(request.param)
 
 
-def _probes(table, seed, count=PROBES):
+def _probes(table, seed, count):
     """Every edge, then count draws: half uniform over the table's range,
     half log-uniform, where the geometric panels are dense."""
     edges = table.edges
@@ -32,18 +28,6 @@ def _probes(table, seed, count=PROBES):
     rng = np.random.default_rng(seed)
     draws = [rng.uniform(lo, hi, half), lo * (hi / lo) ** rng.random(count - half)]
     return np.clip(np.concatenate([edges, *draws]), lo, hi).tolist()
-
-
-@pytest.mark.parametrize("which", ["eta", "v4", "rate"])
-def test_scalar_interpolate_matches_one_element_array_path(tables, which):
-    table = getattr(tables, which)
-    xs = _probes(table, seed=len(which))
-    scalar = [interpolate(table, x) for x in xs]
-    assert all(type(v) is float for v in scalar)
-    one_element = [interpolate(table, np.array([x]))[0] for x in xs]
-    assert np.array_equal(_bits(scalar), _bits(one_element))
-    # np.float64 subclasses float and takes the same branch
-    assert np.array_equal(_bits([interpolate(table, np.float64(x)) for x in xs[:500]]), _bits(scalar[:500]))
 
 
 def test_scalar_scale_factor_matches_zero_d_array_path(tables):

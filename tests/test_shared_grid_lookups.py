@@ -35,8 +35,8 @@ def test_eta_and_moments_share_one_grid(tables):
 
 
 def test_shared_grid_at_higher_resolution(eds_params):
-    tables = build_tables(eds_params, grid_points=5000)
-    assert tables.eta.values.shape == (5000 // 16, 16)
+    tables = build_tables(eds_params, grid_points=5008)
+    assert tables.eta.values.shape == (5008 // 16, 16)
     for table in (tables.v4, tables.rate):
         assert np.array_equal(table.edges, tables.eta.edges)
 
