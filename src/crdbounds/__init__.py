@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 
 from .quantities import LogQuantity, PhysicalConstants, planck_units
 from .quadrature import CumulativeTable, QuadratureError, build_cumulative, integrate, interpolate
-from .cosmology import CosmologyParams, LightconeTables, build_tables
+from .cosmology import CosmologyParams, LightconeTables, UniverseLaws, build_tables, universe_laws
 from .bounds import Scenario, ScenarioKind
 from .thresholds import ThresholdResult, classify_machine, planck_threshold
 from .errors import ConfigurationError
@@ -27,6 +27,8 @@ __all__ = [
     "build_cumulative",
     "interpolate",
     "CosmologyParams",
+    "UniverseLaws",
+    "universe_laws",
     "LightconeTables",
     "build_tables",
     "Scenario",

@@ -13,9 +13,9 @@ Seven scenarios, each a power law N_ops = K / l^p evaluated in log2 space:
 so each kind is one row (p, n_V, n_T, weight) of _ROWS: lab kinds have
 K = weight * V3^n_V * (c T)^n_T, universe kinds (n_V = 0) K = k_p (c/H0)^p.
 log2 K is computed once, where its inputs live: a lab kind's when its
-Scenario is built, a universe kind's when its LightconeTables are built.
-The broadcast clock is pinned at the causal limit tau = l/c. Universe kinds
-need light-cone tables built from the scenario's cosmological parameters.
+Scenario is built, a universe kind's in its cosmology's UniverseLaws
+(``cosmology.universe_laws``; LightconeTables carry them too). The broadcast
+clock is pinned at the causal limit tau = l/c.
 Lengths and operation counts may be floats or numpy arrays.
 """
 
@@ -28,8 +28,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .cosmology import CosmologyParams, LightconeTables
-from .errors import ConfigurationError, check_range
+from .cosmology import CosmologyParams, UniverseLaws
+from .errors import ConfigurationError, check_integer, check_range
 from .quantities import (
     EV_IN_JOULES,
     LOG2_SPEED_OF_LIGHT,
@@ -76,7 +76,7 @@ class Scenario:
 
     log2_k is log2 K of a lab kind's law N_ops = K / l^p, derived from the
     other fields when the scenario is built. It is None for universe kinds,
-    whose K lives in the light-cone tables (LightconeTables.log2_k).
+    whose K lives in their cosmology's laws (UniverseLaws.log2_k).
     """
 
     kind: ScenarioKind
@@ -98,7 +98,7 @@ class Scenario:
         elif self.v3 is not None or self.duration is not None:
             raise ConfigurationError(f"{self.kind.name} does not take a lab volume or duration")
         if weight is None:
-            check_range("inputs_per_op", self.inputs_per_op, 1, low_inclusive=True)
+            check_integer("inputs_per_op", self.inputs_per_op, 1)
         elif self.inputs_per_op is not None:
             raise ConfigurationError(f"{self.kind.name} does not take inputs_per_op")
         log2_k = None
@@ -163,24 +163,24 @@ class PowerLaw(NamedTuple):
         return 2.0 ** ((self.log2_k - log2_n_ops) / self.p)
 
 
-def power_law(scenario: Scenario, tables: Optional[LightconeTables] = None) -> PowerLaw:
-    """The scenario's law; universe kinds read it from tables built for its
-    cosmological parameters. log2 K is read, not recomputed: a lab kind's is
-    stored on the scenario, a universe kind's on the tables."""
+def power_law(scenario: Scenario, laws: Optional[UniverseLaws] = None) -> PowerLaw:
+    """The scenario's law. log2 K is read, not recomputed: a lab kind's from
+    the scenario, a universe kind's from the UniverseLaws (or LightconeTables)
+    of its cosmological parameters."""
     p = scenario.kind.exponent
     if scenario.log2_k is not None:
         return PowerLaw(scenario.log2_k, p)
-    if tables is None:
+    if laws is None:
         raise ConfigurationError(
-            f"{scenario.kind.name} requires light-cone tables; build them with "
-            "cosmology.build_tables(scenario.params)"
+            f"{scenario.kind.name} requires light-cone tables or its cosmology's laws; "
+            "compute the laws with cosmology.universe_laws(scenario.params)"
         )
-    if tables.params is not scenario.params and tables.params != scenario.params:
+    if laws.params is not scenario.params and laws.params != scenario.params:
         raise ConfigurationError(
-            f"tables were built for different cosmological parameters than "
+            f"the laws were computed for different cosmological parameters than "
             f"the {scenario.kind.name} scenario"
         )
-    return PowerLaw(tables.log2_k[p], p)
+    return PowerLaw(laws.log2_k[p], p)
 
 
 def max_length(v3: float, duration: float, n_ops: LogQuantity) -> float:
@@ -213,21 +213,21 @@ def neo_from_qubits(n: int) -> LogQuantity:
 def n_ops_for_scenario(
     scenario: Scenario,
     length,
-    tables: Optional[LightconeTables] = None,
+    laws: Optional[UniverseLaws] = None,
 ) -> LogQuantity:
     """Operation count the scenario makes available at element spacing l."""
     check_range("length", length)
-    return LogQuantity(power_law(scenario, tables).log2_n_ops(length))
+    return LogQuantity(power_law(scenario, laws).log2_n_ops(length))
 
 
 def length_for_scenario(
     scenario: Scenario,
     n_ops: LogQuantity,
-    tables: Optional[LightconeTables] = None,
+    laws: Optional[UniverseLaws] = None,
 ):
     """Exact analytic inverse of n_ops_for_scenario."""
     check_range("log2 operation count", n_ops.log2_value, -math.inf)
-    return power_law(scenario, tables).length(n_ops.log2_value)
+    return power_law(scenario, laws).length(n_ops.log2_value)
 
 
 def energy_from_length(length, constants: PhysicalConstants = PLANCK_UNITS):

@@ -28,7 +28,7 @@ from .bounds import (
     planck_crd,
 )
 from .config import RunConfig, load_config
-from .cosmology import CosmologyParams, build_tables
+from .cosmology import CosmologyParams, universe_laws
 from .errors import ConfigurationError, check_range
 from .figure import FigureConfig, build_figure, check_grid, planck_crossing, write_series
 from .quadrature import QuadratureError
@@ -53,7 +53,7 @@ def common_options(fn):
         click.option("--lab-duration", "lab_duration_s", type=float, default=None, help="Lab run time in seconds."),
         click.option("--inputs-per-op", "inputs_per_op", type=int, default=None, help="Inputs per operation for the nearest-neighbor lab."),
         click.option("--quad-rel-tol", "quad_rel_tol", type=float, default=None, help="Relative tolerance of the k-factor integrals."),
-        click.option("--grid-points", "grid_points", type=int, default=None, help="Nodes in the lookup tables, a multiple of 16 (16 per panel, at least 1024 used); no k-factor depends on it."),
+        click.option("--grid-points", "grid_points", type=int, default=None, help="Nodes in the library's lookup tables, a multiple of 16; no verb reads those tables."),
         click.option("--json", "as_json", is_flag=True, help="Emit JSON instead of text."),
         click.option("--config", "config_path", type=click.Path(), default=None, help="Flat key=value config file (also honored via $CRDBOUNDS_CONFIG)."),
     ]
@@ -80,10 +80,6 @@ def common_options(fn):
     for option in reversed(options):
         verb = option(verb)
     return verb
-
-
-def _tables(config: RunConfig):
-    return build_tables(config.cosmology(), rel_tol=config.quad_rel_tol, grid_points=config.grid_points)
 
 
 def _scenarios(config: RunConfig, params: CosmologyParams, name: str):
@@ -134,26 +130,26 @@ def constants(config):
 def kfactors(config):
     """Dimensionless cosmological prefactors k4u, k7u, k8u.
 
-    All three come from the cosmology alone (cosmology.k_integrals), so
+    All three come from the cosmology alone (cosmology.universe_laws), so
     --grid-points does not move them. achieved_rel_delta is each one's
     relative shift between the last two panel counts of that computation,
     the coarser result's error bar; the finer result printed is far closer,
     since the panels converge spectrally.
     """
-    tables = _tables(config)
-    params = tables.params
-    deltas = dict(zip(("k4u", "k7u", "k8u"), tables.k_shift))
+    laws = universe_laws(config.cosmology(), config.quad_rel_tol)
+    params = laws.params
+    deltas = dict(zip(("k4u", "k7u", "k8u"), laws.k_shift))
     return {
         "t_universe_gyr": s_to_gyr(params.t_universe),
-        "k4u": tables.k4u,
-        "k7u": tables.k7u,
-        "k8u": tables.k8u,
+        "k4u": laws.k4u,
+        "k7u": laws.k7u,
+        "k8u": laws.k8u,
         "achieved_rel_delta": deltas,
     }, [
         f"T_U  = {s_to_gyr(params.t_universe):.6f} Gyr",
-        f"k4u  = {tables.k4u:.10e}   (convergence delta {deltas['k4u']:.2e})",
-        f"k7u  = {tables.k7u:.10e}   (convergence delta {deltas['k7u']:.2e})",
-        f"k8u  = {tables.k8u:.10e}   (convergence delta {deltas['k8u']:.2e})",
+        f"k4u  = {laws.k4u:.10e}   (convergence delta {deltas['k4u']:.2e})",
+        f"k7u  = {laws.k7u:.10e}   (convergence delta {deltas['k7u']:.2e})",
+        f"k8u  = {laws.k8u:.10e}   (convergence delta {deltas['k8u']:.2e})",
     ]
 
 
@@ -168,8 +164,8 @@ def kfactors(config):
 @common_options
 def threshold(config, scenario_name):
     """Logical-qubit thresholds at which each scenario reaches the Planck scale."""
-    tables = _tables(config)
-    rows = [planck_threshold(s, tables) for s in _scenarios(config, tables.params, scenario_name)]
+    laws = universe_laws(config.cosmology(), config.quad_rel_tol)
+    rows = [planck_threshold(s, laws) for s in _scenarios(config, laws.params, scenario_name)]
     width = max(len(r.scenario_kind.value) for r in rows)
     lines = [f"{'scenario':<{width}}  qubits  log2_nops_exact"]
     lines += [
@@ -229,9 +225,9 @@ def scale(config, qubits, ops, volume, duration, scenario_name):
         ]
 
     check_range("--qubits", qubits, 1, low_inclusive=True)
-    tables = _tables(config)
-    scenarios = _scenarios(config, tables.params, scenario_name)
-    report = classify_machine(qubits, scenarios, tables)
+    laws = universe_laws(config.cosmology(), config.quad_rel_tol)
+    scenarios = _scenarios(config, laws.params, scenario_name)
+    report = classify_machine(qubits, scenarios, laws)
     width = max(len(a.scenario_kind.value) for a in report)
     lines = [f"{'scenario':<{width}}  threshold  probed_length_m  energy_ev      sub_planckian"]
     for a in report:
@@ -266,11 +262,11 @@ def figure(config, lo, hi, step, fmt, out_path):
     """Emit the probed-length-versus-NEO data series."""
     check_grid(lo, hi, step)
     if lo < hi:
-        tables = _tables(config)
+        laws = universe_laws(config.cosmology(), config.quad_rel_tol)
         fig_config = FigureConfig(
             lab_volume_m3=config.lab_volume_m3, lab_duration_s=config.lab_duration_s
         )
-        series, annotations = build_figure((lo, hi), step, tables, config=fig_config)
+        series, annotations = build_figure((lo, hi), step, laws, config=fig_config)
     else:
         series, annotations = [], []
     try:

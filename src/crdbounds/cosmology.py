@@ -21,11 +21,11 @@ cancels. The 4-volume and its time derivative are
     V4(t)    = (4 pi / 3) c^3 C_3(t)
     V4dot(t) = 4 pi c^3 C_2(t) / a(t)
 
-``k_integrals`` evaluates them on equal panels for the k-factors.
-``build_tables`` stores eta, V4 and V4dot at the nodes of geometric panels
-from x = 1e-8 x_T to x_T (t = 1e-24 T to T), splitting any panel longer
-than t_lambda, and ``v4``, ``v4_rate`` and ``comoving_distance`` read them
-by barycentric interpolation.
+``k_integrals`` evaluates them on equal panels for the k-factors, and
+``universe_laws`` makes those the laws the CLI reads. ``build_tables`` adds
+eta, V4 and V4dot at the nodes of geometric panels from x = 1e-8 x_T to
+x_T (t = 1e-24 T to T), splitting any panel longer than t_lambda; ``v4``,
+``v4_rate`` and ``comoving_distance`` read them by barycentric interpolation.
 
 Early times: below the first node x0 of the first panel, the lookups return
 the matter-era laws through that node, V4 ~ x^12, V4dot ~ x^9 and eta ~ x,
@@ -173,34 +173,20 @@ def scale_factor(t, params: CosmologyParams):
 
 
 @dataclass(frozen=True)
-class LightconeTables:
-    """One cosmology's light cone at the Gauss nodes of geometric panels in
-    x = (H0 t)^(1/3), from 1e-8 x_max to x_max.
-
-    eta is the conformal time int dt/a (s), v4 the past light-cone 4-volume
-    (m^3 s) and rate its time derivative (m^3); the three tables share their
-    edges. k4u = H0^4 V4(T) / c^3, k7u and k8u come from ``k_integrals``,
-    which reads no table, and k_shift holds each one's relative shift
-    between its last two panel counts there.
-
-    log2_k maps each universe exponent p (4, 7, 8) to log2 K of the law
-    N_ops = K / l^p, K = k_p (c/H0)^p. It is derived once, here, from the
-    k-factors and H0; the universe scenarios' power laws read it. So are
-    x_max, the last edge, and x_first, the first node, below which the
-    lookups take the matter-era laws.
+class UniverseLaws:
+    """One cosmology's k-factors from ``k_integrals``, which reads no table,
+    and k_shift, each one's relative shift between its last two panel counts.
+    log2_k, derived once, here, maps each universe exponent p (4, 7, 8) to
+    log2 K of the law N_ops = K / l^p, K = k_p (c/H0)^p, which the universe
+    scenarios' power laws read.
     """
 
     params: CosmologyParams
-    eta: CumulativeTable
-    v4: CumulativeTable
-    rate: CumulativeTable
     k4u: float
     k7u: float
     k8u: float
     k_shift: Tuple[float, float, float]
     log2_k: Dict[int, float] = field(init=False, repr=False, compare=False)
-    x_max: float = field(init=False, repr=False, compare=False)
-    x_first: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         log2_c_over_h0 = LOG2_SPEED_OF_LIGHT - math.log2(self.params.h0)
@@ -208,6 +194,27 @@ class LightconeTables:
             p: math.log2(k_p) + p * log2_c_over_h0
             for p, k_p in ((4, self.k4u), (7, self.k7u), (8, self.k8u))
         })
+
+
+@dataclass(frozen=True)
+class LightconeTables(UniverseLaws):
+    """The universe laws plus the light cone at the Gauss nodes of geometric
+    panels in x = (H0 t)^(1/3), from 1e-8 x_max to x_max.
+
+    eta is the conformal time int dt/a (s), v4 the past light-cone 4-volume
+    (m^3 s) and rate its time derivative (m^3); the three tables share their
+    edges, and H0^4 V4(T) / c^3 meets k4u. x_max is the last edge and
+    x_first the first node, below which the lookups take the matter-era laws.
+    """
+
+    eta: CumulativeTable
+    v4: CumulativeTable
+    rate: CumulativeTable
+    x_max: float = field(init=False, repr=False, compare=False)
+    x_first: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        super().__post_init__()
         object.__setattr__(self, "x_max", float(self.eta.edges[-1]))
         object.__setattr__(self, "x_first", float(panel_nodes(self.eta.edges[:2])[1][0, 0]))
 
@@ -222,34 +229,47 @@ def check_grid_points(grid_points: int) -> int:
     return grid_points
 
 
+def universe_laws(params: CosmologyParams, rel_tol: float = DEFAULT_REL_TOL) -> UniverseLaws:
+    """UniverseLaws from ``k_integrals`` at rel_tol; out of double range, a ConfigurationError."""
+    k, k_shift = _in_double_range(params, lambda: k_integrals(params, rel_tol))
+    return UniverseLaws(params, *k, k_shift)
+
+
 def build_tables(
     params: CosmologyParams,
     rel_tol: float = DEFAULT_REL_TOL,
     grid_points: int = DEFAULT_GRID_POINTS,
 ) -> LightconeTables:
-    """Tabulate eta, V4 and dV4/dt over [0, T] and compute the k-factors.
+    """The ``universe_laws`` at rel_tol, with eta, V4 and dV4/dt over [0, T].
 
     The tables have grid_points / 16 geometric panels of 16 nodes each,
     from t = 1e-24 T to T, but at least 64 (``_MIN_PANELS``); panels longer
     than t_lambda are split (``_LAMBDA_SPAN``). grid_points sets only the
-    lookups' resolution: the k-factors come from ``k_integrals`` at rel_tol
-    and do not depend on it. A grid_points that ``check_grid_points``
-    refuses, a cosmology whose values leave double range, or one whose
-    tables do not resolve it (a node value that is not positive, or V4(T)
-    off k4u by more than rel_tol + 1e-12), is a ConfigurationError.
+    lookups' resolution, not the k-factors. A grid_points that
+    ``check_grid_points`` refuses, a cosmology whose values leave double
+    range, or one whose tables do not resolve it (a node value that is not
+    positive, or V4(T) off k4u by more than rel_tol + 1e-12), is a
+    ConfigurationError.
     """
     grid_points = check_grid_points(grid_points)
+    laws = universe_laws(params, rel_tol)
+    return _in_double_range(params, lambda: _tabulate(laws, rel_tol, grid_points))
+
+
+def _in_double_range(params: CosmologyParams, compute):
+    """compute() under raising float errors; they and ValueErrors become ConfigurationErrors."""
     try:
         with np.errstate(divide="raise", over="raise", invalid="raise"):
-            return _tabulate(params, rel_tol, grid_points)
+            return compute()
     except (ArithmeticError, ValueError) as exc:
         raise ConfigurationError(
             f"H0={params.h0!r} s^-1, omega_m={params.omega_m!r}, omega_lambda="
-            f"{params.omega_lambda!r}: the light-cone tables cannot be computed ({exc})"
+            f"{params.omega_lambda!r}: the light cone cannot be computed ({exc})"
         ) from exc
 
 
-def _tabulate(params: CosmologyParams, rel_tol: float, grid_points: int) -> LightconeTables:
+def _tabulate(laws: UniverseLaws, rel_tol: float, grid_points: int) -> LightconeTables:
+    params = laws.params
     c, h0 = SPEED_OF_LIGHT, params.h0
     x_max = (h0 * params.t_universe) ** (1.0 / 3.0)
     edges = np.geomspace(_FIRST_EDGE * x_max, x_max, max(grid_points // 16, _MIN_PANELS) + 1)
@@ -261,15 +281,14 @@ def _tabulate(params: CosmologyParams, rel_tol: float, grid_points: int) -> Ligh
     edges, a, eta, c2, c3 = edges[1:], a[1:], eta[1:], c2[1:], c3[1:]
     values = (eta / h0, (4.0 * math.pi / 3.0) * c**3 / h0**4 * c3, 4.0 * math.pi * c**3 / h0**3 * c2 / a)
     eta, v4, rate = (CumulativeTable(edges, v) for v in values)
-    k, k_shift = k_integrals(params, rel_tol)
     v4_today = h0**4 / c**3 * interpolate(v4, float(edges[-1]))
     smallest = min(float(v.min()) for v in values)
-    if smallest <= 0.0 or abs(v4_today / k[0] - 1.0) > rel_tol + _TABLE_TOL:
+    if smallest <= 0.0 or abs(v4_today / laws.k4u - 1.0) > rel_tol + _TABLE_TOL:
         raise ValueError(
             f"the panels do not resolve it: H0^4 V4(T) / c^3 = {v4_today!r} against "
-            f"k4u = {k[0]!r}, smallest stored value {smallest!r}"
+            f"k4u = {laws.k4u!r}, smallest stored value {smallest!r}"
         )
-    return LightconeTables(params, eta, v4, rate, k4u=k[0], k7u=k[1], k8u=k[2], k_shift=k_shift)
+    return LightconeTables(params, laws.k4u, laws.k7u, laws.k8u, laws.k_shift, eta, v4, rate)
 
 
 def k_integrals(

@@ -8,7 +8,7 @@ import numpy as np
 
 class ConfigurationError(ValueError):
     """A run configuration or scenario wiring problem (bad parameter values,
-    missing light-cone tables, parameter mismatch between scenario and tables)."""
+    missing universe laws, parameter mismatch between scenario and laws)."""
 
 
 def check_range(name, value, low=0.0, high=math.inf, *, low_inclusive=False):

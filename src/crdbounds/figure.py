@@ -37,7 +37,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .bounds import Scenario, ScenarioKind, energy_from_length, length_for_scenario
-from .cosmology import LightconeTables
+from .cosmology import UniverseLaws
 from .errors import ConfigurationError, check_range
 from .quantities import JULIAN_YEAR_S, PLANCK_UNITS, LogQuantity, PhysicalConstants
 
@@ -188,20 +188,20 @@ def check_grid(lo: float, hi: float, step: float) -> None:
 def build_figure(
     qubit_range: Tuple[float, float],
     step: float,
-    tables: LightconeTables,
+    laws: UniverseLaws,
     constants: PhysicalConstants = PLANCK_UNITS,
     config: FigureConfig = FigureConfig(),
 ) -> Tuple[List[FigureSeries], List[Annotation]]:
     """Sample the five canonical series over a log2-NEO grid.
 
     qubit_range is (min, max) with min < max; step > 0. Every series is
-    strictly decreasing in length along the grid.
+    strictly decreasing in length along the grid; the universe series read ``laws``.
     """
     lo, hi = qubit_range
     check_grid(lo, hi, step)
     if not lo < hi:
         raise ConfigurationError(f"qubit range must satisfy min < max, got ({lo!r}, {hi!r})")
-    params = tables.params
+    params = laws.params
 
     specs = [
         (
@@ -235,7 +235,7 @@ def build_figure(
         # the range checks report overflow; lengths fall along the grid, so
         # the ends of each array hold its extremes
         with np.errstate(over="ignore"):
-            lengths = length_for_scenario(scenario, neo, tables)
+            lengths = length_for_scenario(scenario, neo, laws)
             check_range(f"{label}: probed length", lengths[[0, -1]])
             energies = energy_from_length(lengths, constants)
         check_range(f"{label}: energy", float(energies[-1]))

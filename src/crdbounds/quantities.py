@@ -8,7 +8,7 @@ result is known to fit in a double.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ConfigurationError, check_range
 
@@ -26,30 +26,23 @@ GYR_IN_S = JULIAN_YEAR_S * 1e9  # s / Gyr
 _LOG10_2 = math.log10(2.0)
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class LogQuantity:
     """A strictly positive real carried as its base-2 logarithm.
 
     The represented quantity is ``2**log2_value`` in whatever unit the caller
-    declared. Ordering compares represented magnitudes.
-
-    ``log2_residual`` is the rounding error of ``log2_value`` (zero unless set
-    by ``from_real``). Far from 1, adjacent doubles have logarithms that round
-    to the same double; the residual breaks those ties so ordering stays strict.
+    declared.
     """
 
     log2_value: float
-    log2_residual: float = field(default=0.0, repr=False)
 
     @classmethod
     def from_real(cls, x: float) -> "LogQuantity":
         check_range("LogQuantity value", x)
         # log2(x) = exponent + log2(mantissa) with log2(mantissa) in [-1, 0);
-        # the integer part is exact, and Fast2Sum keeps the error of the sum.
+        # the integer part is exact
         mantissa, exponent = math.frexp(x)
-        fraction = math.log2(mantissa)
-        log2_value = exponent + fraction
-        return cls(log2_value, (exponent - log2_value) + fraction)
+        return cls(exponent + math.log2(mantissa))
 
     def decimal_str(self) -> str:
         """Scientific notation "m × 10^e" with 1 <= m < 10, 4 significant digits."""

@@ -18,7 +18,7 @@ from typing import List, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .bounds import Scenario, ScenarioKind, neo_from_qubits, power_law
-from .cosmology import LightconeTables
+from .cosmology import UniverseLaws
 from .errors import check_range
 from .quantities import EV_IN_JOULES, PLANCK_UNITS, PhysicalConstants
 
@@ -39,10 +39,11 @@ class ThresholdResult:
 
 def planck_threshold(
     scenario: Scenario,
-    tables: Optional[LightconeTables] = None,
+    laws: Optional[UniverseLaws] = None,
     constants: PhysicalConstants = PLANCK_UNITS,
 ) -> ThresholdResult:
-    exact = float(power_law(scenario, tables).log2_n_ops(constants.l_p))
+    """The scenario's threshold; a universe kind's law is read from ``laws``."""
+    exact = float(power_law(scenario, laws).log2_n_ops(constants.l_p))
     return ThresholdResult(
         scenario_kind=scenario.kind,
         log2_nops_exact=exact,
@@ -64,7 +65,7 @@ class ScenarioAssessment(NamedTuple):
 def classify_machine(
     n: int,
     scenarios: Sequence[Scenario],
-    tables: Optional[LightconeTables] = None,
+    laws: Optional[UniverseLaws] = None,
     constants: PhysicalConstants = PLANCK_UNITS,
 ) -> List[ScenarioAssessment]:
     """Probe every scenario with a 2^n operation count.
@@ -73,7 +74,7 @@ def classify_machine(
     whose probed length falls below the Planck length. A probed length that
     underflows to 0 m is a ConfigurationError.
 
-    The laws are read from the scenarios and tables, not rebuilt. Per call
+    The laws are read from the scenarios and ``laws``, not rebuilt. Per call
     and scenario this is the probed length 2^((log2_k - n) / p), the
     threshold round_half_up(log2_k - p log2 l_p) and the energy
     hbar c / l / eV: the operations, in the same order, of
@@ -82,12 +83,12 @@ def classify_machine(
     scenarios.
     """
     log2_n = neo_from_qubits(n).log2_value
-    laws = [power_law(scenario, tables) for scenario in scenarios]
+    stored = [power_law(scenario, laws) for scenario in scenarios]
     l_p = constants.l_p
     log2_lp = float(np.log2(l_p))
     hbar_c = constants.hbar * constants.c
     assessments = []
-    for scenario, (log2_k, p) in zip(scenarios, laws):
+    for scenario, (log2_k, p) in zip(scenarios, stored):
         length = 2.0 ** ((log2_k - log2_n) / p)
         if not 0.0 < length < math.inf:
             check_range(f"the {scenario.kind.value} length probed by {n} qubits", length)

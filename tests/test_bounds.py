@@ -55,6 +55,8 @@ class TestScenarioValidation:
             Scenario(ScenarioKind.LAB, v3=1.0, duration=1.0, inputs_per_op=8)
         with pytest.raises(ValueError, match="inputs_per_op"):
             Scenario.lab_nearest_neighbor(1.0, 1.0, inputs_per_op=0)
+        with pytest.raises(ValueError, match="inputs_per_op must be an integer"):
+            Scenario.lab_nearest_neighbor(1000.0, 1.0, 2.5)
 
     def test_exponents(self):
         for kind, exponent in EXPECTED_EXPONENTS.items():

@@ -11,6 +11,7 @@ from crdbounds.cosmology import (
     build_tables,
     comoving_distance,
     scale_factor,
+    universe_laws,
     v4,
     v4_rate,
 )
@@ -275,6 +276,25 @@ def test_near_lambda_one_tables_build(omega_m):
     for t in p.t_universe * np.geomspace(1e-26, 1.0, 200):
         values = (v4(t, tables), v4_rate(t, tables), comoving_distance(0.0, t, tables))
         assert all(math.isfinite(v) and v > 0.0 for v in values)
+
+
+def test_tables_refused_where_the_universe_laws_are_not():
+    # at Omega_M 1e-270 the k-integrals converge, but the tables' earliest
+    # values underflow to 0, so only the build is refused
+    params = CosmologyParams.create(70.0, 1e-270, 0.9999999999999999)
+    laws = universe_laws(params)
+    assert laws.k4u == pytest.approx(860.5056533020614, rel=1e-9)
+    assert max(laws.k_shift) <= 1e-9
+    with pytest.raises(ConfigurationError, match="the panels do not resolve it"):
+        build_tables(params)
+
+
+@pytest.mark.parametrize("name", ["eds", "fiducial"])
+def test_tables_carry_the_universe_laws_exactly(request, name):
+    tables = request.getfixturevalue(f"{name}_tables")
+    laws = universe_laws(tables.params)
+    for key in ("params", "k4u", "k7u", "k8u", "k_shift", "log2_k"):
+        assert getattr(tables, key) == getattr(laws, key), key
 
 
 def test_tables_that_miss_the_lambda_era_are_refused(monkeypatch):

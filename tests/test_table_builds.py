@@ -1,8 +1,8 @@
-"""One light-cone table build per CLI call, and one error boundary for the
-quadrature behind it.
+"""No CLI verb builds light-cone tables, and one error boundary for the
+quadrature behind the k-factors the verbs read.
 
 `kfactors` reports, as its convergence delta, the k-factors' shift between
-the last two panel counts of the one k-integral its build makes.
+the last two panel counts of the one k-integral it makes.
 """
 
 import json
@@ -29,34 +29,31 @@ def _with_out(args, tmp_path):
 
 @pytest.fixture()
 def builds(monkeypatch):
-    """The arguments of every build_tables call the CLI makes."""
+    """The arguments of every table tabulation, the step of build_tables
+    after the k-integrals, made while the test runs."""
     calls = []
-    real = cli.build_tables
+    real = cosmology._tabulate
 
     def counting(*args, **kwargs):
         calls.append((args, kwargs))
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "build_tables", counting)
+    monkeypatch.setattr(cosmology, "_tabulate", counting)
     return calls
 
 
 @pytest.mark.parametrize(
-    "args, expected",
-    [
-        (["constants"], 0),
-        (["kfactors"], 1),
-        (["threshold"], 1),
-        (["scale", "--qubits", "2048"], 1),
-        (MACHINE, 0),
-        (FIGURE, 1),
-    ],
-    ids=lambda v: " ".join(v) if isinstance(v, list) else str(v),
+    "args",
+    [["constants"], ["kfactors"], ["threshold"], ["scale", "--qubits", "2048"], MACHINE, FIGURE],
+    ids=" ".join,
 )
-def test_one_build_per_call(builds, tmp_path, args, expected):
+def test_no_verb_builds_a_table(builds, tmp_path, args, eds_params):
     result = _invoke(_with_out(args, tmp_path) + ["--grid-points", "64"])
     assert result.exit_code == 0, result.output
-    assert len(builds) == expected
+    assert builds == []
+    # the count does see a library build
+    cosmology.build_tables(eds_params, grid_points=64)
+    assert len(builds) == 1
 
 
 @pytest.mark.parametrize("cosmology_args", [[], EDS], ids=["fiducial", "eds"])
