@@ -53,7 +53,6 @@ def common_options(fn):
         click.option("--lab-duration", "lab_duration_s", type=float, default=None, help="Lab run time in seconds."),
         click.option("--inputs-per-op", "inputs_per_op", type=int, default=None, help="Inputs per operation for the nearest-neighbor lab."),
         click.option("--quad-rel-tol", "quad_rel_tol", type=float, default=None, help="Relative tolerance of the k-factor integrals."),
-        click.option("--grid-points", "grid_points", type=int, default=None, help="Nodes in the library's lookup tables, a multiple of 16; no verb reads those tables."),
         click.option("--json", "as_json", is_flag=True, help="Emit JSON instead of text."),
         click.option("--config", "config_path", type=click.Path(), default=None, help="Flat key=value config file (also honored via $CRDBOUNDS_CONFIG)."),
     ]
@@ -130,11 +129,10 @@ def constants(config):
 def kfactors(config):
     """Dimensionless cosmological prefactors k4u, k7u, k8u.
 
-    All three come from the cosmology alone (cosmology.universe_laws), so
-    --grid-points does not move them. achieved_rel_delta is each one's
-    relative shift between the last two panel counts of that computation,
-    the coarser result's error bar; the finer result printed is far closer,
-    since the panels converge spectrally.
+    All three come from the cosmology alone (cosmology.universe_laws).
+    achieved_rel_delta is each one's relative shift between the last two
+    panel counts of that computation, the coarser result's error bar; the
+    finer result printed is far closer, since the panels converge spectrally.
     """
     laws = universe_laws(config.cosmology(), config.quad_rel_tol)
     params = laws.params

@@ -7,7 +7,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Mapping, Optional, Union
 
-from .cosmology import DEFAULT_GRID_POINTS, CosmologyParams, check_grid_points
+from .cosmology import CosmologyParams
 from .errors import ConfigurationError, check_integer, check_range
 from .quadrature import DEFAULT_REL_TOL
 from .quantities import JULIAN_YEAR_S
@@ -34,7 +34,6 @@ class RunConfig:
     lab_duration_s: float = JULIAN_YEAR_S
     inputs_per_op: int = 8
     quad_rel_tol: float = DEFAULT_REL_TOL
-    grid_points: int = DEFAULT_GRID_POINTS
 
     def cosmology(self) -> CosmologyParams:
         return CosmologyParams.create(self.h0_km_s_mpc, self.omega_m, self.omega_lambda)
@@ -51,7 +50,6 @@ class RunConfig:
         check_range("lab_duration_s", self.lab_duration_s)
         check_integer("inputs_per_op", self.inputs_per_op, 1)
         check_range("quad_rel_tol", self.quad_rel_tol, MIN_QUAD_REL_TOL, 1e-2, low_inclusive=True)
-        check_grid_points(self.grid_points)
 
     def as_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}

@@ -219,16 +219,6 @@ class LightconeTables(UniverseLaws):
         object.__setattr__(self, "x_first", float(panel_nodes(self.eta.edges[:2])[1][0, 0]))
 
 
-def check_grid_points(grid_points: int) -> int:
-    """grid_points as an int, by the one rule ``build_tables`` and ``RunConfig``
-    share: an integer in [16, MAX_GRID_POINTS] and a multiple of 16, so every
-    panel holds 16 of the nodes asked for; a ConfigurationError otherwise."""
-    grid_points = check_integer("grid_points", grid_points, 16, MAX_GRID_POINTS)
-    if grid_points % 16:
-        raise ConfigurationError(f"grid_points must be a multiple of 16, got {grid_points!r}")
-    return grid_points
-
-
 def universe_laws(params: CosmologyParams, rel_tol: float = DEFAULT_REL_TOL) -> UniverseLaws:
     """UniverseLaws from ``k_integrals`` at rel_tol; out of double range, a ConfigurationError."""
     k, k_shift = _in_double_range(params, lambda: k_integrals(params, rel_tol))
@@ -245,13 +235,16 @@ def build_tables(
     The tables have grid_points / 16 geometric panels of 16 nodes each,
     from t = 1e-24 T to T, but at least 64 (``_MIN_PANELS``); panels longer
     than t_lambda are split (``_LAMBDA_SPAN``). grid_points sets only the
-    lookups' resolution, not the k-factors. A grid_points that
-    ``check_grid_points`` refuses, a cosmology whose values leave double
+    lookups' resolution, not the k-factors. A grid_points that is not an
+    integer in [16, MAX_GRID_POINTS] and a multiple of 16 (so every panel
+    holds 16 of the nodes asked for), a cosmology whose values leave double
     range, or one whose tables do not resolve it (a node value that is not
     positive, or V4(T) off k4u by more than rel_tol + 1e-12), is a
     ConfigurationError.
     """
-    grid_points = check_grid_points(grid_points)
+    grid_points = check_integer("grid_points", grid_points, 16, MAX_GRID_POINTS)
+    if grid_points % 16:
+        raise ConfigurationError(f"grid_points must be a multiple of 16, got {grid_points!r}")
     laws = universe_laws(params, rel_tol)
     return _in_double_range(params, lambda: _tabulate(laws, rel_tol, grid_points))
 

@@ -254,7 +254,8 @@ class TestConfigWiring:
         ["scale", "--qubits", "1000000"],
         # size caps, checked before any grid or table is allocated
         ["figure", "--step", "1e-9"],
-        ["threshold", "--grid-points", "1000000000"],
+        # grid_points is no run option: even its old default is refused
+        ["threshold", "--grid-points", "4096"],
     ],
     ids=" ".join,
 )
@@ -293,9 +294,9 @@ NEAR_LAMBDA_ONE = ["--omega-lambda", "0.9999999999999999"]
     "args, code",
     [
         # t_universe is inf
-        (["kfactors", "--grid-points", "16", "--omega-m", "5e-324", *NEAR_LAMBDA_ONE], 2),
+        (["kfactors", "--omega-m", "5e-324", *NEAR_LAMBDA_ONE], 2),
         # the k-integrals' first, coarsest panel sums overflow
-        (["kfactors", "--grid-points", "16", "--omega-m", "1e-300", *NEAR_LAMBDA_ONE], 2),
+        (["kfactors", "--omega-m", "1e-300", *NEAR_LAMBDA_ONE], 2),
         # the panels resolve it: V4 comes from centered moments, which do not cancel
         (["threshold", "--omega-m", "1e-200", *NEAR_LAMBDA_ONE], 0),
     ],
@@ -313,24 +314,20 @@ def test_cosmology_near_omega_lambda_one_ends_in_one_line(runner, args, code):
 
 
 @pytest.mark.parametrize(
-    "omega_m, omega_lambda, grid",
+    "omega_m, omega_lambda",
     [
-        ("1e-07", "0.9999999", []),
-        ("1e-12", "0.999999999999", []),
-        *[
-            (omega_m, "0.9999999999999999", grid)
-            for omega_m in ("1e-17", "1e-30", "1e-60")
-            for grid in ([], ["--grid-points", "16"])
-        ],
+        ("1e-07", "0.9999999"),
+        ("1e-12", "0.999999999999"),
+        *[(omega_m, "0.9999999999999999") for omega_m in ("1e-17", "1e-30", "1e-60")],
         # the k-integrals converge; only the tables, which no verb builds,
         # would underflow
-        ("1e-270", "0.9999999999999999", []),
+        ("1e-270", "0.9999999999999999"),
     ],
 )
-def test_near_lambda_one_kfactors_exit_0(runner, omega_m, omega_lambda, grid):
+def test_near_lambda_one_kfactors_exit_0(runner, omega_m, omega_lambda):
     # V4 comes from centered moments, which do not cancel, so the k-integrals
     # converge
-    args = ["kfactors", "--omega-m", omega_m, "--omega-lambda", omega_lambda, *grid]
+    args = ["kfactors", "--omega-m", omega_m, "--omega-lambda", omega_lambda]
     result = runner.invoke(main, args)
     assert result.exit_code == 0, result.output
     assert "Error" not in result.output
@@ -357,7 +354,6 @@ def test_v4_within_rel_tol_is_accepted(runner):
 def test_text_output_begins_with_the_json_metadata(runner, tmp_path, args):
     if args[0] == "figure":
         args = [*args, "--out", str(tmp_path / "fig.csv")]
-    args = [*args, "--grid-points", "64"]
     metadata = _json_out(runner.invoke(main, [*args, "--json"]))["metadata"]
     text = runner.invoke(main, args)
     assert text.exit_code == 0, text.output

@@ -16,8 +16,7 @@ FLOATS = st.sampled_from(SPECIAL) | st.floats(allow_nan=False, allow_infinity=Fa
 POSITIVE = FLOATS | st.floats(min_value=1e-300, max_value=1e300).map(repr)
 INTS = st.sampled_from(["0", "-3", "1", "8", str(10**400)]) | st.integers().map(str)
 
-# Every build is kept small: grid_points draws are tiny or invalid, and the
-# figure range draws give at most a few hundred points or are rejected.
+# The figure range draws give at most a few hundred points or are rejected.
 COMMON = {
     "--h0": POSITIVE,
     "--omega-m": FLOATS | st.sampled_from(["0.3", "1", "1e-300"]),
@@ -26,7 +25,6 @@ COMMON = {
     "--lab-duration": POSITIVE,
     "--inputs-per-op": INTS,
     "--quad-rel-tol": st.sampled_from(["1e-9", "1e-6", "0", "-1", "0.5", "nan", "inf"]),
-    "--grid-points": st.sampled_from(["16", "64", "0", "-5", "1000000000", str(10**400)]),
 }
 VERB_FLAGS = {
     "constants": {},
@@ -42,7 +40,7 @@ VERB_FLAGS = {
 }
 
 # A config file's lines: known keys with drawn values, unknown keys, and text
-# without "=". The --grid-points flag overrides any grid_points they set.
+# without "=".
 CONFIG_LINES = st.one_of(
     st.builds("{} = {}".format, st.sampled_from([f.name for f in fields(RunConfig)]), FLOATS | INTS),
     st.builds("{}={}".format, st.sampled_from(["hubble", "", " # note"]), FLOATS),
@@ -77,7 +75,7 @@ def invocations(draw):
     verb = draw(st.sampled_from(sorted(VERB_FLAGS)))
     flags = {**COMMON, **VERB_FLAGS[verb]}
     chosen = draw(st.lists(st.sampled_from(sorted(flags)), unique=True, max_size=5))
-    args = [verb, "--grid-points", "16"]
+    args = [verb]
     for flag in chosen:
         args += [flag, draw(flags[flag])]
     return args

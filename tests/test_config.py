@@ -3,6 +3,7 @@ import re
 import pytest
 
 from crdbounds.config import ENV_CONFIG_PATH, RunConfig, load_config, parse_config_file
+from crdbounds.cosmology import MAX_GRID_POINTS, build_tables
 from crdbounds.errors import ConfigurationError
 from crdbounds.quantities import JULIAN_YEAR_S
 
@@ -17,7 +18,6 @@ def test_defaults():
     assert config.lab_duration_s == JULIAN_YEAR_S
     assert config.inputs_per_op == 8
     assert config.quad_rel_tol == 1e-9
-    assert config.grid_points == 4096
 
 
 def test_parse_file(tmp_path):
@@ -28,7 +28,7 @@ def test_parse_file(tmp_path):
         "omega_m=0.315\n"
         "omega_lambda = 0.685   # flat\n"
         "\n"
-        "grid_points = 2048\n",
+        "inputs_per_op = 4\n",
         encoding="utf-8",
     )
     values = parse_config_file(path)
@@ -36,14 +36,17 @@ def test_parse_file(tmp_path):
         "h0_km_s_mpc": 67.4,
         "omega_m": 0.315,
         "omega_lambda": 0.685,
-        "grid_points": 2048,
+        "inputs_per_op": 4,
     }
-    assert isinstance(values["grid_points"], int)
+    assert isinstance(values["inputs_per_op"], int)
 
 
-def test_unknown_key_rejected(tmp_path):
+# grid_points sets only the library's lookup tables, which no verb reads,
+# so it is not a run configuration key
+@pytest.mark.parametrize("line", ["hubble = 70\n", "grid_points = 4096\n"])
+def test_unknown_key_rejected(tmp_path, line):
     path = tmp_path / "run.cfg"
-    path.write_text("hubble = 70\n", encoding="utf-8")
+    path.write_text(line, encoding="utf-8")
     with pytest.raises(ConfigurationError, match="unknown"):
         parse_config_file(path)
 
@@ -110,11 +113,11 @@ def test_overrides_beat_file(tmp_path):
 
 def test_overrides_merge_before_the_check(tmp_path):
     path = tmp_path / "run.cfg"
-    path.write_text("grid_points = 5\n", encoding="utf-8")
-    assert load_config(path, {"grid_points": 64}).grid_points == 64
+    path.write_text("inputs_per_op = 0\n", encoding="utf-8")
+    assert load_config(path, {"inputs_per_op": 4}).inputs_per_op == 4
 
 
-@pytest.mark.parametrize("values", [{"grid_points": 5}, {"omega_m": 0.5}])
+@pytest.mark.parametrize("values", [{"inputs_per_op": 0}, {"omega_m": 0.5}])
 def test_run_config_checks_itself(values):
     with pytest.raises(ConfigurationError):
         RunConfig(**values)
@@ -139,8 +142,6 @@ def test_flatness_tolerance_is_loose_enough():
         ("lab_duration_s", 0.0),
         ("inputs_per_op", 0),
         ("quad_rel_tol", 1.0),
-        ("grid_points", 2),
-        ("grid_points", 4096.0),  # counts must be integers
         ("inputs_per_op", 2.5),
     ],
 )
@@ -163,26 +164,10 @@ def test_nonfinite_rejected(field, value):
         load_config(overrides={field: value})
 
 
-def test_grid_points_capped():
-    from crdbounds.cosmology import MAX_GRID_POINTS
-
-    assert load_config(overrides={"grid_points": MAX_GRID_POINTS}).grid_points == MAX_GRID_POINTS
-    with pytest.raises(ConfigurationError, match="grid_points"):
-        load_config(overrides={"grid_points": MAX_GRID_POINTS + 1})
-
-
-@pytest.mark.parametrize("grid_points", [17, 31, 10001])
-def test_grid_points_must_fill_whole_panels(grid_points):
-    # the tables have 16 nodes per panel, so no node count is rounded away
-    with pytest.raises(ConfigurationError, match="grid_points must be a multiple of 16, got"):
-        load_config(overrides={"grid_points": grid_points})
-
-
-@pytest.mark.parametrize("grid_points", [10001, 17, 4096.0])
+@pytest.mark.parametrize("grid_points", [10001, 17, 4096.0, MAX_GRID_POINTS + 16])
 def test_build_tables_takes_the_same_grid_points_rule(eds_params, grid_points):
-    # no node count is rounded down or floored to the minimum, and a float is refused
-    from crdbounds.cosmology import build_tables
-
+    # no node count is rounded down, floored to the minimum or clamped to the
+    # cap, and a float is refused; a build at the cap itself takes seconds
     with pytest.raises(ConfigurationError, match="grid_points"):
         build_tables(eds_params, grid_points=grid_points)
 

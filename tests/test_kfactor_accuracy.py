@@ -109,25 +109,6 @@ def test_tables_at_the_tolerance_floor_meet_the_reference(fiducial_params):
     assert max(_errors(tables, FIDUCIAL)) <= 1e-11
 
 
-@pytest.mark.parametrize(
-    "cosmology, expected",
-    [([], (1609, 1409)), (["--omega-m", "1", "--omega-lambda", "0"], (1605, 1406))],
-    ids=["fiducial", "eds"],
-)
-@pytest.mark.parametrize("grid_points", ["16", "64"])
-def test_coarse_grids_publish_the_default_thresholds(cosmology, expected, grid_points):
-    runner = CliRunner(env={"CRDBOUNDS_CONFIG": None})
-    rows = {}
-    for extra in ([], ["--grid-points", grid_points]):
-        result = runner.invoke(main, ["threshold", "--json", *cosmology, *extra])
-        assert result.exit_code == 0, result.output
-        rows[tuple(extra)] = {r["scenario"]: r for r in json.loads(result.stdout)["thresholds"]}
-    default, coarse = rows[()], rows[("--grid-points", grid_points)]
-    for name, qubits in zip(["universe-fully-connected", "universe-broadcast"], expected):
-        assert default[name]["qubits"] == coarse[name]["qubits"] == qubits
-        assert default[name]["log2_nops_exact"] == coarse[name]["log2_nops_exact"]
-
-
 @pytest.mark.parametrize("k", range(16))
 def test_integration_matrix_is_exact_to_degree_15(k):
     x = GL_NODES

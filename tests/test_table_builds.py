@@ -48,7 +48,7 @@ def builds(monkeypatch):
     ids=" ".join,
 )
 def test_no_verb_builds_a_table(builds, tmp_path, args, eds_params):
-    result = _invoke(_with_out(args, tmp_path) + ["--grid-points", "64"])
+    result = _invoke(_with_out(args, tmp_path))
     assert result.exit_code == 0, result.output
     assert builds == []
     # the count does see a library build
@@ -91,7 +91,7 @@ def _failing_k_integrals(monkeypatch, below):
 )
 def test_quadrature_failure_is_one_line_exit_1(monkeypatch, tmp_path, args, below):
     _failing_k_integrals(monkeypatch, below)
-    result = _invoke(_with_out(args, tmp_path) + ["--grid-points", "64"])
+    result = _invoke(_with_out(args, tmp_path))
     assert result.exit_code == 1, result.output
     assert isinstance(result.exception, SystemExit)
     errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
