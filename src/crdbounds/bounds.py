@@ -16,7 +16,8 @@ log2 K is computed once, where its inputs live: a lab kind's when its
 Scenario is built, a universe kind's in its cosmology's UniverseLaws
 (``cosmology.universe_laws``; LightconeTables carry them too). The broadcast
 clock is pinned at the causal limit tau = l/c.
-Lengths and operation counts may be floats or numpy arrays.
+Lengths and operation counts may be floats or numpy arrays; floats take
+math, so numpy is imported only for arrays.
 """
 
 from __future__ import annotations
@@ -25,8 +26,6 @@ import enum
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
-
-import numpy as np
 
 from .cosmology import CosmologyParams, UniverseLaws
 from .errors import ConfigurationError, check_integer, check_range
@@ -156,6 +155,10 @@ class PowerLaw(NamedTuple):
 
     def log2_n_ops(self, length):
         """log2 N_ops at element spacing `length` (m; a float or an array)."""
+        if isinstance(length, (float, int)):
+            return self.log2_k - self.p * math.log2(length)
+        import numpy as np
+
         return self.log2_k - self.p * np.log2(length)
 
     def length(self, log2_n_ops):

@@ -21,10 +21,12 @@ cancels. The 4-volume and its time derivative are
     V4(t)    = (4 pi / 3) c^3 C_3(t)
     V4dot(t) = 4 pi c^3 C_2(t) / a(t)
 
-``k_integrals`` evaluates them on equal panels for the k-factors, and
-``universe_laws`` makes those the laws the CLI reads. ``build_tables`` adds
-eta, V4 and V4dot at the nodes of geometric panels from x = 1e-8 x_T to
-x_T (t = 1e-24 T to T), splitting any panel longer than t_lambda; ``v4``,
+``k_integrals`` evaluates them on equal panels for the k-factors, in Python
+floats (``_light_cone_rows``), and ``universe_laws`` makes those the laws the
+CLI reads; numpy is not imported for them. ``build_tables`` adds eta, V4 and
+V4dot at the nodes of geometric panels from x = 1e-8 x_T to x_T (t = 1e-24 T
+to T), splitting any panel longer than t_lambda, in numpy (``_light_cone``:
+the same operations on arrays, so the two agree to a few ulps); ``v4``,
 ``v4_rate`` and ``comoving_distance`` read them by barycentric interpolation.
 
 Early times: below the first node x0 of the first panel, the lookups return
@@ -37,17 +39,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Tuple
-
-import numpy as np
+from operator import mul, sub
+from typing import Dict, List, Sequence, Tuple
 
 from .quadrature import (
     DEFAULT_MAX_PANELS,
     DEFAULT_REL_TOL,
-    GL_INTEGRATION,
-    GL_WEIGHTS,
+    GL_INTEGRATION_ROWS,
+    GL_NODE_LIST,
+    GL_WEIGHT_LIST,
     CumulativeTable,
     QuadratureError,
+    gl_arrays,
     interpolate,
     panel_nodes,
 )
@@ -87,6 +90,9 @@ _REL_SLACK = 1.0 + 1e-12  # tolerate float noise when callers pass t = T_U
 _H0_MAX = 1e38
 
 _FLATNESS_TOL = 1e-9
+
+# W - S: row j integrates each Lagrange basis polynomial from node j to 1
+_GL_REMAINDER_ROWS = tuple(tuple(map(sub, GL_WEIGHT_LIST, row)) for row in GL_INTEGRATION_ROWS)
 
 
 @dataclass(frozen=True)
@@ -160,6 +166,8 @@ def scale_factor(t, params: CosmologyParams):
     and give the same double (``math.sinh`` would not; it differs from
     numpy's in the last bit).
     """
+    import numpy as np
+
     scalar = isinstance(t, (float, int))
     ts = np.float64(t) if scalar else np.asarray(t, dtype=float)
     if not (t >= 0.0 if scalar else np.all(ts >= 0.0)):  # NaN fails too
@@ -242,18 +250,20 @@ def build_tables(
     positive, or V4(T) off k4u by more than rel_tol + 1e-12), is a
     ConfigurationError.
     """
+    import numpy as np
+
     grid_points = check_integer("grid_points", grid_points, 16, MAX_GRID_POINTS)
     if grid_points % 16:
         raise ConfigurationError(f"grid_points must be a multiple of 16, got {grid_points!r}")
     laws = universe_laws(params, rel_tol)
-    return _in_double_range(params, lambda: _tabulate(laws, rel_tol, grid_points))
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        return _in_double_range(params, lambda: _tabulate(laws, rel_tol, grid_points))
 
 
 def _in_double_range(params: CosmologyParams, compute):
-    """compute() under raising float errors; they and ValueErrors become ConfigurationErrors."""
+    """compute(); a float error (ArithmeticError) or ValueError it raises becomes a ConfigurationError."""
     try:
-        with np.errstate(divide="raise", over="raise", invalid="raise"):
-            return compute()
+        return compute()
     except (ArithmeticError, ValueError) as exc:
         raise ConfigurationError(
             f"H0={params.h0!r} s^-1, omega_m={params.omega_m!r}, omega_lambda="
@@ -262,6 +272,8 @@ def _in_double_range(params: CosmologyParams, compute):
 
 
 def _tabulate(laws: UniverseLaws, rel_tol: float, grid_points: int) -> LightconeTables:
+    import numpy as np
+
     params = laws.params
     c, h0 = SPEED_OF_LIGHT, params.h0
     x_max = (h0 * params.t_universe) ** (1.0 / 3.0)
@@ -269,7 +281,7 @@ def _tabulate(laws: UniverseLaws, rel_tol: float, grid_points: int) -> Lightcone
     parts = np.maximum(np.ceil(np.diff(edges**3) / (_LAMBDA_SPAN * h0 * params.t_lambda)), 1.0)
     at = np.append(0.0, np.cumsum(np.repeat(1.0 / parts, parts.astype(int))))  # in panel indices
     edges = np.append(0.0, np.interp(at, np.arange(edges.size), edges))
-    a, _, eta, _, c2, c3, _ = _light_cone(params, edges)
+    a, eta, c2, c3 = _light_cone(params, edges)
     # the panel [0, first edge] is integrated but not stored
     edges, a, eta, c2, c3 = edges[1:], a[1:], eta[1:], c2[1:], c3[1:]
     values = (eta / h0, (4.0 * math.pi / 3.0) * c**3 / h0**4 * c3, 4.0 * math.pi * c**3 / h0**3 * c2 / a)
@@ -295,22 +307,27 @@ def k_integrals(
     k7u = (4 pi H0^7 / 3 c^6) int_0^T a^3(t) d^3(t, T) V4dot(t) dt
     k8u = (4 pi H0^8 / 3 c^6) int_0^T V4(t) a^3(t) d^3(t, T) dt
 
-    ``_light_cone`` gives every quantity at the nodes of equal panels in x,
-    where all are dimensionless and of order one: k4u is (4 pi / 3) C_3(T),
-    and k7u and k8u are composite Gauss-Legendre sums.
+    ``_light_cone_rows`` gives every quantity at the nodes of equal panels in
+    x, in Python floats, where all are dimensionless and of order one: k4u is
+    (4 pi / 3) C_3(T), and k7u and k8u are composite Gauss-Legendre sums.
 
     The panel count starts at 4 and doubles until two successive results
     agree within rel_tol in every k-factor; the finer one is returned. The
     convergence is spectral, so the finer result is far closer than that
     shift: at 8 panels the matter-only closed form is met to about 2e-15.
-    If the next count would pass DEFAULT_MAX_PANELS, a QuadratureError
-    carries the last estimate [k4u, k7u, k8u], and its message shows it.
+    A sum that is not finite (a product overflowed on panels too coarse for
+    the cosmology) has an infinite shift, so the panels keep doubling. If
+    the next count would pass DEFAULT_MAX_PANELS, a QuadratureError carries
+    the last estimate [k4u, k7u, k8u], and its message shows it; if that
+    estimate is not finite, an OverflowError is raised instead.
     """
     check_range("rel_tol", rel_tol, 0.0, 1e-2)
     panels, shifts = 4, (math.inf,)
     k = _k_sums(params, panels)
-    while max(shifts) > rel_tol:
+    while not max(shifts) <= rel_tol:
         if 2 * panels > DEFAULT_MAX_PANELS:
+            if not all(map(math.isfinite, k)):
+                raise OverflowError(f"the k-factor sums are not finite at {panels} panels")
             estimate = list(k)
             raise QuadratureError(
                 f"k-factors: no convergence after {panels} panels: estimate {estimate!r}, "
@@ -320,54 +337,45 @@ def k_integrals(
             )
         panels *= 2
         coarse, k = k, _k_sums(params, panels)
-        shifts = tuple(abs((f - c) / f) for f, c in zip(k, coarse))
+        shifts = tuple(abs((f - c) / f) if math.isfinite(f - c) else math.inf for f, c in zip(k, coarse))
     return k, shifts
 
 
 def _k_sums(params: CosmologyParams, panels: int) -> Tuple[float, float, float]:
     """k4u, k7u and k8u from ``panels`` equal panels (see ``k_integrals``).
     Time is tau = H0 t and conformal time H0 eta; the light-cone prefactors
-    in c and H0 then cancel."""
-    edges = np.linspace(0.0, (params.h0 * params.t_universe) ** (1.0 / 3.0), panels + 1)
-    a, weight, _, to_today, c2, c3, c3_today = _light_cone(params, edges)
-    cone = weight * to_today**3
-    k7 = (16.0 * math.pi**2 / 3.0) * float(np.sum(cone / a * c2 @ GL_WEIGHTS))
-    k8 = (16.0 * math.pi**2 / 9.0) * float(np.sum(cone * c3 @ GL_WEIGHTS))
-    return (4.0 * math.pi / 3.0) * c3_today, k7, k8
+    in c and H0 then cancel. The edges are the doubles ``numpy.linspace``
+    gives."""
+    x_t = (params.h0 * params.t_universe) ** (1.0 / 3.0)
+    step = x_t / panels
+    a, weight, to_today, c2, c3, c3_today = _light_cone_rows(params, [i * step for i in range(panels)] + [x_t])
+    k7, k8 = [], []  # the terms of each composite sum, added exactly rounded
+    for a_p, weight_p, to_today_p, c2_p, c3_p in zip(a, weight, to_today, c2, c3):
+        cone = [w * t**3 for w, t in zip(weight_p, to_today_p)]
+        k7 += map(mul, [q / x * c for q, x, c in zip(cone, a_p, c2_p)], GL_WEIGHT_LIST)
+        k8 += map(mul, map(mul, cone, c3_p), GL_WEIGHT_LIST)
+    return (
+        (4.0 * math.pi / 3.0) * c3_today,
+        (16.0 * math.pi**2 / 3.0) * _fsum(k7),
+        (16.0 * math.pi**2 / 9.0) * _fsum(k8),
+    )
 
 
-def _light_cone(params: CosmologyParams, edges: np.ndarray):
-    """Light-cone values at the Gauss nodes of the panels between edges in
-    x = (H0 t)^(1/3), edges[0] = 0, in tau = H0 t and H0 eta.
+def _fsum(terms: List[float]) -> float:
+    """math.fsum, or inf where fsum refuses: infinite terms of both signs, or
+    a sum that leaves double range (panels too coarse for the cosmology)."""
+    try:
+        return math.fsum(terms)
+    except (OverflowError, ValueError):
+        return math.inf
 
-    Returns, each of shape (panels, 16): a; the weight a^3 dtau/dx times the
-    panel's half width; eta; eta(T) - eta, T at the last edge; C_2 and C_3.
-    Then C_3 at the last edge, a float. eta at the nodes comes from the
-    spectral integration matrix (``GL_INTEGRATION``) on each panel, and
-    eta(T) - eta is summed from the panel's remaining part and the later
-    panels, so it takes no difference of nearby values.
-    """
-    half, x = panel_nodes(edges)
-    a = scale_factor(x**3 / params.h0, params)
-    dtau = 3.0 * x * x  # dtau/dx
-    weight = half * dtau * a**3  # a^3 dtau/dx, times the half width
-    de = half * dtau / a  # d(eta)/dx, times the half width
-    since_lo = de @ GL_INTEGRATION.T  # eta(x_j) - eta(lo), per panel
-    to_hi = de @ (GL_WEIGHTS - GL_INTEGRATION).T  # eta(hi) - eta(x_j)
-    span = de @ GL_WEIGHTS  # eta(hi) - eta(lo)
-    later = np.append(np.cumsum(span[:0:-1])[::-1], 0.0)  # eta(T) - eta(hi)
-    eta = np.append(0.0, np.cumsum(span[:-1]))[:, None] + since_lo
 
-    # each panel's own part of C_2, C_3 at its nodes, and of C_0..C_3 at its end
-    lag = since_lo[:, :, None] - since_lo[:, None, :]
-    own = weight[:, None, :] * GL_INTEGRATION
-    inside2 = np.einsum("pjl,pjl->pj", own, lag**2)
-    inside3 = np.einsum("pjl,pjl->pj", own, lag**3)
-    ends = [weight * to_hi**k @ GL_WEIGHTS for k in range(4)]
-    # b[p] = C_0..C_3 centered at edge p, carried by the binomial shift in
-    # Python floats (numpy scalars cost several times more per operation)
+def _carry(spans: Sequence[float], ends) -> List[Tuple[float, float, float, float]]:
+    """C_0..C_3 of the light cone centered at each edge, from each panel's
+    span in eta and its own C_0..C_3 at its end (``ends``, one 4-tuple per
+    panel), carried from edge to edge by the binomial shift in Python floats."""
     b = [(0.0, 0.0, 0.0, 0.0)]
-    for d, e0, e1, e2, e3 in zip(span.tolist(), *(e.tolist() for e in ends)):
+    for d, (e0, e1, e2, e3) in zip(spans, ends):
         b0, b1, b2, b3 = b[-1]
         b.append((
             b0 + e0,
@@ -375,10 +383,110 @@ def _light_cone(params: CosmologyParams, edges: np.ndarray):
             b2 + 2.0 * d * b1 + d * d * b0 + e2,
             b3 + 3.0 * d * b2 + 3.0 * d * d * b1 + d**3 * b0 + e3,
         ))
+    return b
+
+
+def _light_cone(params: CosmologyParams, edges):
+    """Light-cone values at the Gauss nodes of the panels between edges in
+    x = (H0 t)^(1/3), a numpy array with edges[0] = 0, in tau = H0 t and
+    H0 eta: a, eta, C_2 and C_3, each of shape (panels, 16).
+
+    eta at the nodes comes from the spectral integration matrix S
+    (``GL_INTEGRATION``) on each panel, and eta(hi) - eta from W - S, so it
+    takes no difference of nearby values. C_2 and C_3 are each panel's own
+    part, sum_l S[j][l] weight_l (eta_j - eta_l)^k, plus the moments of the
+    panels before it, shifted (``_carry``).
+    """
+    import numpy as np
+
+    _, gl_weights, gl_integration = gl_arrays()
+    half, x = panel_nodes(edges)
+    a = scale_factor(x**3 / params.h0, params)
+    dtau = 3.0 * x * x  # dtau/dx
+    weight = half * dtau * a**3  # a^3 dtau/dx, times the half width
+    de = half * dtau / a  # d(eta)/dx, times the half width
+    since_lo = de @ gl_integration.T  # eta(x_j) - eta(lo), per panel
+    to_hi = de @ (gl_weights - gl_integration).T  # eta(hi) - eta(x_j)
+    span = de @ gl_weights  # eta(hi) - eta(lo)
+    eta = np.append(0.0, np.cumsum(span[:-1]))[:, None] + since_lo
+
+    # each panel's own part of C_2, C_3 at its nodes, and of C_0..C_3 at its end
+    lag = since_lo[:, :, None] - since_lo[:, None, :]
+    own = weight[:, None, :] * gl_integration
+    power = lag * lag  # lag^2, then lag^3 in place: no third (panels, 16, 16) array
+    inside2 = np.einsum("pjl,pjl->pj", own, power)
+    power *= lag
+    inside3 = np.einsum("pjl,pjl->pj", own, power)
+    ends = [weight * to_hi**k @ gl_weights for k in range(4)]
+    b = _carry(span.tolist(), zip(*(e.tolist() for e in ends)))
     b0, b1, b2, b3 = (column[:-1, None] for column in np.array(b).T)
     c2 = inside2 + b2 + 2.0 * since_lo * b1 + since_lo**2 * b0
     c3 = inside3 + b3 + 3.0 * since_lo * b2 + 3.0 * since_lo**2 * b1 + since_lo**3 * b0
-    return a, weight, eta, later[:, None] + to_hi, c2, c3, b[-1][3]
+    return a, eta, c2, c3
+
+
+def _light_cone_rows(params: CosmologyParams, edges: Sequence[float]):
+    """``_light_cone`` in Python floats, for the k-factors, on a list of
+    edges starting at 0: lists with one row of 16 node values per panel of
+    a; the weight a^3 dtau/dx times the half width; eta(T) - eta, T at the
+    last edge; C_2 and C_3. Then C_3 at the last edge, a float.
+
+    The operations are ``_light_cone``'s, in its order, except that sums
+    run in sequence, so the two agree to a few ulps. eta(T) - eta is summed
+    from the panel's remaining part and the later panels.
+    """
+    h0 = params.h0
+    if params.omega_lambda == 0.0:
+        def scale(t):
+            return (t / params.t_universe) ** (2.0 / 3.0)
+    else:
+        amp = (params.omega_m / params.omega_lambda) ** (1.0 / 3.0)
+
+        def scale(t):
+            return amp * math.sinh(t / params.t_lambda) ** (2.0 / 3.0)
+
+    a, weight, since_lo, to_hi, spans, ends = [], [], [], [], [], []
+    for lo, hi in zip(edges, edges[1:]):
+        half, mid = 0.5 * (hi - lo), 0.5 * (lo + hi)
+        x = [mid + half * node for node in GL_NODE_LIST]
+        a_p = [scale(xj**3 / h0) for xj in x]
+        dtau = [half * (3.0 * xj * xj) for xj in x]  # times the half width
+        weight_p = [d * aj**3 for d, aj in zip(dtau, a_p)]
+        de = [d / aj for d, aj in zip(dtau, a_p)]
+        to_hi_p = [sum(map(mul, de, row)) for row in _GL_REMAINDER_ROWS]
+        a.append(a_p)
+        weight.append(weight_p)
+        since_lo.append([sum(map(mul, de, row)) for row in GL_INTEGRATION_ROWS])
+        to_hi.append(to_hi_p)
+        spans.append(sum(map(mul, de, GL_WEIGHT_LIST)))
+        moments = (  # weight (eta(hi) - eta)^k, k = 0..3, to integrate over the panel
+            weight_p,
+            list(map(mul, weight_p, to_hi_p)),
+            [w * (t * t) for w, t in zip(weight_p, to_hi_p)],
+            [w * t**3 for w, t in zip(weight_p, to_hi_p)],
+        )
+        ends.append(tuple(sum(map(mul, m, GL_WEIGHT_LIST)) for m in moments))
+    b = _carry(spans, ends)
+
+    to_today, c2, c3, later = [], [], [], 0.0
+    for p in reversed(range(len(spans))):  # eta(T) - eta(hi), from the last panel back
+        to_today.append(list(map(later.__add__, to_hi[p])))
+        later += spans[p]
+    to_today.reverse()
+    for (b0, b1, b2, b3), s_p, weight_p in zip(b, since_lo, weight):
+        c2_p, c3_p = [], []
+        for sj, row in zip(s_p, GL_INTEGRATION_ROWS):
+            inside2 = inside3 = 0.0
+            for own, sl in zip(map(mul, weight_p, row), s_p):
+                lag = sj - sl
+                lag2 = lag * lag
+                inside2 += own * lag2
+                inside3 += own * (lag2 * lag)
+            c2_p.append(inside2 + b2 + 2.0 * sj * b1 + sj * sj * b0)
+            c3_p.append(inside3 + b3 + 3.0 * sj * b2 + 3.0 * (sj * sj) * b1 + sj**3 * b0)
+        c2.append(c2_p)
+        c3.append(c3_p)
+    return a, weight, to_today, c2, c3, b[-1][3]
 
 
 def _checked_x(t: float, tables: LightconeTables, name: str = "t") -> float:

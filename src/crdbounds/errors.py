@@ -2,8 +2,7 @@
 
 import math
 import operator
-
-import numpy as np
+import sys
 
 
 class ConfigurationError(ValueError):
@@ -16,9 +15,11 @@ def check_range(name, value, low=0.0, high=math.inf, *, low_inclusive=False):
     with low < value <= high (low <= value when low_inclusive), or a numpy
     array of them (empty passes; the message names the first that fails).
 
-    Integers too large for a double count as non-finite.
+    Integers too large for a double count as non-finite. An array is only
+    looked for once numpy is loaded: without numpy there can be none.
     """
-    if isinstance(value, np.ndarray):
+    np = sys.modules.get("numpy")
+    if np is not None and isinstance(value, np.ndarray):
         ok = np.isfinite(value) & (value <= high) & (value >= low if low_inclusive else value > low)
         if ok.all():
             return

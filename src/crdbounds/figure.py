@@ -34,8 +34,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
-import numpy as np
-
 from .bounds import Scenario, ScenarioKind, energy_from_length, length_for_scenario
 from .cosmology import UniverseLaws
 from .errors import ConfigurationError, check_range
@@ -226,6 +224,8 @@ def build_figure(
             "dashdot",
         ),
     ]
+
+    import numpy as np
 
     grid = np.arange(lo, hi + 0.5 * step, step)
     neo = LogQuantity(grid)

@@ -14,7 +14,11 @@ substitution) safe.
 [-1, 1]; ``GL_INTEGRATION`` is its spectral integration matrix, S[j][l] the
 integral of the l-th Lagrange basis polynomial of the nodes from -1 to node j
 (Greengard, SIAM J. Numer. Anal. 28 (1991) 1071), so ``S @ f`` is the running
-integral of f at the nodes, exact for polynomials of degree 15 or less.
+integral of f at the nodes, exact for polynomials of degree 15 or less. They
+are numpy arrays, made on first use from the Python floats ``GL_NODE_LIST``,
+``GL_WEIGHT_LIST`` and ``GL_INTEGRATION_ROWS``, which the k-factors read:
+numpy is imported only inside the functions that build arrays, so
+importing this module does not import it.
 
 A ``CumulativeTable`` holds a function's values at the 16 nodes of each
 panel between its edges; ``build_cumulative`` fills one with a running
@@ -28,27 +32,42 @@ light-cone tables.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Callable, List, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Callable, List, Sequence, Tuple, Union
 
-import numpy as np
-from numpy.polynomial.legendre import leggauss, legint, legval, legvander
-
+from ._gauss16 import GL_INTEGRATION_ROWS, GL_NODE_LIST, GL_WEIGHT_LIST
 from .errors import check_range
 
+if TYPE_CHECKING:
+    import numpy as np
+
 _GL_ORDER = 16
-GL_NODES, GL_WEIGHTS = leggauss(_GL_ORDER)
-# Column l holds the Legendre coefficients of the l-th Lagrange basis
-# polynomial, (n + 1/2) w_l P_n(x_l) for n = 0..15 (the rule is exact for it)
-_LAGRANGE_IN_LEGENDRE = (
-    legvander(GL_NODES, _GL_ORDER - 1).T * (np.arange(_GL_ORDER)[:, None] + 0.5) * GL_WEIGHTS
-)
-GL_INTEGRATION = legval(GL_NODES, legint(_LAGRANGE_IN_LEGENDRE, lbnd=-1)).T
-_NODE_LIST = GL_NODES.tolist()
-_BARYCENTRIC = ((-1.0) ** np.arange(_GL_ORDER) * np.sqrt((1.0 - GL_NODES**2) * GL_WEIGHTS)).tolist()
+_BARYCENTRIC = [
+    (-1.0) ** j * math.sqrt((1.0 - x * x) * w) for j, (x, w) in enumerate(zip(GL_NODE_LIST, GL_WEIGHT_LIST))
+]
+_GL_ARRAY_NAMES = ("GL_NODES", "GL_WEIGHTS", "GL_INTEGRATION")
+
+
+@functools.cache
+def gl_arrays():
+    """(GL_NODES, GL_WEIGHTS, GL_INTEGRATION) as read-only numpy arrays, made once."""
+    import numpy as np
+
+    arrays = tuple(np.array(v) for v in (GL_NODE_LIST, GL_WEIGHT_LIST, GL_INTEGRATION_ROWS))
+    for array in arrays:
+        array.setflags(write=False)
+    return arrays
+
+
+def __getattr__(name):
+    if name not in _GL_ARRAY_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return gl_arrays()[_GL_ARRAY_NAMES.index(name)]
+
 
 # The bisection error estimate |I_halves - I_whole| tracks the error of the
 # *coarse* value; the refined value kept is far better. A singular panel is the
@@ -60,7 +79,7 @@ _ABS_FLOOR = 1e-300
 DEFAULT_REL_TOL = 1e-9
 DEFAULT_MAX_PANELS = 4096
 
-Integrand = Callable[[np.ndarray], np.ndarray]
+Integrand = Callable[["np.ndarray"], "np.ndarray"]
 
 
 class QuadratureError(RuntimeError):
@@ -79,13 +98,16 @@ class QuadratureError(RuntimeError):
 
 def _panel_sums(f: Integrand, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Gauss-Legendre estimates for P intervals, shape (P,), from one f call."""
+    import numpy as np
+
+    gl_nodes, weights, _ = gl_arrays()
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
-    nodes = mid[:, None] + half[:, None] * GL_NODES[None, :]
+    nodes = mid[:, None] + half[:, None] * gl_nodes[None, :]
     values = np.asarray(f(nodes.ravel()), dtype=float)
     if not np.isfinite(values).all():
         raise ValueError("integrand returned a non-finite value inside the interval")
-    return half * (values.reshape(-1, _GL_ORDER) @ GL_WEIGHTS)
+    return half * (values.reshape(-1, _GL_ORDER) @ weights)
 
 
 def integrate(
@@ -108,6 +130,7 @@ def integrate(
         raise ValueError(f"integration bounds out of order: a={a!r} > b={b!r}")
     if a == b:
         return 0.0
+    import numpy as np
 
     mid = 0.5 * (a + b)
     whole, left, right = _panel_sums(f, np.array([a, a, mid]), np.array([b, mid, b])).tolist()
@@ -162,6 +185,8 @@ class CumulativeTable:
     _lists: Tuple[list, list] = field(init=False, repr=False)
 
     def __post_init__(self):
+        import numpy as np
+
         edges = np.asarray(self.edges, dtype=float)
         values = np.asarray(self.values, dtype=float)
         if edges.ndim != 1 or edges.size < 2:
@@ -183,8 +208,10 @@ def panel_nodes(edges: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Each panel's half width, shape (panels, 1), and its 16 Gauss nodes,
     shape (panels, 16), in the order of ``GL_NODES``, for the panels
     between the given edges."""
+    import numpy as np
+
     half = 0.5 * np.diff(edges)[:, None]
-    return half, 0.5 * (edges[:-1] + edges[1:])[:, None] + half * GL_NODES
+    return half, 0.5 * (edges[:-1] + edges[1:])[:, None] + half * gl_arrays()[0]
 
 
 def build_cumulative(f: Integrand, grid: Sequence[float]) -> CumulativeTable:
@@ -195,15 +222,18 @@ def build_cumulative(f: Integrand, grid: Sequence[float]) -> CumulativeTable:
     ``GL_INTEGRATION``'s, exact for polynomials of degree 15 or less; the
     panels before it add their 16-point Gauss-Legendre sums.
     """
+    import numpy as np
+
     edges = np.asarray(grid, dtype=float)
     if edges.ndim != 1 or edges.size < 2 or not np.all(np.diff(edges) > 0.0):
         raise ValueError("grid must be strictly increasing with at least 2 points")
     check_range("grid", edges, -math.inf)
     half, nodes = panel_nodes(edges)
     scaled = half * np.asarray(f(nodes.ravel()), dtype=float).reshape(nodes.shape)
-    sums = scaled @ GL_WEIGHTS
+    _, weights, integration = gl_arrays()
+    sums = scaled @ weights
     before = np.append(0.0, np.cumsum(sums[:-1]))  # the panels before each
-    return CumulativeTable(edges, before[:, None] + scaled @ GL_INTEGRATION.T)
+    return CumulativeTable(edges, before[:, None] + scaled @ integration.T)
 
 
 def interpolate(table: CumulativeTable, x: float) -> float:
@@ -222,7 +252,7 @@ def interpolate(table: CumulativeTable, x: float) -> float:
     lo, hi = edges[p], edges[p + 1]
     s = ((x - lo) - (hi - x)) / (hi - lo)
     num = den = 0.0
-    for w, node, f in zip(_BARYCENTRIC, _NODE_LIST, rows[p]):
+    for w, node, f in zip(_BARYCENTRIC, GL_NODE_LIST, rows[p]):
         d = s - node
         if d == 0.0:
             return f

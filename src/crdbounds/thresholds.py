@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass
 from typing import List, NamedTuple, Optional, Sequence
 
-import numpy as np
-
 from .bounds import Scenario, ScenarioKind, neo_from_qubits, power_law
 from .cosmology import UniverseLaws
 from .errors import check_range
@@ -43,7 +41,7 @@ def planck_threshold(
     constants: PhysicalConstants = PLANCK_UNITS,
 ) -> ThresholdResult:
     """The scenario's threshold; a universe kind's law is read from ``laws``."""
-    exact = float(power_law(scenario, laws).log2_n_ops(constants.l_p))
+    exact = power_law(scenario, laws).log2_n_ops(constants.l_p)
     return ThresholdResult(
         scenario_kind=scenario.kind,
         log2_nops_exact=exact,
@@ -85,7 +83,7 @@ def classify_machine(
     log2_n = neo_from_qubits(n).log2_value
     stored = [power_law(scenario, laws) for scenario in scenarios]
     l_p = constants.l_p
-    log2_lp = float(np.log2(l_p))
+    log2_lp = math.log2(l_p)
     hbar_c = constants.hbar * constants.c
     assessments = []
     for scenario, (log2_k, p) in zip(scenarios, stored):

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from crdbounds import cosmology
 from crdbounds.cli import main
 from crdbounds.figure import read_series_json
 
@@ -270,11 +272,45 @@ def test_bad_input_is_one_line_usage_error(runner, tmp_path, args):
     assert not out.exists()
 
 
-def test_cli_import_does_not_load_scipy():
+def _src_env():
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["constants"],
+        ["threshold", "--json"],
+        ["kfactors", "--json"],
+        ["scale", "--qubits", "2048", "--json"],
+        ["scale", "--ops", "3.352e15", "--volume", "7.44e-7", "--duration", "1", "--json"],
+    ],
+    ids=" ".join,
+)
+def test_verb_runs_without_numpy(args):
+    code = (
+        "import sys\n"
+        "from crdbounds.cli import main\n"
+        f"main({args!r}, standalone_mode=False)\n"
+        "assert 'numpy' not in sys.modules, 'numpy imported'\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout
+
+
+def test_figure_still_writes_its_file(tmp_path):
+    out = tmp_path / "figure.csv"
+    code = f"from crdbounds.cli import main\nmain(['figure', '--out', {str(out)!r}], standalone_mode=False)\n"
+    result = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert out.read_text().startswith("series,label,log2_neo,length_m,energy_ev\n")
+
+
+def test_cli_import_does_not_load_scipy():
     code = "import sys, crdbounds.cli; assert 'scipy' not in sys.modules, 'scipy imported'"
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    result = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
 
 
@@ -295,8 +331,10 @@ NEAR_LAMBDA_ONE = ["--omega-lambda", "0.9999999999999999"]
     [
         # t_universe is inf
         (["kfactors", "--omega-m", "5e-324", *NEAR_LAMBDA_ONE], 2),
-        # the k-integrals' first, coarsest panel sums overflow
-        (["kfactors", "--omega-m", "1e-300", *NEAR_LAMBDA_ONE], 2),
+        # the coarsest panels' sums overflow, but finer ones converge
+        (["kfactors", "--omega-m", "1e-300", *NEAR_LAMBDA_ONE], 0),
+        # eta(T) is about 1e103 (H0 = 1), so a panel's span cubed overflows at every count
+        (["kfactors", "--omega-m", "1e-308", *NEAR_LAMBDA_ONE], 2),
         # the panels resolve it: V4 comes from centered moments, which do not cancel
         (["threshold", "--omega-m", "1e-200", *NEAR_LAMBDA_ONE], 0),
     ],
@@ -332,6 +370,43 @@ def test_near_lambda_one_kfactors_exit_0(runner, omega_m, omega_lambda):
     assert result.exit_code == 0, result.output
     assert "Error" not in result.output
     assert f"# omega_m = {float(omega_m)!r}" in result.output.splitlines()
+
+
+def test_kfactors_converge_where_the_coarsest_panels_overflow(runner):
+    # at 4 panels the k8u sum leaves double range; 8 and more do not
+    doc = _json_out(runner.invoke(main, ["kfactors", "--omega-m", "1e-300", *NEAR_LAMBDA_ONE, "--json"]))
+    assert doc["k4u"] == pytest.approx(956.9561121342662, rel=1e-13)
+    assert doc["k7u"] == pytest.approx(3976.125595029638, rel=1e-13)
+    assert max(doc["achieved_rel_delta"].values()) <= 1e-9
+
+
+def _patch_k_sums(monkeypatch, bad, at=None):
+    """k_sums returns the k-factors ``bad`` at the panel count ``at``, or at every count."""
+    real = cosmology._k_sums
+    monkeypatch.setattr(cosmology, "DEFAULT_MAX_PANELS", 64)
+    monkeypatch.setattr(cosmology, "_k_sums", lambda params, n: bad if at in (None, n) else real(params, n))
+
+
+@pytest.mark.parametrize(
+    "bad", [(math.nan, 1.0, 1.0), (1.0, math.nan, 1.0), (1.0, 1.0, math.inf), (math.inf, -math.inf, math.nan)]
+)
+def test_kfactor_sums_that_never_turn_finite_are_one_line_exit_2(runner, monkeypatch, bad):
+    _patch_k_sums(monkeypatch, bad)
+    result = runner.invoke(main, ["kfactors", "--json"])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+    assert len(errors) == 1 and "the k-factor sums are not finite at 64 panels" in errors[0]
+    assert "nan" not in result.output.lower() and "inf" not in result.output.lower()
+
+
+@pytest.mark.parametrize("at", [4, 8, 16])
+def test_a_pass_that_is_not_finite_is_never_accepted(runner, monkeypatch, at):
+    # only a NaN in the middle slot: max() over the shifts would skip it
+    want = _json_out(runner.invoke(main, ["kfactors", "--json"]))
+    _patch_k_sums(monkeypatch, (want["k4u"], math.nan, want["k8u"]), at)
+    got = _json_out(runner.invoke(main, ["kfactors", "--json"]))
+    assert [got[k] for k in ("k4u", "k7u", "k8u")] == pytest.approx([want[k] for k in ("k4u", "k7u", "k8u")], rel=1e-13)
 
 
 def test_v4_within_rel_tol_is_accepted(runner):
