@@ -30,7 +30,6 @@ from .bounds import (
 from .config import RunConfig, load_config
 from .cosmology import CosmologyParams, universe_laws
 from .errors import ConfigurationError, check_range
-from .figure import FigureConfig, build_figure, check_grid, planck_crossing, write_series
 from .quadrature import QuadratureError
 from .quantities import PLANCK_UNITS, LogQuantity, s_to_gyr
 from .thresholds import classify_machine, planck_threshold
@@ -258,6 +257,9 @@ def scale(config, qubits, ops, volume, duration, scenario_name):
 @common_options
 def figure(config, lo, hi, step, fmt, out_path):
     """Emit the probed-length-versus-NEO data series."""
+    # imported here, so that the other verbs never load the figure module
+    from .figure import FigureConfig, build_figure, check_grid, planck_crossing, write_series
+
     check_grid(lo, hi, step)
     if lo < hi:
         laws = universe_laws(config.cosmology(), config.quad_rel_tol)

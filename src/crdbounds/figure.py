@@ -34,10 +34,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from .bounds import Scenario, ScenarioKind, energy_from_length, length_for_scenario
+from .bounds import Scenario, ScenarioKind, power_law
 from .cosmology import UniverseLaws
 from .errors import ConfigurationError, check_range
-from .quantities import JULIAN_YEAR_S, PLANCK_UNITS, LogQuantity, PhysicalConstants
+from .quantities import EV_IN_JOULES, JULIAN_YEAR_S, PLANCK_UNITS, PhysicalConstants
 
 STYLE_HINTS = ("dotted", "solid_lower", "solid_upper", "dashed", "dashdot")
 
@@ -174,9 +174,10 @@ def check_grid(lo: float, hi: float, step: float) -> None:
     if lo > hi:
         raise ConfigurationError(f"min log2 NEO {lo!r} exceeds max log2 NEO {hi!r}")
     check_range("step", step)
-    # build_figure samples np.arange(lo, hi + 0.5 * step, step), whose length
-    # is the ceiling of this quotient; the ceiling exceeds the integer cap
-    # exactly when the quotient does (an overflow to inf is rejected too)
+    # build_figure samples _arange(lo, hi + 0.5 * step, step), whose length
+    # (np.arange's) is the ceiling of this quotient; the ceiling exceeds the
+    # integer cap exactly when the quotient does (an overflow to inf is
+    # rejected too)
     if (hi + 0.5 * step - lo) / step > MAX_FIGURE_POINTS:
         raise ConfigurationError(
             f"range [{lo!r}, {hi!r}] at step {step!r} exceeds {MAX_FIGURE_POINTS} points"
@@ -225,21 +226,28 @@ def build_figure(
         ),
     ]
 
-    import numpy as np
-
-    grid = np.arange(lo, hi + 0.5 * step, step)
-    neo = LogQuantity(grid)
-    log2_neo = tuple(grid.tolist())
+    grid = _arange(lo, hi + 0.5 * step, step)
+    log2_neo = tuple(grid)
+    hbar_c = constants.hbar * constants.c
     series = []
     for label, scenario, style in specs:
-        # the range checks report overflow; lengths fall along the grid, so
-        # the ends of each array hold its extremes
-        with np.errstate(over="ignore"):
-            lengths = length_for_scenario(scenario, neo, laws)
-            check_range(f"{label}: probed length", lengths[[0, -1]])
-            energies = energy_from_length(lengths, constants)
-        check_range(f"{label}: energy", float(energies[-1]))
-        points = SeriesPoints(log2_neo, tuple(lengths.tolist()), tuple(energies.tolist()))
+        # PowerLaw.length's and energy_from_length's operations, in their
+        # order, so every point is the scalar API's double. Lengths fall
+        # along the grid, so its ends hold the extremes; ** raises
+        # OverflowError where a length exceeds the largest double. Dividing
+        # by p as a float is what dividing by the int p does, only faster.
+        log2_k, p = power_law(scenario, laws)
+        p = float(p)
+        for end in (grid[0], grid[-1]):
+            try:
+                length = 2.0 ** ((log2_k - end) / p)
+            except OverflowError:
+                length = math.inf
+            check_range(f"{label}: probed length", length)
+        lengths = tuple([2.0 ** ((log2_k - x) / p) for x in grid])
+        energies = tuple([hbar_c / length / EV_IN_JOULES for length in lengths])
+        check_range(f"{label}: energy", energies[-1])
+        points = SeriesPoints(log2_neo, lengths, energies)
         series.append(FigureSeries(label=label, kind=scenario.kind, style_hint=style, points=points))
 
     annotations = [
@@ -264,6 +272,15 @@ def build_figure(
             Annotation(label=str(year), note=source, energy_ev=float(energy_ev))
         )
     return series, annotations
+
+
+def _arange(lo: float, stop: float, step: float) -> List[float]:
+    """np.arange(lo, stop, step).tolist(), bit for bit, by numpy's own rule:
+    ceil((stop - lo) / step) points lo, lo + step, then lo + i * delta with
+    delta = (lo + step) - lo."""
+    n = max(0, math.ceil((stop - lo) / step))
+    delta = (lo + step) - lo
+    return [lo, lo + step][:n] + [lo + i * delta for i in range(2, n)]
 
 
 def planck_crossing(series: FigureSeries, l_p: float) -> Optional[float]:

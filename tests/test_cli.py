@@ -308,6 +308,36 @@ def test_figure_still_writes_its_file(tmp_path):
     assert out.read_text().startswith("series,label,log2_neo,length_m,energy_ev\n")
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["figure", "--out", "{out}.csv", "--json"],
+        ["figure", "--format", "json", "--out", "{out}.json"],
+        ["constants"],
+        ["threshold", "--json"],
+        ["kfactors", "--json"],
+        ["scale", "--qubits", "2048", "--json"],
+        ["scale", "--ops", "3.352e15", "--volume", "7.44e-7", "--duration", "1", "--json"],
+    ],
+    ids=" ".join,
+)
+def test_every_verb_runs_with_numpy_blocked(tmp_path, args):
+    args = [a.format(out=tmp_path / "figure") for a in args]
+    loads_figure = args[0] == "figure"
+    code = (
+        "import sys\n"
+        "sys.modules['numpy'] = None  # any import of numpy now fails\n"
+        "from crdbounds.cli import main\n"
+        f"main({args!r}, standalone_mode=False)\n"
+        f"assert ('crdbounds.figure' in sys.modules) == {loads_figure!r}, 'figure module loaded'\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout
+    if loads_figure:
+        assert len(list(tmp_path.iterdir())) == 1
+
+
 def test_cli_import_does_not_load_scipy():
     code = "import sys, crdbounds.cli; assert 'scipy' not in sys.modules, 'scipy imported'"
     result = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True, text=True, timeout=60)

@@ -1,13 +1,16 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from crdbounds.figure import (
     CSV_HEADER,
+    MAX_FIGURE_POINTS,
     Annotation,
     FigureConfig,
     FigureSeries,
+    _arange,
     build_figure,
     planck_crossing,
     read_series_json,
@@ -184,11 +187,34 @@ def test_points_match_scalar_loop(fiducial_figure, fiducial_tables, paper_scenar
     series, _ = fiducial_figure
     by_kind = {s.kind: s for s in paper_scenarios}
     for s in series[1:]:  # the canonical lab and universe lines
-        for p in s.points[::25]:
+        for p in s.points:
             length = length_for_scenario(by_kind[s.kind], LogQuantity(p.log2_neo), fiducial_tables)
-            assert abs(p.length_m - length) <= 4 * math.ulp(length)
-            energy = energy_from_length(length, constants)
-            assert abs(p.energy_ev - energy) <= 4 * math.ulp(energy)
+            assert p.length_m == length
+            assert p.energy_ev == energy_from_length(length, constants)
+
+
+def _bits(xs):
+    return [x.hex() for x in xs]  # tells -0.0 from 0.0, unlike ==
+
+
+@pytest.mark.parametrize("step", [1.0, 0.1, 0.01])
+def test_log2_neo_is_np_arange_bit_for_bit(fiducial_tables, step):
+    series, _ = build_figure((450.0, 1700.0), step, fiducial_tables)
+    want = _bits(np.arange(450.0, 1700.0 + 0.5 * step, step).tolist())
+    for s in series:
+        assert _bits(s.points.log2_neo) == want
+
+
+@pytest.mark.parametrize(
+    "lo, hi, step",
+    [
+        (-5.0, -5.0 + 0.37 * (MAX_FIGURE_POINTS - 1), 0.37),  # the off-grid row at the point cap
+        (-0.0, 3.0, 0.1),  # np.arange keeps the sign of a zero start
+    ],
+)
+def test_grid_is_np_arange_bit_for_bit(lo, hi, step):
+    stop = hi + 0.5 * step
+    assert _bits(_arange(lo, stop, step)) == _bits(np.arange(lo, stop, step).tolist())
 
 
 @pytest.mark.parametrize(
@@ -206,6 +232,23 @@ def test_unusable_grids_rejected(fiducial_tables, qubit_range, step):
 
     with pytest.raises(ConfigurationError):
         build_figure(qubit_range, step, fiducial_tables)
+
+
+@pytest.mark.parametrize(
+    "qubit_range, step, quantity, got",
+    [
+        ((-1e6, 500.0), 1e5, "probed length", "inf"),  # 2.0 ** x raises OverflowError
+        ((0.0, 1e300), 1e299, "probed length", "0.0"),
+        ((0.0, 4300.0), 100.0, "energy", "inf"),  # a subnormal length
+    ],
+)
+def test_values_outside_double_range_name_series_and_quantity(fiducial_tables, qubit_range, step, quantity, got):
+    from crdbounds.errors import ConfigurationError
+
+    want = f"small lab 1 m3 for 1 s: {quantity} must be a finite number in (0, inf), got {got}"
+    with pytest.raises(ConfigurationError) as info:
+        build_figure(qubit_range, step, fiducial_tables)
+    assert str(info.value) == want
 
 
 def test_an_empty_range_is_a_configuration_error(fiducial_tables):
