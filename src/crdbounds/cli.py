@@ -3,10 +3,10 @@
 Verbs: constants | kfactors | threshold | scale | figure. Each verb runs in
 one frame, ``common_options``: the verb gets the loaded RunConfig and returns
 its numbers, (fields, text lines). The frame alone adds the metadata block
-(parameter values, quadrature tolerance, version), so every published number
-carries what produced it, and maps errors to the exit codes: 0 success,
-1 runtime or I/O failure, 2 usage or configuration error. Diagnostics go to
-stderr, data to stdout.
+(parameter values, version), so every published number carries what
+produced it, and maps errors to the exit codes: 0 success, 1 runtime or I/O
+failure, 2 usage or configuration error. Diagnostics go to stderr, data to
+stdout.
 """
 
 from __future__ import annotations
@@ -40,8 +40,10 @@ _SCENARIO_NAMES = [k.value for k in ScenarioKind]
 def common_options(fn):
     """The frame every verb runs in. It takes the shared flags, loads the
     config once and calls fn(config, **the verb's own options), which
-    returns (fields, text lines). It prints them after the metadata block,
-    as JSON or as "# key = value" lines. Every bad input value (a
+    returns (fields, text lines). It prints them after the metadata block
+    (the RunConfig's fields and the version), as JSON or as "# key = value"
+    lines. The verbs compute the k-factors at the library's default
+    tolerance, quadrature.DEFAULT_REL_TOL. Every bad input value (a
     ConfigurationError, wherever raised) is a usage error, exit 2, and a
     QuadratureError exit 1."""
     options = [
@@ -51,7 +53,6 @@ def common_options(fn):
         click.option("--lab-volume", "lab_volume_m3", type=float, default=None, help="Lab volume in m^3."),
         click.option("--lab-duration", "lab_duration_s", type=float, default=None, help="Lab run time in seconds."),
         click.option("--inputs-per-op", "inputs_per_op", type=int, default=None, help="Inputs per operation for the nearest-neighbor lab."),
-        click.option("--quad-rel-tol", "quad_rel_tol", type=float, default=None, help="Relative tolerance of the k-factor integrals."),
         click.option("--json", "as_json", is_flag=True, help="Emit JSON instead of text."),
         click.option("--config", "config_path", type=click.Path(), default=None, help="Flat key=value config file (also honored via $CRDBOUNDS_CONFIG)."),
     ]
@@ -133,7 +134,7 @@ def kfactors(config):
     panel counts of that computation, the coarser result's error bar; the
     finer result printed is far closer, since the panels converge spectrally.
     """
-    laws = universe_laws(config.cosmology(), config.quad_rel_tol)
+    laws = universe_laws(config.cosmology())
     params = laws.params
     deltas = dict(zip(("k4u", "k7u", "k8u"), laws.k_shift))
     return {
@@ -161,7 +162,7 @@ def kfactors(config):
 @common_options
 def threshold(config, scenario_name):
     """Logical-qubit thresholds at which each scenario reaches the Planck scale."""
-    laws = universe_laws(config.cosmology(), config.quad_rel_tol)
+    laws = universe_laws(config.cosmology())
     rows = [planck_threshold(s, laws) for s in _scenarios(config, laws.params, scenario_name)]
     width = max(len(r.scenario_kind.value) for r in rows)
     lines = [f"{'scenario':<{width}}  qubits  log2_nops_exact"]
@@ -222,7 +223,7 @@ def scale(config, qubits, ops, volume, duration, scenario_name):
         ]
 
     check_range("--qubits", qubits, 1, low_inclusive=True)
-    laws = universe_laws(config.cosmology(), config.quad_rel_tol)
+    laws = universe_laws(config.cosmology())
     scenarios = _scenarios(config, laws.params, scenario_name)
     report = classify_machine(qubits, scenarios, laws)
     width = max(len(a.scenario_kind.value) for a in report)
@@ -262,7 +263,7 @@ def figure(config, lo, hi, step, fmt, out_path):
 
     check_grid(lo, hi, step)
     if lo < hi:
-        laws = universe_laws(config.cosmology(), config.quad_rel_tol)
+        laws = universe_laws(config.cosmology())
         fig_config = FigureConfig(
             lab_volume_m3=config.lab_volume_m3, lab_duration_s=config.lab_duration_s
         )

@@ -9,17 +9,9 @@ from typing import Mapping, Optional, Union
 
 from .cosmology import CosmologyParams
 from .errors import ConfigurationError, check_integer, check_range
-from .quadrature import DEFAULT_REL_TOL
 from .quantities import JULIAN_YEAR_S
 
 ENV_CONFIG_PATH = "CRDBOUNDS_CONFIG"
-
-# Tightest accepted quad_rel_tol. Once converged, the k-integrals' shift
-# between two panel counts is rounding noise that more panels do not reduce:
-# up to 1.6e-15 over 8 to 512 panels for Omega_M from 1e-250 to 1 (23 values
-# measured). A target at that noise could keep doubling to the panel limit,
-# so the floor sits about 3 times above it.
-MIN_QUAD_REL_TOL = 5e-15
 
 
 @dataclass(frozen=True)
@@ -33,7 +25,6 @@ class RunConfig:
     lab_volume_m3: float = 1000.0
     lab_duration_s: float = JULIAN_YEAR_S
     inputs_per_op: int = 8
-    quad_rel_tol: float = DEFAULT_REL_TOL
 
     def cosmology(self) -> CosmologyParams:
         return CosmologyParams.create(self.h0_km_s_mpc, self.omega_m, self.omega_lambda)
@@ -49,7 +40,6 @@ class RunConfig:
         check_range("lab_volume_m3", self.lab_volume_m3)
         check_range("lab_duration_s", self.lab_duration_s)
         check_integer("inputs_per_op", self.inputs_per_op, 1)
-        check_range("quad_rel_tol", self.quad_rel_tol, MIN_QUAD_REL_TOL, 1e-2, low_inclusive=True)
 
     def as_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}

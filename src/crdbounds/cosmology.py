@@ -392,7 +392,7 @@ def _light_cone(params: CosmologyParams, edges):
     H0 eta: a, eta, C_2 and C_3, each of shape (panels, 16).
 
     eta at the nodes comes from the spectral integration matrix S
-    (``GL_INTEGRATION``) on each panel, and eta(hi) - eta from W - S, so it
+    (``gl_arrays()``) on each panel, and eta(hi) - eta from W - S, so it
     takes no difference of nearby values. C_2 and C_3 are each panel's own
     part, sum_l S[j][l] weight_l (eta_j - eta_l)^k, plus the moments of the
     panels before it, shifted (``_carry``).

@@ -10,12 +10,12 @@ array and returns an array of the same shape. Panel endpoints are never
 evaluated, which makes integrable endpoint singularities (after a suitable
 substitution) safe.
 
-``GL_NODES`` and ``GL_WEIGHTS`` are the 16-point Gauss-Legendre rule on
-[-1, 1]; ``GL_INTEGRATION`` is its spectral integration matrix, S[j][l] the
-integral of the l-th Lagrange basis polynomial of the nodes from -1 to node j
+``gl_arrays()`` returns the nodes and weights of the 16-point Gauss-Legendre
+rule on [-1, 1] and its spectral integration matrix S, S[j][l] the integral
+of the l-th Lagrange basis polynomial of the nodes from -1 to node j
 (Greengard, SIAM J. Numer. Anal. 28 (1991) 1071), so ``S @ f`` is the running
 integral of f at the nodes, exact for polynomials of degree 15 or less. They
-are numpy arrays, made on first use from the Python floats ``GL_NODE_LIST``,
+are numpy arrays, made on first call from the Python floats ``GL_NODE_LIST``,
 ``GL_WEIGHT_LIST`` and ``GL_INTEGRATION_ROWS``, which the k-factors read:
 numpy is imported only inside the functions that build arrays, so
 importing this module does not import it.
@@ -49,24 +49,17 @@ _GL_ORDER = 16
 _BARYCENTRIC = [
     (-1.0) ** j * math.sqrt((1.0 - x * x) * w) for j, (x, w) in enumerate(zip(GL_NODE_LIST, GL_WEIGHT_LIST))
 ]
-_GL_ARRAY_NAMES = ("GL_NODES", "GL_WEIGHTS", "GL_INTEGRATION")
 
 
 @functools.cache
 def gl_arrays():
-    """(GL_NODES, GL_WEIGHTS, GL_INTEGRATION) as read-only numpy arrays, made once."""
+    """(nodes, weights, integration matrix) as read-only numpy arrays, made once."""
     import numpy as np
 
     arrays = tuple(np.array(v) for v in (GL_NODE_LIST, GL_WEIGHT_LIST, GL_INTEGRATION_ROWS))
     for array in arrays:
         array.setflags(write=False)
     return arrays
-
-
-def __getattr__(name):
-    if name not in _GL_ARRAY_NAMES:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return gl_arrays()[_GL_ARRAY_NAMES.index(name)]
 
 
 # The bisection error estimate |I_halves - I_whole| tracks the error of the
@@ -175,8 +168,8 @@ class CumulativeTable:
     """One function's values at the 16 Gauss-Legendre nodes of each panel.
 
     Panel p is [edges[p], edges[p + 1]]; row p of ``values`` holds its node
-    values, in the order of ``GL_NODES``. Edges are strictly increasing, and
-    every edge and value must be finite (a ConfigurationError otherwise).
+    values, in the order of ``GL_NODE_LIST``. Edges are strictly increasing,
+    and every edge and value must be finite (a ConfigurationError otherwise).
     The Python lists that ``interpolate`` reads are made once, here.
     """
 
@@ -206,7 +199,7 @@ class CumulativeTable:
 
 def panel_nodes(edges: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Each panel's half width, shape (panels, 1), and its 16 Gauss nodes,
-    shape (panels, 16), in the order of ``GL_NODES``, for the panels
+    shape (panels, 16), in the order of ``GL_NODE_LIST``, for the panels
     between the given edges."""
     import numpy as np
 
@@ -218,9 +211,9 @@ def build_cumulative(f: Integrand, grid: Sequence[float]) -> CumulativeTable:
     """The running integral of f from grid[0], at the Gauss nodes of each
     panel of grid.
 
-    f is called once, on every node. Within a panel the integral is
-    ``GL_INTEGRATION``'s, exact for polynomials of degree 15 or less; the
-    panels before it add their 16-point Gauss-Legendre sums.
+    f is called once, on every node. Within a panel the integral is the
+    integration matrix's (``gl_arrays()``), exact for polynomials of degree
+    15 or less; the panels before it add their 16-point Gauss-Legendre sums.
     """
     import numpy as np
 

@@ -277,80 +277,117 @@ def _src_env():
     return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
-@pytest.mark.parametrize(
-    "args",
-    [
-        ["constants"],
-        ["threshold", "--json"],
-        ["kfactors", "--json"],
-        ["scale", "--qubits", "2048", "--json"],
-        ["scale", "--ops", "3.352e15", "--volume", "7.44e-7", "--duration", "1", "--json"],
-    ],
-    ids=" ".join,
-)
-def test_verb_runs_without_numpy(args):
-    code = (
-        "import sys\n"
-        "from crdbounds.cli import main\n"
-        f"main({args!r}, standalone_mode=False)\n"
-        "assert 'numpy' not in sys.modules, 'numpy imported'\n"
+# Every verb in sequence, in one cold interpreter for each numpy mode: first
+# the verbs that must never load crdbounds.figure, then the two figure calls.
+# A module one call loads stays loaded, so the first failing call is the one
+# that loaded it.
+_COLD_INVOCATIONS = [
+    ["constants"],
+    ["threshold", "--json"],
+    ["kfactors", "--json"],
+    ["scale", "--qubits", "2048", "--json"],
+    ["scale", "--ops", "3.352e15", "--volume", "7.44e-7", "--duration", "1", "--json"],
+    ["figure", "--out", "{out}.csv", "--json"],
+    ["figure", "--format", "json", "--out", "{out}.json"],
+]
+
+# Prints one JSON report: the modules loaded by `import crdbounds.cli`, then
+# each invocation's stdout, traceback (None on success) and loaded modules.
+_COLD_SCRIPT = """
+import contextlib, io, json, sys, traceback
+invocations = json.loads(sys.argv[1])
+if sys.argv[2] == "blocked":
+    sys.modules["numpy"] = None  # any import of numpy now fails
+def loaded():
+    return [m for m in ("numpy", "scipy", "crdbounds.figure") if sys.modules.get(m) is not None]
+from crdbounds.cli import main
+report = {"import": loaded(), "runs": []}
+for args in invocations:
+    out, error = io.StringIO(), None
+    try:
+        with contextlib.redirect_stdout(out):
+            main(args, standalone_mode=False)
+    except Exception:
+        error = traceback.format_exc()
+    report["runs"].append({"stdout": out.getvalue(), "error": error, "loaded": loaded()})
+print(json.dumps(report))
+"""
+
+
+def _cold_run(tmp_path_factory, numpy_mode):
+    out = tmp_path_factory.mktemp(numpy_mode) / "figure"
+    invocations = [[a.format(out=out) for a in args] for args in _COLD_INVOCATIONS]
+    result = subprocess.run(
+        [sys.executable, "-c", _COLD_SCRIPT, json.dumps(invocations), numpy_mode],
+        env=_src_env(), capture_output=True, text=True, timeout=120,
     )
-    result = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
-    assert result.stdout
+    return json.loads(result.stdout), out
 
 
-def test_figure_still_writes_its_file(tmp_path):
-    out = tmp_path / "figure.csv"
-    code = f"from crdbounds.cli import main\nmain(['figure', '--out', {str(out)!r}], standalone_mode=False)\n"
-    result = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True, text=True, timeout=60)
-    assert result.returncode == 0, result.stderr
-    assert out.read_text().startswith("series,label,log2_neo,length_m,energy_ev\n")
+@pytest.fixture(scope="module")
+def numpy_importable_run(tmp_path_factory):
+    return _cold_run(tmp_path_factory, "importable")
 
 
-@pytest.mark.parametrize(
-    "args",
-    [
-        ["figure", "--out", "{out}.csv", "--json"],
-        ["figure", "--format", "json", "--out", "{out}.json"],
-        ["constants"],
-        ["threshold", "--json"],
-        ["kfactors", "--json"],
-        ["scale", "--qubits", "2048", "--json"],
-        ["scale", "--ops", "3.352e15", "--volume", "7.44e-7", "--duration", "1", "--json"],
-    ],
-    ids=" ".join,
-)
-def test_every_verb_runs_with_numpy_blocked(tmp_path, args):
-    args = [a.format(out=tmp_path / "figure") for a in args]
+@pytest.fixture(scope="module")
+def numpy_blocked_run(tmp_path_factory):
+    return _cold_run(tmp_path_factory, "blocked")
+
+
+def _cold_result(run, args):
+    """One invocation's record; it must have succeeded and printed."""
+    record = run[0]["runs"][_COLD_INVOCATIONS.index(args)]
+    assert record["error"] is None, record["error"]
+    assert record["stdout"]
+    return record
+
+
+def _assert_figure_files(out):
+    assert out.with_suffix(".csv").read_text().startswith("series,label,log2_neo,length_m,energy_ev\n")
+    assert read_series_json(out.with_suffix(".json"))[0]
+
+
+@pytest.mark.parametrize("args", _COLD_INVOCATIONS[:5], ids=" ".join)
+def test_verb_runs_without_numpy(numpy_importable_run, args):
+    # numpy is importable, and no verb imports it; nor crdbounds.figure
+    assert _cold_result(numpy_importable_run, args)["loaded"] == []
+
+
+def test_figure_still_writes_its_file(numpy_importable_run):
+    for args in _COLD_INVOCATIONS[5:]:
+        assert _cold_result(numpy_importable_run, args)["loaded"] == ["crdbounds.figure"]
+    _assert_figure_files(numpy_importable_run[1])
+
+
+@pytest.mark.parametrize("args", _COLD_INVOCATIONS, ids=" ".join)
+def test_every_verb_runs_with_numpy_blocked(numpy_blocked_run, args):
     loads_figure = args[0] == "figure"
-    code = (
-        "import sys\n"
-        "sys.modules['numpy'] = None  # any import of numpy now fails\n"
-        "from crdbounds.cli import main\n"
-        f"main({args!r}, standalone_mode=False)\n"
-        f"assert ('crdbounds.figure' in sys.modules) == {loads_figure!r}, 'figure module loaded'\n"
-    )
-    result = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True, text=True, timeout=60)
-    assert result.returncode == 0, result.stderr
-    assert result.stdout
+    assert _cold_result(numpy_blocked_run, args)["loaded"] == (["crdbounds.figure"] if loads_figure else [])
     if loads_figure:
-        assert len(list(tmp_path.iterdir())) == 1
+        _assert_figure_files(numpy_blocked_run[1])
 
 
-def test_cli_import_does_not_load_scipy():
-    code = "import sys, crdbounds.cli; assert 'scipy' not in sys.modules, 'scipy imported'"
-    result = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True, text=True, timeout=60)
-    assert result.returncode == 0, result.stderr
+def test_cli_import_does_not_load_scipy(numpy_importable_run):
+    # nor numpy, nor the figure module, which only the figure verb imports
+    assert numpy_importable_run[0]["import"] == []
 
 
-def test_quad_rel_tol_below_the_floor_is_a_usage_error(runner):
-    result = runner.invoke(main, ["threshold", "--quad-rel-tol", "1e-16"])
-    assert result.exit_code == 2, result.output
-    assert isinstance(result.exception, SystemExit)
-    assert "Traceback" not in result.output
-    errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
-    assert errors == ["Error: quad_rel_tol must be a finite number in [5e-15, 0.01], got 1e-16"]
+def test_quad_rel_tol_is_no_run_setting(runner, tmp_path):
+    # the k-factors are computed at the library default: neither a flag nor
+    # a config key sets their tolerance
+    path = tmp_path / "run.cfg"
+    path.write_text("quad_rel_tol = 1e-9\n", encoding="utf-8")
+    for args, names in (
+        (["--quad-rel-tol", "1e-9"], ("No such option", "--quad-rel-tol")),
+        (["--config", str(path)], ("unknown configuration key 'quad_rel_tol'",)),
+    ):
+        result = runner.invoke(main, ["threshold", *args])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        (error,) = [line for line in result.output.splitlines() if line.startswith("Error:")]
+        assert all(name in error for name in names), error
 
 
 NEAR_LAMBDA_ONE = ["--omega-lambda", "0.9999999999999999"]

@@ -17,7 +17,6 @@ def test_defaults():
     assert config.lab_volume_m3 == 1000.0
     assert config.lab_duration_s == JULIAN_YEAR_S
     assert config.inputs_per_op == 8
-    assert config.quad_rel_tol == 1e-9
 
 
 def test_parse_file(tmp_path):
@@ -141,7 +140,6 @@ def test_flatness_tolerance_is_loose_enough():
         ("lab_volume_m3", -1.0),
         ("lab_duration_s", 0.0),
         ("inputs_per_op", 0),
-        ("quad_rel_tol", 1.0),
         ("inputs_per_op", 2.5),
     ],
 )
@@ -155,9 +153,7 @@ def test_unknown_override_rejected():
         load_config(overrides={"hubble": 70.0})
 
 
-@pytest.mark.parametrize(
-    "field", ["h0_km_s_mpc", "omega_m", "lab_volume_m3", "lab_duration_s", "quad_rel_tol"]
-)
+@pytest.mark.parametrize("field", ["h0_km_s_mpc", "omega_m", "lab_volume_m3", "lab_duration_s"])
 @pytest.mark.parametrize("value", [float("inf"), float("nan")])
 def test_nonfinite_rejected(field, value):
     with pytest.raises(ConfigurationError, match=field):
@@ -170,12 +166,3 @@ def test_build_tables_takes_the_same_grid_points_rule(eds_params, grid_points):
     # cap, and a float is refused; a build at the cap itself takes seconds
     with pytest.raises(ConfigurationError, match="grid_points"):
         build_tables(eds_params, grid_points=grid_points)
-
-
-def test_quad_rel_tol_floor():
-    from crdbounds.config import MIN_QUAD_REL_TOL
-
-    assert load_config(overrides={"quad_rel_tol": MIN_QUAD_REL_TOL}).quad_rel_tol == MIN_QUAD_REL_TOL
-    for value in (4.9e-15, 1e-16):
-        with pytest.raises(ConfigurationError, match="quad_rel_tol"):
-            load_config(overrides={"quad_rel_tol": value})

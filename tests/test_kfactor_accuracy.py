@@ -2,20 +2,18 @@
 
 They are checked against the matter-only closed form and the independent
 fiducial reference at every grid size, and must not depend on the grid: the
-lookup tables' node count moves no k-factor.
+lookup tables' node count moves no k-factor. Nor does the integrals'
+tolerance move a printed digit, which is why the CLI computes them at the
+library default.
 """
-
-import json
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 import oracles
-from crdbounds.cli import main
 from crdbounds import cosmology as cz
-from crdbounds.cosmology import CosmologyParams, build_tables
-from crdbounds.quadrature import GL_INTEGRATION, GL_NODES, QuadratureError
+from crdbounds.cosmology import CosmologyParams, build_tables, universe_laws
+from crdbounds.quadrature import QuadratureError, gl_arrays
 from crdbounds.quantities import SPEED_OF_LIGHT
 
 TARGET = 1e-9
@@ -25,6 +23,10 @@ FIDUCIAL = (oracles.K4U_FIDUCIAL, oracles.K7U_FIDUCIAL, oracles.K8U_FIDUCIAL)
 def _errors(tables, expected):
     got = (tables.k4u, tables.k7u, tables.k8u)
     return [abs(g - e) / e for g, e in zip(got, expected)]
+
+
+def _flat(omega_m):
+    return CosmologyParams.create(70.0, omega_m, min(1.0 - omega_m, 0.9999999999999999))
 
 
 @pytest.fixture(scope="module")
@@ -47,11 +49,8 @@ def test_half_the_default_grid_meets_the_target(coarse_tables, name):
 
 @pytest.mark.parametrize("omega_m", ["0.3", "1.0", "0.15", "0.1"])
 def test_kfactors_at_the_tolerance_floor(omega_m):
-    # the k-integrals converge at 2e-13, as at every tolerance down to the floor
-    omega_lambda = repr(1.0 - float(omega_m))
-    args = ["kfactors", "--quad-rel-tol", "2e-13", "--omega-m", omega_m, "--omega-lambda", omega_lambda, "--json"]
-    result = CliRunner(env={"CRDBOUNDS_CONFIG": None}).invoke(main, args)
-    assert result.exit_code == 0, result.output
+    # the k-integrals converge at 2e-13, as at every tolerance down to 5e-15
+    assert max(universe_laws(_flat(float(omega_m)), 2e-13).k_shift) <= 2e-13
 
 
 def test_k_integrals_failure_carries_k7u_and_k8u(monkeypatch, eds_tables):
@@ -97,11 +96,21 @@ def test_k4u_meets_the_closed_form_and_the_reference(eds_tables, fiducial_tables
 
 @pytest.mark.parametrize("omega_m", ["0.3", "1.0", "0.06", "1e-7", "1e-30", "1e-200"])
 def test_kfactors_at_the_new_tolerance_floor(omega_m):
-    omega_lambda = repr(min(1.0 - float(omega_m), 0.9999999999999999))
-    args = ["kfactors", "--quad-rel-tol", "5e-15", "--omega-m", omega_m, "--omega-lambda", omega_lambda, "--json"]
-    result = CliRunner(env={"CRDBOUNDS_CONFIG": None}).invoke(main, args)
-    assert result.exit_code == 0, result.output
-    assert max(json.loads(result.stdout)["achieved_rel_delta"].values()) <= 5e-15
+    # 5e-15 sits about 3 times above the converged panels' rounding noise
+    assert max(universe_laws(_flat(float(omega_m)), 5e-15).k_shift) <= 5e-15
+
+
+@pytest.mark.parametrize("omega_m", [1.0, 0.3, 1e-3, 1e-9, 1e-12, 1e-60])
+def test_kfactors_do_not_depend_on_the_tolerance(omega_m):
+    # the panels converge spectrally: from 1e-2 to 5e-15 the k-factors keep
+    # their bits down to Omega_M 1e-3, and below it move far less than the
+    # 0.0039 bits of log2 N_ops between the nearest count and its rounding edge
+    params = _flat(omega_m)
+    laws = universe_laws(params)
+    default = (laws.k4u, laws.k7u, laws.k8u)
+    for rel_tol, bound in ((1e-2, 1e-10), (1e-6, 1e-10), (5e-15, 1e-14)):
+        errors = _errors(universe_laws(params, rel_tol), default)
+        assert max(errors) <= (0.0 if omega_m >= 1e-3 else bound), rel_tol
 
 
 def test_tables_at_the_tolerance_floor_meet_the_reference(fiducial_params):
@@ -111,9 +120,9 @@ def test_tables_at_the_tolerance_floor_meet_the_reference(fiducial_params):
 
 @pytest.mark.parametrize("k", range(16))
 def test_integration_matrix_is_exact_to_degree_15(k):
-    x = GL_NODES
+    x, _, integration = gl_arrays()
     exact = (x ** (k + 1) - (-1.0) ** (k + 1)) / (k + 1)
-    assert np.abs(GL_INTEGRATION @ x**k - exact).max() <= 1e-14
+    assert np.abs(integration @ x**k - exact).max() <= 1e-14
 
 
 @pytest.mark.parametrize("h0", [SPEED_OF_LIGHT / 1e38, 1e38], ids=["smallest", "largest"])

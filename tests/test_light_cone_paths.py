@@ -17,12 +17,9 @@ from numpy.polynomial.legendre import leggauss, legint, legval, legvander
 from crdbounds import cosmology as cz
 from crdbounds.cosmology import CosmologyParams
 from crdbounds.quadrature import (
-    GL_INTEGRATION,
     GL_INTEGRATION_ROWS,
     GL_NODE_LIST,
-    GL_NODES,
     GL_WEIGHT_LIST,
-    GL_WEIGHTS,
     gl_arrays,
     panel_nodes,
 )
@@ -53,11 +50,11 @@ def test_integration_literals_match_legint():
 
 
 def test_the_arrays_hold_the_literals():
-    assert all(a is b for a, b in zip(gl_arrays(), (GL_NODES, GL_WEIGHTS, GL_INTEGRATION)))
-    assert GL_NODES.tolist() == list(GL_NODE_LIST)
-    assert GL_WEIGHTS.tolist() == list(GL_WEIGHT_LIST)
-    assert GL_INTEGRATION.tolist() == [list(row) for row in GL_INTEGRATION_ROWS]
-    assert not GL_INTEGRATION.flags.writeable
+    nodes, weights, integration = gl_arrays()
+    assert nodes.tolist() == list(GL_NODE_LIST)
+    assert weights.tolist() == list(GL_WEIGHT_LIST)
+    assert integration.tolist() == [list(row) for row in GL_INTEGRATION_ROWS]
+    assert not any(array.flags.writeable for array in (nodes, weights, integration))
 
 
 def _equal_panels(params, panels):
