@@ -11,26 +11,19 @@ reaches the Planck length.
 __version__ = "0.1.0"
 
 from .quantities import LogQuantity, PhysicalConstants, planck_units
-from .quadrature import CumulativeTable, QuadratureError, build_cumulative, integrate, interpolate
-from .cosmology import CosmologyParams, LightconeTables, UniverseLaws, build_tables, universe_laws
+from .laws import CosmologyParams, UniverseLaws, universe_laws
 from .bounds import Scenario, ScenarioKind
 from .thresholds import ThresholdResult, classify_machine, planck_threshold
-from .errors import ConfigurationError
+from .errors import ConfigurationError, QuadratureError
 
 __all__ = [
     "LogQuantity",
     "PhysicalConstants",
     "planck_units",
-    "CumulativeTable",
     "QuadratureError",
-    "integrate",
-    "build_cumulative",
-    "interpolate",
     "CosmologyParams",
     "UniverseLaws",
     "universe_laws",
-    "LightconeTables",
-    "build_tables",
     "Scenario",
     "ScenarioKind",
     "ThresholdResult",

@@ -14,8 +14,8 @@ so each kind is one row (p, n_V, n_T, weight) of _ROWS: lab kinds have
 K = weight * V3^n_V * (c T)^n_T, universe kinds (n_V = 0) K = k_p (c/H0)^p.
 log2 K is computed once, where its inputs live: a lab kind's when its
 Scenario is built, a universe kind's in its cosmology's UniverseLaws
-(``cosmology.universe_laws``; LightconeTables carry them too). The broadcast
-clock is pinned at the causal limit tau = l/c.
+(``laws.universe_laws``; ``cosmology.LightconeTables`` carry them too).
+The broadcast clock is pinned at the causal limit tau = l/c.
 Lengths and operation counts may be floats or numpy arrays; floats take
 math, so numpy is imported only for arrays.
 """
@@ -27,8 +27,8 @@ import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
-from .cosmology import CosmologyParams, UniverseLaws
 from .errors import ConfigurationError, check_integer, check_range
+from .laws import CosmologyParams, UniverseLaws
 from .quantities import (
     EV_IN_JOULES,
     LOG2_SPEED_OF_LIGHT,
@@ -176,7 +176,7 @@ def power_law(scenario: Scenario, laws: Optional[UniverseLaws] = None) -> PowerL
     if laws is None:
         raise ConfigurationError(
             f"{scenario.kind.name} requires light-cone tables or its cosmology's laws; "
-            "compute the laws with cosmology.universe_laws(scenario.params)"
+            "compute the laws with laws.universe_laws(scenario.params)"
         )
     if laws.params is not scenario.params and laws.params != scenario.params:
         raise ConfigurationError(

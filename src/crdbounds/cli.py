@@ -28,9 +28,8 @@ from .bounds import (
     planck_crd,
 )
 from .config import RunConfig, load_config
-from .cosmology import CosmologyParams, universe_laws
-from .errors import ConfigurationError, check_range
-from .quadrature import QuadratureError
+from .errors import ConfigurationError, QuadratureError, check_range
+from .laws import CosmologyParams, universe_laws
 from .quantities import PLANCK_UNITS, LogQuantity, s_to_gyr
 from .thresholds import classify_machine, planck_threshold
 
@@ -43,7 +42,7 @@ def common_options(fn):
     returns (fields, text lines). It prints them after the metadata block
     (the RunConfig's fields and the version), as JSON or as "# key = value"
     lines. The verbs compute the k-factors at the library's default
-    tolerance, quadrature.DEFAULT_REL_TOL. Every bad input value (a
+    tolerance, laws.DEFAULT_REL_TOL. Every bad input value (a
     ConfigurationError, wherever raised) is a usage error, exit 2, and a
     QuadratureError exit 1."""
     options = [
@@ -129,7 +128,7 @@ def constants(config):
 def kfactors(config):
     """Dimensionless cosmological prefactors k4u, k7u, k8u.
 
-    All three come from the cosmology alone (cosmology.universe_laws).
+    All three come from the cosmology alone (laws.universe_laws).
     achieved_rel_delta is each one's relative shift between the last two
     panel counts of that computation, the coarser result's error bar; the
     finer result printed is far closer, since the panels converge spectrally.

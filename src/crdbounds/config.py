@@ -7,8 +7,8 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Mapping, Optional, Union
 
-from .cosmology import CosmologyParams
 from .errors import ConfigurationError, check_integer, check_range
+from .laws import CosmologyParams
 from .quantities import JULIAN_YEAR_S
 
 ENV_CONFIG_PATH = "CRDBOUNDS_CONFIG"

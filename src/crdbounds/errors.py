@@ -3,11 +3,26 @@
 import math
 import operator
 import sys
+from typing import List, Union
 
 
 class ConfigurationError(ValueError):
     """A run configuration or scenario wiring problem (bad parameter values,
     missing universe laws, parameter mismatch between scenario and laws)."""
+
+
+class QuadratureError(RuntimeError):
+    """Adaptive refinement ran out of panels before reaching tolerance.
+
+    Carries the partial estimate (a float from ``quadrature.integrate``, or
+    ``laws.k_integrals``' [k4u, k7u, k8u]) and the relative tolerance
+    actually achieved.
+    """
+
+    def __init__(self, message: str, estimate: Union[float, List[float]], achieved_rel_tol: float):
+        super().__init__(message)
+        self.estimate = estimate
+        self.achieved_rel_tol = achieved_rel_tol
 
 
 def check_range(name, value, low=0.0, high=math.inf, *, low_inclusive=False):

@@ -35,8 +35,8 @@ from pathlib import Path
 from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .bounds import Scenario, ScenarioKind, power_law
-from .cosmology import UniverseLaws
 from .errors import ConfigurationError, check_range
+from .laws import UniverseLaws
 from .quantities import EV_IN_JOULES, JULIAN_YEAR_S, PLANCK_UNITS, PhysicalConstants
 
 STYLE_HINTS = ("dotted", "solid_lower", "solid_upper", "dashed", "dashdot")

@@ -10,15 +10,15 @@ array and returns an array of the same shape. Panel endpoints are never
 evaluated, which makes integrable endpoint singularities (after a suitable
 substitution) safe.
 
-``gl_arrays()`` returns the nodes and weights of the 16-point Gauss-Legendre
-rule on [-1, 1] and its spectral integration matrix S, S[j][l] the integral
-of the l-th Lagrange basis polynomial of the nodes from -1 to node j
-(Greengard, SIAM J. Numer. Anal. 28 (1991) 1071), so ``S @ f`` is the running
-integral of f at the nodes, exact for polynomials of degree 15 or less. They
-are numpy arrays, made on first call from the Python floats ``GL_NODE_LIST``,
-``GL_WEIGHT_LIST`` and ``GL_INTEGRATION_ROWS``, which the k-factors read:
-numpy is imported only inside the functions that build arrays, so
-importing this module does not import it.
+``GL_NODES`` and ``GL_WEIGHTS`` are the nodes and weights of the 16-point
+Gauss-Legendre rule on [-1, 1], and ``GL_INTEGRATION`` its spectral
+integration matrix S, S[j][l] the integral of the l-th Lagrange basis
+polynomial of the nodes from -1 to node j (Greengard, SIAM J. Numer. Anal.
+28 (1991) 1071), so ``S @ f`` is the running integral of f at the nodes,
+exact for polynomials of degree 15 or less. ``GL_REMAINDER`` is W - S, the
+integral from each node to 1. They are read-only numpy arrays of the Python
+floats in ``_gauss16``, which the k-factors (``laws``) read without numpy;
+no CLI verb imports this module.
 
 A ``CumulativeTable`` holds a function's values at the 16 nodes of each
 panel between its edges; ``build_cumulative`` fills one with a running
@@ -32,18 +32,17 @@ light-cone tables.
 
 from __future__ import annotations
 
-import functools
 import heapq
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, List, Sequence, Tuple, Union
+from typing import Callable, Sequence, Tuple
 
-from ._gauss16 import GL_INTEGRATION_ROWS, GL_NODE_LIST, GL_WEIGHT_LIST
-from .errors import check_range
+import numpy as np
 
-if TYPE_CHECKING:
-    import numpy as np
+from ._gauss16 import GL_INTEGRATION_ROWS, GL_NODE_LIST, GL_REMAINDER_ROWS, GL_WEIGHT_LIST
+from .errors import QuadratureError, check_range
+from .laws import DEFAULT_MAX_PANELS, DEFAULT_REL_TOL
 
 _GL_ORDER = 16
 _BARYCENTRIC = [
@@ -51,16 +50,15 @@ _BARYCENTRIC = [
 ]
 
 
-@functools.cache
-def gl_arrays():
-    """(nodes, weights, integration matrix) as read-only numpy arrays, made once."""
-    import numpy as np
+def _read_only(values) -> np.ndarray:
+    array = np.array(values)
+    array.setflags(write=False)
+    return array
 
-    arrays = tuple(np.array(v) for v in (GL_NODE_LIST, GL_WEIGHT_LIST, GL_INTEGRATION_ROWS))
-    for array in arrays:
-        array.setflags(write=False)
-    return arrays
 
+GL_NODES, GL_WEIGHTS, GL_INTEGRATION, GL_REMAINDER = map(
+    _read_only, (GL_NODE_LIST, GL_WEIGHT_LIST, GL_INTEGRATION_ROWS, GL_REMAINDER_ROWS)
+)
 
 # The bisection error estimate |I_halves - I_whole| tracks the error of the
 # *coarse* value; the refined value kept is far better. A singular panel is the
@@ -69,38 +67,18 @@ def gl_arrays():
 _SAFETY = 0.1
 _ABS_FLOOR = 1e-300
 
-DEFAULT_REL_TOL = 1e-9
-DEFAULT_MAX_PANELS = 4096
-
-Integrand = Callable[["np.ndarray"], "np.ndarray"]
-
-
-class QuadratureError(RuntimeError):
-    """Adaptive refinement ran out of panels before reaching tolerance.
-
-    Carries the partial estimate (a float from ``integrate``, or
-    ``k_integrals``' [k4u, k7u, k8u]) and the relative tolerance actually
-    achieved.
-    """
-
-    def __init__(self, message: str, estimate: Union[float, List[float]], achieved_rel_tol: float):
-        super().__init__(message)
-        self.estimate = estimate
-        self.achieved_rel_tol = achieved_rel_tol
+Integrand = Callable[[np.ndarray], np.ndarray]
 
 
 def _panel_sums(f: Integrand, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Gauss-Legendre estimates for P intervals, shape (P,), from one f call."""
-    import numpy as np
-
-    gl_nodes, weights, _ = gl_arrays()
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
-    nodes = mid[:, None] + half[:, None] * gl_nodes[None, :]
+    nodes = mid[:, None] + half[:, None] * GL_NODES[None, :]
     values = np.asarray(f(nodes.ravel()), dtype=float)
     if not np.isfinite(values).all():
         raise ValueError("integrand returned a non-finite value inside the interval")
-    return half * (values.reshape(-1, _GL_ORDER) @ weights)
+    return half * (values.reshape(-1, _GL_ORDER) @ GL_WEIGHTS)
 
 
 def integrate(
@@ -123,8 +101,6 @@ def integrate(
         raise ValueError(f"integration bounds out of order: a={a!r} > b={b!r}")
     if a == b:
         return 0.0
-    import numpy as np
-
     mid = 0.5 * (a + b)
     whole, left, right = _panel_sums(f, np.array([a, a, mid]), np.array([b, mid, b])).tolist()
     total = left + right
@@ -178,8 +154,6 @@ class CumulativeTable:
     _lists: Tuple[list, list] = field(init=False, repr=False)
 
     def __post_init__(self):
-        import numpy as np
-
         edges = np.asarray(self.edges, dtype=float)
         values = np.asarray(self.values, dtype=float)
         if edges.ndim != 1 or edges.size < 2:
@@ -201,10 +175,8 @@ def panel_nodes(edges: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Each panel's half width, shape (panels, 1), and its 16 Gauss nodes,
     shape (panels, 16), in the order of ``GL_NODE_LIST``, for the panels
     between the given edges."""
-    import numpy as np
-
     half = 0.5 * np.diff(edges)[:, None]
-    return half, 0.5 * (edges[:-1] + edges[1:])[:, None] + half * gl_arrays()[0]
+    return half, 0.5 * (edges[:-1] + edges[1:])[:, None] + half * GL_NODES
 
 
 def build_cumulative(f: Integrand, grid: Sequence[float]) -> CumulativeTable:
@@ -212,21 +184,19 @@ def build_cumulative(f: Integrand, grid: Sequence[float]) -> CumulativeTable:
     panel of grid.
 
     f is called once, on every node. Within a panel the integral is the
-    integration matrix's (``gl_arrays()``), exact for polynomials of degree
-    15 or less; the panels before it add their 16-point Gauss-Legendre sums.
+    integration matrix's (``GL_INTEGRATION``), exact for polynomials of
+    degree 15 or less; the panels before it add their 16-point
+    Gauss-Legendre sums.
     """
-    import numpy as np
-
     edges = np.asarray(grid, dtype=float)
     if edges.ndim != 1 or edges.size < 2 or not np.all(np.diff(edges) > 0.0):
         raise ValueError("grid must be strictly increasing with at least 2 points")
     check_range("grid", edges, -math.inf)
     half, nodes = panel_nodes(edges)
     scaled = half * np.asarray(f(nodes.ravel()), dtype=float).reshape(nodes.shape)
-    _, weights, integration = gl_arrays()
-    sums = scaled @ weights
+    sums = scaled @ GL_WEIGHTS
     before = np.append(0.0, np.cumsum(sums[:-1]))  # the panels before each
-    return CumulativeTable(edges, before[:, None] + scaled @ integration.T)
+    return CumulativeTable(edges, before[:, None] + scaled @ GL_INTEGRATION.T)
 
 
 def interpolate(table: CumulativeTable, x: float) -> float:

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from typing import List, NamedTuple, Optional, Sequence
 
 from .bounds import Scenario, ScenarioKind, neo_from_qubits, power_law
-from .cosmology import UniverseLaws
 from .errors import check_range
+from .laws import UniverseLaws
 from .quantities import EV_IN_JOULES, PLANCK_UNITS, PhysicalConstants
 
 

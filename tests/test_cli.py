@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from crdbounds import cosmology
+from crdbounds import laws
 from crdbounds.cli import main
 from crdbounds.figure import read_series_json
 
@@ -299,7 +299,8 @@ invocations = json.loads(sys.argv[1])
 if sys.argv[2] == "blocked":
     sys.modules["numpy"] = None  # any import of numpy now fails
 def loaded():
-    return [m for m in ("numpy", "scipy", "crdbounds.figure") if sys.modules.get(m) is not None]
+    modules = ("numpy", "scipy", "crdbounds.cosmology", "crdbounds.quadrature", "crdbounds.figure")
+    return [m for m in modules if sys.modules.get(m) is not None]
 from crdbounds.cli import main
 report = {"import": loaded(), "runs": []}
 for args in invocations:
@@ -350,7 +351,7 @@ def _assert_figure_files(out):
 
 @pytest.mark.parametrize("args", _COLD_INVOCATIONS[:5], ids=" ".join)
 def test_verb_runs_without_numpy(numpy_importable_run, args):
-    # numpy is importable, and no verb imports it; nor crdbounds.figure
+    # numpy is importable, and no verb imports it; nor the table modules or crdbounds.figure
     assert _cold_result(numpy_importable_run, args)["loaded"] == []
 
 
@@ -368,8 +369,9 @@ def test_every_verb_runs_with_numpy_blocked(numpy_blocked_run, args):
         _assert_figure_files(numpy_blocked_run[1])
 
 
-def test_cli_import_does_not_load_scipy(numpy_importable_run):
-    # nor numpy, nor the figure module, which only the figure verb imports
+def test_cli_import_loads_no_table_module(numpy_importable_run):
+    # cosmology and quadrature, nor numpy or scipy, nor the figure module,
+    # which only the figure verb imports
     assert numpy_importable_run[0]["import"] == []
 
 
@@ -449,9 +451,9 @@ def test_kfactors_converge_where_the_coarsest_panels_overflow(runner):
 
 def _patch_k_sums(monkeypatch, bad, at=None):
     """k_sums returns the k-factors ``bad`` at the panel count ``at``, or at every count."""
-    real = cosmology._k_sums
-    monkeypatch.setattr(cosmology, "DEFAULT_MAX_PANELS", 64)
-    monkeypatch.setattr(cosmology, "_k_sums", lambda params, n: bad if at in (None, n) else real(params, n))
+    real = laws._k_sums
+    monkeypatch.setattr(laws, "DEFAULT_MAX_PANELS", 64)
+    monkeypatch.setattr(laws, "_k_sums", lambda params, n: bad if at in (None, n) else real(params, n))
 
 
 @pytest.mark.parametrize(

@@ -5,17 +5,9 @@ import pytest
 from numpy.polynomial import legendre
 
 from crdbounds import cosmology as cz
-from crdbounds.cosmology import (
-    CosmologyParams,
-    age_of_universe,
-    build_tables,
-    comoving_distance,
-    scale_factor,
-    universe_laws,
-    v4,
-    v4_rate,
-)
+from crdbounds.cosmology import build_tables, comoving_distance, scale_factor, v4, v4_rate
 from crdbounds.errors import ConfigurationError
+from crdbounds.laws import CosmologyParams, age_of_universe, universe_laws
 from crdbounds.quadrature import integrate
 from crdbounds.quantities import GYR_IN_S, MPC_IN_M, SPEED_OF_LIGHT
 

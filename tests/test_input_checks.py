@@ -19,9 +19,10 @@ from crdbounds.bounds import (
     max_length,
     n_ops_for_scenario,
 )
-from crdbounds.cosmology import _H0_MAX, CosmologyParams, build_tables, scale_factor
+from crdbounds.cosmology import build_tables, scale_factor
 from crdbounds.errors import ConfigurationError, check_range
 from crdbounds.figure import Annotation
+from crdbounds.laws import _H0_MAX, CosmologyParams
 from crdbounds.quadrature import CumulativeTable, build_cumulative, integrate
 from crdbounds.quantities import SPEED_OF_LIGHT, LogQuantity, planck_units
 

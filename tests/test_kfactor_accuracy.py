@@ -11,9 +11,11 @@ import numpy as np
 import pytest
 
 import oracles
-from crdbounds import cosmology as cz
-from crdbounds.cosmology import CosmologyParams, build_tables, universe_laws
-from crdbounds.quadrature import QuadratureError, gl_arrays
+from crdbounds import laws as lz
+from crdbounds.cosmology import build_tables
+from crdbounds.errors import QuadratureError
+from crdbounds.laws import CosmologyParams, universe_laws
+from crdbounds.quadrature import GL_INTEGRATION, GL_NODES
 from crdbounds.quantities import SPEED_OF_LIGHT
 
 TARGET = 1e-9
@@ -55,17 +57,17 @@ def test_kfactors_at_the_tolerance_floor(omega_m):
 
 def test_k_integrals_failure_carries_k7u_and_k8u(monkeypatch, eds_tables):
     t = eds_tables
-    monkeypatch.setattr(cz, "DEFAULT_MAX_PANELS", 4)
+    monkeypatch.setattr(lz, "DEFAULT_MAX_PANELS", 4)
     with pytest.raises(QuadratureError) as excinfo:
-        cz.k_integrals(t.params, 1e-9)
+        lz.k_integrals(t.params, 1e-9)
     assert excinfo.value.estimate == pytest.approx([t.k4u, t.k7u, t.k8u], rel=1e-2)
 
 
 def test_k_integrals_failure_message_shows_k7u_and_k8u(monkeypatch, eds_tables):
     t = eds_tables
-    monkeypatch.setattr(cz, "DEFAULT_MAX_PANELS", 4)
+    monkeypatch.setattr(lz, "DEFAULT_MAX_PANELS", 4)
     with pytest.raises(QuadratureError) as excinfo:
-        cz.k_integrals(t.params, 1e-9)
+        lz.k_integrals(t.params, 1e-9)
     err = excinfo.value
     assert f"estimate {err.estimate!r}" in str(err)
 
@@ -120,9 +122,9 @@ def test_tables_at_the_tolerance_floor_meet_the_reference(fiducial_params):
 
 @pytest.mark.parametrize("k", range(16))
 def test_integration_matrix_is_exact_to_degree_15(k):
-    x, _, integration = gl_arrays()
+    x = GL_NODES
     exact = (x ** (k + 1) - (-1.0) ** (k + 1)) / (k + 1)
-    assert np.abs(integration @ x**k - exact).max() <= 1e-14
+    assert np.abs(GL_INTEGRATION @ x**k - exact).max() <= 1e-14
 
 
 @pytest.mark.parametrize("h0", [SPEED_OF_LIGHT / 1e38, 1e38], ids=["smallest", "largest"])
@@ -130,6 +132,6 @@ def test_integration_matrix_is_exact_to_degree_15(k):
 def test_k_integrals_at_both_h0_ends(h0, omega_m):
     # dimensionless panels: neither end overflows or underflows, and H0 drops out
     with np.errstate(all="raise"):
-        got, _ = cz.k_integrals(CosmologyParams(h0, omega_m, 1.0 - omega_m), 1e-9)
-    expected, _ = cz.k_integrals(CosmologyParams.create(70.0, omega_m, 1.0 - omega_m), 1e-9)
+        got, _ = lz.k_integrals(CosmologyParams(h0, omega_m, 1.0 - omega_m), 1e-9)
+    expected, _ = lz.k_integrals(CosmologyParams.create(70.0, omega_m, 1.0 - omega_m), 1e-9)
     assert got == pytest.approx(expected, rel=1e-13)

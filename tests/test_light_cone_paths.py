@@ -1,10 +1,10 @@
 """The light cone's two implementations: the k-factors' pass in Python floats
-(``cosmology._light_cone_rows``) and the tables' numpy pass
+(``laws._light_cone_rows``) and the tables' numpy pass
 (``cosmology._light_cone``), on shared equal panels.
 
 They run the same operations; only the order of the sums differs, so C_2 and
 C_3 agree to a few ulps of each panel's largest value, and the k-factors to
-2e-15. Both read the 16-point rule from ``quadrature``, whose Python literals
+2e-15. Both read the 16-point rule of ``_gauss16``, whose Python literals
 are checked here against numpy's Legendre module.
 """
 
@@ -15,12 +15,16 @@ import pytest
 from numpy.polynomial.legendre import leggauss, legint, legval, legvander
 
 from crdbounds import cosmology as cz
-from crdbounds.cosmology import CosmologyParams
+from crdbounds import laws as lz
+from crdbounds.laws import CosmologyParams
 from crdbounds.quadrature import (
+    GL_INTEGRATION,
     GL_INTEGRATION_ROWS,
     GL_NODE_LIST,
+    GL_NODES,
+    GL_REMAINDER,
     GL_WEIGHT_LIST,
-    gl_arrays,
+    GL_WEIGHTS,
     panel_nodes,
 )
 
@@ -50,11 +54,12 @@ def test_integration_literals_match_legint():
 
 
 def test_the_arrays_hold_the_literals():
-    nodes, weights, integration = gl_arrays()
-    assert nodes.tolist() == list(GL_NODE_LIST)
-    assert weights.tolist() == list(GL_WEIGHT_LIST)
-    assert integration.tolist() == [list(row) for row in GL_INTEGRATION_ROWS]
-    assert not any(array.flags.writeable for array in (nodes, weights, integration))
+    assert GL_NODES.tolist() == list(GL_NODE_LIST)
+    assert GL_WEIGHTS.tolist() == list(GL_WEIGHT_LIST)
+    assert GL_INTEGRATION.tolist() == [list(row) for row in GL_INTEGRATION_ROWS]
+    # W - S, as both light-cone passes read it, is the rule's own difference
+    assert np.array_equal(GL_REMAINDER, GL_WEIGHTS - GL_INTEGRATION)
+    assert not any(array.flags.writeable for array in (GL_NODES, GL_WEIGHTS, GL_INTEGRATION, GL_REMAINDER))
 
 
 def _equal_panels(params, panels):
@@ -68,18 +73,17 @@ def _equal_panels(params, panels):
 def _numpy_k_factors(params, edges):
     """The k-factors from the numpy pass, each summed over the nodes: k4u as
     (4 pi / 3) sum a^3 (eta(T) - eta)^3 dtau, not by the binomial shift."""
-    _, weights, integration = gl_arrays()
     half, x = panel_nodes(edges)
     a, _, c2, c3 = cz._light_cone(params, edges)
     dtau = half * (3.0 * x * x)
     de = dtau / a
-    span = de @ weights
+    span = de @ GL_WEIGHTS
     later = np.append(np.cumsum(span[:0:-1])[::-1], 0.0)
-    cone = dtau * a**3 * (later[:, None] + de @ (weights - integration).T) ** 3
+    cone = dtau * a**3 * (later[:, None] + de @ (GL_WEIGHTS - GL_INTEGRATION).T) ** 3
     return (
-        4.0 * math.pi / 3.0 * np.sum(cone @ weights),
-        16.0 * math.pi**2 / 3.0 * np.sum(cone / a * c2 @ weights),
-        16.0 * math.pi**2 / 9.0 * np.sum(cone * c3 @ weights),
+        4.0 * math.pi / 3.0 * np.sum(cone @ GL_WEIGHTS),
+        16.0 * math.pi**2 / 3.0 * np.sum(cone / a * c2 @ GL_WEIGHTS),
+        16.0 * math.pi**2 / 9.0 * np.sum(cone * c3 @ GL_WEIGHTS),
     )
 
 
@@ -91,16 +95,16 @@ def shared(request):
 
 
 def test_the_panel_counts_are_k_integrals(monkeypatch):
-    counts, real = [], cz._k_sums
-    monkeypatch.setattr(cz, "_k_sums", lambda params, n: counts.append(n) or real(params, n))
+    counts, real = [], lz._k_sums
+    monkeypatch.setattr(lz, "_k_sums", lambda params, n: counts.append(n) or real(params, n))
     for (omega_m, omega_lambda), panels in COSMOLOGIES.values():
-        cz.k_integrals(CosmologyParams.create(70.0, omega_m, omega_lambda), 1e-9)
+        lz.k_integrals(CosmologyParams.create(70.0, omega_m, omega_lambda), 1e-9)
         assert counts[-1] == panels
 
 
 def test_moments_agree(shared):
     params, edges = shared
-    _, _, _, c2, c3, _ = cz._light_cone_rows(params, edges)
+    _, _, _, c2, c3, _ = lz._light_cone_rows(params, edges)
     _, _, c2_numpy, c3_numpy = cz._light_cone(params, np.array(edges))
     for rows, want in ((c2, c2_numpy), (c3, c3_numpy)):
         # the signed sums over S run in another order: measured up to 27 ulps
@@ -111,6 +115,6 @@ def test_moments_agree(shared):
 
 def test_k_factors_agree(shared):
     params, edges = shared
-    got = cz._k_sums(params, len(edges) - 1)
+    got = lz._k_sums(params, len(edges) - 1)
     assert got == pytest.approx(_numpy_k_factors(params, np.array(edges)), rel=2e-15, abs=0.0)
 

@@ -8,7 +8,7 @@ from crdbounds.quadrature import (
     CumulativeTable,
     QuadratureError,
     build_cumulative,
-    gl_arrays,
+    GL_NODES,
     integrate,
     interpolate,
 )
@@ -123,7 +123,7 @@ def test_table_is_immutable():
 
 def _nodes(table):
     lo, hi = table.edges[:-1, None], table.edges[1:, None]
-    return 0.5 * (lo + hi) + 0.5 * (hi - lo) * gl_arrays()[0]
+    return 0.5 * (lo + hi) + 0.5 * (hi - lo) * GL_NODES
 
 
 def test_interpolate_exact_at_nodes():

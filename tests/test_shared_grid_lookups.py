@@ -7,7 +7,7 @@ import pytest
 
 from crdbounds import cosmology as cz
 from crdbounds.cosmology import CosmologyParams, build_tables
-from crdbounds.quadrature import gl_arrays, interpolate
+from crdbounds.quadrature import GL_NODES, interpolate
 
 PROBES = 5_000
 
@@ -26,7 +26,7 @@ def tables(request):
 
 def _nodes(table):
     lo, hi = table.edges[:-1, None], table.edges[1:, None]
-    return 0.5 * (lo + hi) + 0.5 * (hi - lo) * gl_arrays()[0]
+    return 0.5 * (lo + hi) + 0.5 * (hi - lo) * GL_NODES
 
 
 def test_eta_and_moments_share_one_grid(tables):

@@ -12,7 +12,8 @@ from click.testing import CliRunner
 
 import crdbounds.cli as cli
 import crdbounds.cosmology as cosmology
-from crdbounds.quadrature import QuadratureError
+import crdbounds.laws as laws
+from crdbounds.errors import QuadratureError
 
 EDS = ["--omega-m", "1", "--omega-lambda", "0"]
 FIGURE = ["figure", "--min", "500", "--max", "600", "--step", "5"]
@@ -61,7 +62,7 @@ def test_delta_is_the_shift_between_the_last_two_panel_counts(request, cosmology
     doc = json.loads(_invoke(["kfactors", "--json", *cosmology_args]).stdout)
     name = "eds" if cosmology_args else "fiducial"
     params = request.getfixturevalue(f"{name}_params")
-    _, shifts = cosmology.k_integrals(params, 1e-9)
+    _, shifts = laws.k_integrals(params, 1e-9)
     assert doc["achieved_rel_delta"] == dict(zip(("k4u", "k7u", "k8u"), shifts))
     # spectral convergence: 4 and 8 panels already agree to rounding
     assert 0.0 < max(shifts) <= 1e-14
@@ -69,14 +70,14 @@ def test_delta_is_the_shift_between_the_last_two_panel_counts(request, cosmology
 
 def _failing_k_integrals(monkeypatch, below):
     """Make every k-integral asked for a tolerance under `below` fail."""
-    real = cosmology.k_integrals
+    real = laws.k_integrals
 
     def k_integrals(params, rel_tol):
         if rel_tol < below:
             raise QuadratureError("ran out of panels", 0.0, 1e-3)
         return real(params, rel_tol)
 
-    monkeypatch.setattr(cosmology, "k_integrals", k_integrals)
+    monkeypatch.setattr(laws, "k_integrals", k_integrals)
 
 
 @pytest.mark.parametrize(
