@@ -10,11 +10,12 @@ Seven scenarios, each a power law N_ops = K / l^p evaluated in log2 space:
     UNIVERSE_FULLY_CONNECTED  k8u * (c / (H0 l))^8
     UNIVERSE_BROADCAST        k7u * (c / (H0 l))^7
 
-so each kind is one row (p, n_V, n_T, weight) of _ROWS: lab kinds have
-K = weight * V3^n_V * (c T)^n_T, universe kinds (n_V = 0) K = k_p (c/H0)^p.
-log2 K is computed once, where its inputs live: a lab kind's when its
-Scenario is built, a universe kind's in its cosmology's UniverseLaws
-(``laws.universe_laws``; ``cosmology.LightconeTables`` carry them too).
+so each ScenarioKind member carries one row (p, n_V, n_T, weight): lab
+kinds have K = weight * V3^n_V * (c T)^n_T, universe kinds (n_V = 0)
+K = k_p (c/H0)^p. Each law is computed once, where its inputs live: a lab
+kind's when its Scenario is built, a universe kind's log2 K in its
+cosmology's UniverseLaws (``laws.universe_laws``;
+``cosmology.LightconeTables`` carry them too).
 The broadcast clock is pinned at the causal limit tau = l/c.
 Lengths and operation counts may be floats or numpy arrays; floats take
 math, so numpy is imported only for arrays.
@@ -39,30 +40,23 @@ from .quantities import (
 
 
 class ScenarioKind(enum.Enum):
-    LAB = "lab"
-    LAB_NEAREST_NEIGHBOR = "lab-nearest-neighbor"
-    LAB_FULLY_CONNECTED = "lab-fully-connected"
-    LAB_BROADCAST = "lab-broadcast"
-    UNIVERSE = "universe"
-    UNIVERSE_FULLY_CONNECTED = "universe-fully-connected"
-    UNIVERSE_BROADCAST = "universe-broadcast"
+    """A scenario kind: its CLI name (the value) and its law's row
+    (p, n_V, n_T, weight); a weight of None is the inputs_per_op."""
 
-    @property
-    def exponent(self) -> int:
-        """Power p in N_ops = K / l^p."""
-        return _ROWS[self][0]
+    LAB = "lab", 4, 1, 1, 1.0
+    LAB_NEAREST_NEIGHBOR = "lab-nearest-neighbor", 4, 1, 1, None
+    LAB_FULLY_CONNECTED = "lab-fully-connected", 8, 2, 2, 0.5
+    LAB_BROADCAST = "lab-broadcast", 7, 2, 1, 1.0
+    UNIVERSE = "universe", 4, 0, 0, 1.0
+    UNIVERSE_FULLY_CONNECTED = "universe-fully-connected", 8, 0, 0, 1.0
+    UNIVERSE_BROADCAST = "universe-broadcast", 7, 0, 0, 1.0
 
-
-# (p, n_V, n_T, weight) per kind; a weight of None is the inputs_per_op
-_ROWS = {
-    ScenarioKind.LAB: (4, 1, 1, 1.0),
-    ScenarioKind.LAB_NEAREST_NEIGHBOR: (4, 1, 1, None),
-    ScenarioKind.LAB_FULLY_CONNECTED: (8, 2, 2, 0.5),
-    ScenarioKind.LAB_BROADCAST: (7, 2, 1, 1.0),
-    ScenarioKind.UNIVERSE: (4, 0, 0, 1.0),
-    ScenarioKind.UNIVERSE_FULLY_CONNECTED: (8, 0, 0, 1.0),
-    ScenarioKind.UNIVERSE_BROADCAST: (7, 0, 0, 1.0),
-}
+    def __new__(cls, value, *row):
+        member = object.__new__(cls)
+        member._value_ = value
+        member.row = row
+        member.exponent = row[0]  # p in N_ops = K / l^p
+        return member
 
 
 @dataclass(frozen=True)
@@ -73,9 +67,9 @@ class Scenario:
     variant additionally takes the input count per operation; universe kinds
     take cosmological parameters instead.
 
-    log2_k is log2 K of a lab kind's law N_ops = K / l^p, derived from the
-    other fields when the scenario is built. It is None for universe kinds,
-    whose K lives in their cosmology's laws (UniverseLaws.log2_k).
+    law is a lab kind's PowerLaw N_ops = K / l^p, derived from the other
+    fields when the scenario is built. It is None for universe kinds, whose
+    K lives in their cosmology's laws (UniverseLaws.log2_k).
     """
 
     kind: ScenarioKind
@@ -83,10 +77,10 @@ class Scenario:
     duration: Optional[float] = None
     inputs_per_op: Optional[int] = None
     params: Optional[CosmologyParams] = None
-    log2_k: Optional[float] = field(init=False, repr=False, compare=False)
+    law: Optional[PowerLaw] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _, n_v, n_t, weight = _ROWS[self.kind]
+        p, n_v, n_t, weight = self.kind.row
         if n_v:
             check_range(f"{self.kind.name} volume", self.v3)
             check_range(f"{self.kind.name} duration", self.duration)
@@ -100,16 +94,17 @@ class Scenario:
             check_integer("inputs_per_op", self.inputs_per_op, 1)
         elif self.inputs_per_op is not None:
             raise ConfigurationError(f"{self.kind.name} does not take inputs_per_op")
-        log2_k = None
+        law = None
         if n_v:
             w = self.inputs_per_op if weight is None else weight
-            log2_k = (
+            law = PowerLaw(
                 n_v * math.log2(self.v3)
                 + n_t * LOG2_SPEED_OF_LIGHT
                 + n_t * math.log2(self.duration)
-                + math.log2(w)
+                + math.log2(w),
+                p,
             )
-        object.__setattr__(self, "log2_k", log2_k)
+        object.__setattr__(self, "law", law)
 
     @classmethod
     def lab(cls, v3: float, duration: float) -> "Scenario":
@@ -167,12 +162,11 @@ class PowerLaw(NamedTuple):
 
 
 def power_law(scenario: Scenario, laws: Optional[UniverseLaws] = None) -> PowerLaw:
-    """The scenario's law. log2 K is read, not recomputed: a lab kind's from
-    the scenario, a universe kind's from the UniverseLaws (or LightconeTables)
-    of its cosmological parameters."""
-    p = scenario.kind.exponent
-    if scenario.log2_k is not None:
-        return PowerLaw(scenario.log2_k, p)
+    """The scenario's law, read, not recomputed: a lab kind's stored on the
+    scenario, a universe kind's log2 K from the UniverseLaws (or
+    LightconeTables) of its cosmological parameters."""
+    if scenario.law is not None:
+        return scenario.law
     if laws is None:
         raise ConfigurationError(
             f"{scenario.kind.name} requires light-cone tables or its cosmology's laws; "
@@ -183,6 +177,7 @@ def power_law(scenario: Scenario, laws: Optional[UniverseLaws] = None) -> PowerL
             f"the laws were computed for different cosmological parameters than "
             f"the {scenario.kind.name} scenario"
         )
+    p = scenario.kind.exponent
     return PowerLaw(laws.log2_k[p], p)
 
 

@@ -5,14 +5,13 @@ probed length equals the Planck length: n = round(log2 N_ops(l_p)), rounding
 to the nearest integer with ties going up.
 
 Each scenario's law N_ops = 2^log2_k / l^p is computed once, where its inputs
-live (see ``bounds``), so ``classify_machine`` reads seven stored laws and
-does only the arithmetic that depends on n, in Python floats.
+live (see ``bounds``), so ``classify_machine`` reads the stored laws and
+evaluates them through ``PowerLaw``, in Python floats.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import List, NamedTuple, Optional, Sequence
 
 from .bounds import Scenario, ScenarioKind, neo_from_qubits, power_law
@@ -25,8 +24,7 @@ def round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
-@dataclass(frozen=True)
-class ThresholdResult:
+class ThresholdResult(NamedTuple):
     """Where one scenario's bound line crosses the Planck length."""
 
     scenario_kind: ScenarioKind
@@ -71,29 +69,20 @@ def classify_machine(
     Returns one assessment per scenario, sorted by threshold, flagging those
     whose probed length falls below the Planck length. A probed length that
     underflows to 0 m is a ConfigurationError.
-
-    The laws are read from the scenarios and ``laws``, not rebuilt. Per call
-    and scenario this is the probed length 2^((log2_k - n) / p), the
-    threshold round_half_up(log2_k - p log2 l_p) and the energy
-    hbar c / l / eV: the operations, in the same order, of
-    ``PowerLaw.length``, ``planck_threshold`` and ``energy_from_length``, so
-    the results are the same doubles, at about 20 us a call for seven
-    scenarios.
     """
     log2_n = neo_from_qubits(n).log2_value
     stored = [power_law(scenario, laws) for scenario in scenarios]
     l_p = constants.l_p
-    log2_lp = math.log2(l_p)
     hbar_c = constants.hbar * constants.c
     assessments = []
-    for scenario, (log2_k, p) in zip(scenarios, stored):
-        length = 2.0 ** ((log2_k - log2_n) / p)
+    for scenario, law in zip(scenarios, stored):
+        length = law.length(log2_n)
         if not 0.0 < length < math.inf:
             check_range(f"the {scenario.kind.value} length probed by {n} qubits", length)
         assessments.append(
             ScenarioAssessment(
                 scenario.kind,
-                round_half_up(log2_k - p * log2_lp),
+                round_half_up(law.log2_n_ops(l_p)),
                 length,
                 hbar_c / length / EV_IN_JOULES,
                 length < l_p,

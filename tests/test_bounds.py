@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -28,6 +29,18 @@ EXPECTED_EXPONENTS = {
     ScenarioKind.UNIVERSE: 4,
     ScenarioKind.UNIVERSE_FULLY_CONNECTED: 8,
     ScenarioKind.UNIVERSE_BROADCAST: 7,
+}
+
+# (p, n_V, n_T, weight) from the README's scenario table; None is the
+# inputs_per_op, and a universe kind's weight, "-" there, is unused
+README_ROWS = {
+    ScenarioKind.LAB: (4, 1, 1, 1.0),
+    ScenarioKind.LAB_NEAREST_NEIGHBOR: (4, 1, 1, None),
+    ScenarioKind.LAB_FULLY_CONNECTED: (8, 2, 2, 0.5),
+    ScenarioKind.LAB_BROADCAST: (7, 2, 1, 1.0),
+    ScenarioKind.UNIVERSE: (4, 0, 0, 1.0),
+    ScenarioKind.UNIVERSE_FULLY_CONNECTED: (8, 0, 0, 1.0),
+    ScenarioKind.UNIVERSE_BROADCAST: (7, 0, 0, 1.0),
 }
 
 
@@ -61,6 +74,11 @@ class TestScenarioValidation:
     def test_exponents(self):
         for kind, exponent in EXPECTED_EXPONENTS.items():
             assert kind.exponent == exponent
+        assert set(README_ROWS) == set(ScenarioKind)
+        for kind, row in README_ROWS.items():
+            assert kind.row == row
+            assert ScenarioKind(kind.value) is kind
+            assert pickle.loads(pickle.dumps(kind)) is kind
 
 
 class TestMaxLength:

@@ -107,6 +107,10 @@ def test_cumulative_grid_validation():
 
 
 def test_table_validation():
+    with pytest.raises(ValueError, match="1-d array of length >= 2"):
+        CumulativeTable(np.array([0.0]), np.zeros((0, 16)))
+    with pytest.raises(ValueError, match="1-d array of length >= 2"):
+        CumulativeTable(np.array([[0.0, 1.0]]), np.zeros((1, 16)))
     with pytest.raises(ValueError, match="strictly increasing"):
         CumulativeTable(np.array([0.0, 2.0, 1.0]), np.zeros((2, 16)))
     with pytest.raises(ValueError, match="match"):

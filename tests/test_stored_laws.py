@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from crdbounds.bounds import (
-    _ROWS,
     PowerLaw,
     Scenario,
     energy_from_length,
@@ -25,8 +24,8 @@ _LOG2_C = math.log2(SPEED_OF_LIGHT)
 
 
 def reference_law(scenario, tables):
-    """The law rebuilt from its row of _ROWS, as power_law computed it."""
-    p, n_v, n_t, weight = _ROWS[scenario.kind]
+    """The law rebuilt from its kind's row, as power_law computed it."""
+    p, n_v, n_t, weight = scenario.kind.row
     if n_v:
         w = scenario.inputs_per_op if weight is None else weight
         return PowerLaw(
