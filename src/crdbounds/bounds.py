@@ -111,9 +111,7 @@ class Scenario:
         return cls(ScenarioKind.LAB, v3=v3, duration=duration)
 
     @classmethod
-    def lab_nearest_neighbor(
-        cls, v3: float, duration: float, inputs_per_op: int = 8
-    ) -> "Scenario":
+    def lab_nearest_neighbor(cls, v3: float, duration: float, inputs_per_op: int) -> "Scenario":
         return cls(
             ScenarioKind.LAB_NEAREST_NEIGHBOR,
             v3=v3,

@@ -33,7 +33,13 @@ from .laws import CosmologyParams, universe_laws
 from .quantities import PLANCK_UNITS, LogQuantity, s_to_gyr
 from .thresholds import classify_machine, planck_threshold
 
-_SCENARIO_NAMES = [k.value for k in ScenarioKind]
+_scenario_option = click.option(
+    "--scenario",
+    "scenario_name",
+    type=click.Choice(["all"] + [k.value for k in ScenarioKind]),
+    default="all",
+    help="Restrict to one scenario.",
+)
 
 
 def common_options(fn):
@@ -151,13 +157,7 @@ def kfactors(config):
 
 
 @main.command()
-@click.option(
-    "--scenario",
-    "scenario_name",
-    type=click.Choice(["all"] + _SCENARIO_NAMES),
-    default="all",
-    help="Restrict to one scenario.",
-)
+@_scenario_option
 @common_options
 def threshold(config, scenario_name):
     """Logical-qubit thresholds at which each scenario reaches the Planck scale."""
@@ -187,23 +187,17 @@ def threshold(config, scenario_name):
 @click.option("--ops", "ops", type=float, default=None, help="Demonstrated classical operations per --duration (machine mode).")
 @click.option("--volume", "volume", type=float, default=None, help="Machine volume in m^3 (machine mode).")
 @click.option("--duration", "duration", type=float, default=None, help="Machine run time in seconds (machine mode).")
-@click.option(
-    "--scenario",
-    "scenario_name",
-    type=click.Choice(["all"] + _SCENARIO_NAMES),
-    default="all",
-    help="Restrict to one scenario.",
-)
+@_scenario_option
 @common_options
 def scale(config, qubits, ops, volume, duration, scenario_name):
     """Probed length and energy scale for a given machine."""
     machine_mode = ops is not None or volume is not None or duration is not None
     if machine_mode == (qubits is not None):
-        raise click.UsageError("give either --qubits or the --ops/--volume/--duration triple")
+        raise ConfigurationError("give either --qubits or the --ops/--volume/--duration triple")
 
     if machine_mode:
         if ops is None or volume is None or duration is None:
-            raise click.UsageError("machine mode needs --ops, --volume and --duration together")
+            raise ConfigurationError("machine mode needs --ops, --volume and --duration together")
         for name, value in (("--ops", ops), ("--volume", volume), ("--duration", duration)):
             check_range(name, value)
         n_ops = LogQuantity.from_real(ops)

@@ -59,23 +59,18 @@ _REL_SLACK = 1.0 + 1e-12  # tolerate float noise when callers pass t = T_U
 def scale_factor(t, params: CosmologyParams):
     """a(t) = (Omega_M/Omega_L)^(1/3) sinh^(2/3)(t / t_lambda), a(today) = 1.
 
-    Accepts a scalar or array time in seconds; t must be >= 0. The matter-only
-    limit is the power law (t / T)^(2/3). A Python ``float`` or ``int`` becomes
-    an ``np.float64``, not a 0-d array: numpy computes a 0-d array's quotient
-    as a numpy scalar anyway, so both take numpy's scalar ``sinh`` and ``**``
-    and give the same double (``math.sinh`` would not; it differs from
-    numpy's in the last bit).
+    Accepts a scalar or array time in seconds; t must be >= 0, and a scalar
+    gives a float. The matter-only limit is the power law (t / T)^(2/3).
     """
-    scalar = isinstance(t, (float, int))
-    ts = np.float64(t) if scalar else np.asarray(t, dtype=float)
-    if not (t >= 0.0 if scalar else np.all(ts >= 0.0)):  # NaN fails too
+    ts = np.asarray(t, dtype=float)
+    if not np.all(ts >= 0.0):  # NaN fails too
         raise ValueError("scale factor is only defined for t >= 0")
     if params.omega_lambda == 0.0:
         a = (ts / params.t_universe) ** (2.0 / 3.0)
     else:
         amp = (params.omega_m / params.omega_lambda) ** (1.0 / 3.0)
         a = amp * np.sinh(ts / params.t_lambda) ** (2.0 / 3.0)
-    return float(a) if np.isscalar(t) or getattr(t, "ndim", 1) == 0 else a
+    return float(a) if ts.ndim == 0 else a
 
 
 @dataclass(frozen=True)
@@ -201,8 +196,6 @@ def comoving_distance(t1: float, t2: float, tables: LightconeTables) -> float:
         raise ValueError(f"t1={t1!r} must not exceed t2={t2!r}")
     x1 = _checked_x(t1, tables, "t1")
     x2 = _checked_x(t2, tables, "t2")
-    if x1 == x2:
-        return 0.0
     return SPEED_OF_LIGHT * (_read(tables.eta, x2, 1, tables) - _read(tables.eta, x1, 1, tables))
 
 

@@ -88,12 +88,7 @@ class CosmologyParams:
         object.__setattr__(self, "t_universe", t_universe)
 
     @classmethod
-    def create(
-        cls,
-        h0_km_s_mpc: float = 70.0,
-        omega_m: float = 0.3,
-        omega_lambda: float = 0.7,
-    ) -> "CosmologyParams":
+    def create(cls, h0_km_s_mpc: float, omega_m: float, omega_lambda: float) -> "CosmologyParams":
         return cls(h0_km_s_mpc * 1e3 / MPC_IN_M, omega_m, omega_lambda)
 
 

@@ -9,6 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 from crdbounds import laws
+from crdbounds.bounds import ScenarioKind
 from crdbounds.cli import main
 from crdbounds.figure import read_series_json
 
@@ -137,6 +138,25 @@ class TestScale:
     def test_nonpositive_qubits_rejected(self, runner):
         result = runner.invoke(main, ["scale", "--qubits", "0"])
         assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("kind", [k.value for k in ScenarioKind])
+@pytest.mark.parametrize(
+    "args, rows",
+    [(["threshold"], "thresholds"), (["scale", "--qubits", "900"], "scenarios")],
+    ids=["threshold", "scale"],
+)
+def test_scenario_option_selects_one_row(runner, args, rows, kind):
+    # threshold and scale share one --scenario option, its choices ScenarioKind's values
+    doc = _json_out(runner.invoke(main, [*args, "--scenario", kind, "--json"]))
+    assert [row["scenario"] for row in doc[rows]] == [kind]
+
+
+def test_scale_unknown_scenario_is_one_line_usage_error(runner):
+    result = runner.invoke(main, ["scale", "--scenario", "bogus"])
+    assert result.exit_code == 2, result.output
+    assert "Traceback" not in result.output
+    assert len([line for line in result.output.splitlines() if line.startswith("Error:")]) == 1
 
 
 class TestFigure:

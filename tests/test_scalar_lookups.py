@@ -1,5 +1,5 @@
-"""The scalar branch of `scale_factor` gives the array path's results to the
-last bit, and the lookups read the panel polynomial through the stored node
+"""`scale_factor` on a float gives its array path's results to the last
+bit, and the lookups read the panel polynomial through the stored node
 values."""
 
 import numpy as np
@@ -31,9 +31,9 @@ def _probes(table, seed, count):
 
 
 def test_scalar_scale_factor_matches_zero_d_array_path(tables):
-    """The reference is a 0-d array, the path a scalar took before it had its
-    own branch. A 1-element array is not: numpy's vector pow can differ from
-    its scalar pow in the last bit."""
+    """The reference is a 0-d array, the path a float takes inside. A
+    1-element array is not: numpy's vector pow can differ from its scalar
+    pow in the last bit."""
     params = tables.params
     ts = [x**3 / params.h0 for x in _probes(tables.eta, seed=6, count=10_000)]
     scalar = [scale_factor(t, params) for t in ts]

@@ -123,6 +123,7 @@ def test_len_iteration_and_sequence_methods():
     assert list(reversed(s.points)) == list(ROWS[::-1])
     assert ROWS[2] in s.points
     assert s.points.index(ROWS[1]) == 1
+    assert repr(s.points) == f"SeriesPoints({ROWS!r})"
 
 
 def test_equality_and_hash_as_with_row_tuples():
