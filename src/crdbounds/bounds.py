@@ -221,13 +221,23 @@ def length_for_scenario(
     n_ops: LogQuantity,
     laws: Optional[UniverseLaws] = None,
 ):
-    """Exact analytic inverse of n_ops_for_scenario."""
+    """Exact analytic inverse of n_ops_for_scenario. A length past the
+    largest double is a ConfigurationError."""
     check_range("log2 operation count", n_ops.log2_value, -math.inf)
-    return power_law(scenario, laws).length(n_ops.log2_value)
+    try:
+        return power_law(scenario, laws).length(n_ops.log2_value)
+    except OverflowError:
+        raise ConfigurationError(
+            f"the {scenario.kind.value} length at log2 N_ops = {n_ops.log2_value!r} "
+            "exceeds the largest double"
+        ) from None
 
 
 def energy_from_length(length, constants: PhysicalConstants = PLANCK_UNITS):
     """Energy scale hbar c / l in eV (l a float or an array); reproduces the
-    Planck energy at l = l_p."""
+    Planck energy at l = l_p. An energy past the largest double is a
+    ConfigurationError."""
     check_range("length", length)
-    return constants.hbar * constants.c / length / EV_IN_JOULES
+    energy = constants.hbar * constants.c / length / EV_IN_JOULES
+    check_range("energy", energy)
+    return energy

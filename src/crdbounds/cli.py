@@ -72,7 +72,7 @@ def common_options(fn):
             raise click.UsageError(str(exc)) from exc
         except QuadratureError as exc:
             raise click.ClickException(f"quadrature failed: {exc}") from exc
-        metadata = {"artifact": "crdbounds", "version": __version__, **config.as_dict()}
+        metadata = {"artifact": "crdbounds", "version": __version__, **dataclasses.asdict(config)}
         if as_json:
             click.echo(json.dumps({"metadata": metadata, **fields}, indent=2))
         else:
@@ -252,15 +252,14 @@ def scale(config, qubits, ops, volume, duration, scenario_name):
 def figure(config, lo, hi, step, fmt, out_path):
     """Emit the probed-length-versus-NEO data series."""
     # imported here, so that the other verbs never load the figure module
-    from .figure import FigureConfig, build_figure, check_grid, planck_crossing, write_series
+    from .figure import build_figure, check_grid, planck_crossing, write_series
 
     check_grid(lo, hi, step)
     if lo < hi:
         laws = universe_laws(config.cosmology())
-        fig_config = FigureConfig(
-            lab_volume_m3=config.lab_volume_m3, lab_duration_s=config.lab_duration_s
+        series, annotations = build_figure(
+            (lo, hi), step, laws, lab_volume_m3=config.lab_volume_m3, lab_duration_s=config.lab_duration_s
         )
-        series, annotations = build_figure((lo, hi), step, laws, config=fig_config)
     else:
         series, annotations = [], []
     try:

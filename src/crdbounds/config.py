@@ -41,9 +41,6 @@ class RunConfig:
         check_range("lab_duration_s", self.lab_duration_s)
         check_integer("inputs_per_op", self.inputs_per_op, 1)
 
-    def as_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 

@@ -5,8 +5,8 @@ connected lab, fully connected universe) sampled on a log2-NEO grid, plus
 annotation markers (Planck scale, RSA qubit range, historical collider
 energies). The small lab and the markers are conventions, fixed below as
 module constants; only the large lab's volume and duration are settable
-(FigureConfig). Rendering is left to external tools; this module only writes
-CSV and JSON files.
+(build_figure's keywords, RunConfig's lab by default). Rendering is left to
+external tools; this module only writes CSV and JSON files.
 
 A series holds its points as three columns of Python floats in tuples
 (log2_neo, length_m, energy_ev); the five series of one figure share one
@@ -35,9 +35,10 @@ from pathlib import Path
 from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .bounds import Scenario, ScenarioKind, power_law
+from .config import RunConfig
 from .errors import ConfigurationError, check_range
 from .laws import UniverseLaws
-from .quantities import EV_IN_JOULES, JULIAN_YEAR_S, PLANCK_UNITS, PhysicalConstants
+from .quantities import EV_IN_JOULES, PLANCK_UNITS, PhysicalConstants
 
 STYLE_HINTS = ("dotted", "solid_lower", "solid_upper", "dashed", "dashdot")
 
@@ -157,14 +158,6 @@ class Annotation:
             check_range("annotation energy_ev", self.energy_ev)
 
 
-@dataclass(frozen=True)
-class FigureConfig:
-    """The large lab drawn by the lab and fully connected lab series."""
-
-    lab_volume_m3: float = 1000.0
-    lab_duration_s: float = JULIAN_YEAR_S
-
-
 def check_grid(lo: float, hi: float, step: float) -> None:
     """Reject a log2-NEO range or step that is not finite, a reversed range
     (min > max), a step that is not positive, and grids of more than
@@ -189,7 +182,9 @@ def build_figure(
     step: float,
     laws: UniverseLaws,
     constants: PhysicalConstants = PLANCK_UNITS,
-    config: FigureConfig = FigureConfig(),
+    *,
+    lab_volume_m3: float = RunConfig.lab_volume_m3,
+    lab_duration_s: float = RunConfig.lab_duration_s,
 ) -> Tuple[List[FigureSeries], List[Annotation]]:
     """Sample the five canonical series over a log2-NEO grid.
 
@@ -209,14 +204,14 @@ def build_figure(
             "dotted",
         ),
         (
-            f"lab {config.lab_volume_m3:g} m3 for {config.lab_duration_s:g} s",
-            Scenario.lab(config.lab_volume_m3, config.lab_duration_s),
+            f"lab {lab_volume_m3:g} m3 for {lab_duration_s:g} s",
+            Scenario.lab(lab_volume_m3, lab_duration_s),
             "solid_lower",
         ),
         ("universe", Scenario.universe(params), "solid_upper"),
         (
-            f"fully connected lab {config.lab_volume_m3:g} m3 for {config.lab_duration_s:g} s",
-            Scenario.lab_fully_connected(config.lab_volume_m3, config.lab_duration_s),
+            f"fully connected lab {lab_volume_m3:g} m3 for {lab_duration_s:g} s",
+            Scenario.lab_fully_connected(lab_volume_m3, lab_duration_s),
             "dashed",
         ),
         (

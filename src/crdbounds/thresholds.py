@@ -68,7 +68,8 @@ def classify_machine(
 
     Returns one assessment per scenario, sorted by threshold, flagging those
     whose probed length falls below the Planck length. A probed length that
-    underflows to 0 m is a ConfigurationError.
+    underflows to 0 m, or an energy past the largest double, is a
+    ConfigurationError.
     """
     log2_n = neo_from_qubits(n).log2_value
     stored = [power_law(scenario, laws) for scenario in scenarios]
@@ -79,12 +80,15 @@ def classify_machine(
         length = law.length(log2_n)
         if not 0.0 < length < math.inf:
             check_range(f"the {scenario.kind.value} length probed by {n} qubits", length)
+        energy = hbar_c / length / EV_IN_JOULES
+        if not energy < math.inf:
+            check_range(f"the {scenario.kind.value} energy probed by {n} qubits", energy)
         assessments.append(
             ScenarioAssessment(
                 scenario.kind,
                 round_half_up(law.log2_n_ops(l_p)),
                 length,
-                hbar_c / length / EV_IN_JOULES,
+                energy,
                 length < l_p,
             )
         )

@@ -204,6 +204,10 @@ class TestLengthForScenario:
         length = length_for_scenario(s, LogQuantity(882.0), None)
         assert abs(length / constants.l_p - 1.0) < 0.01
 
+    def test_length_past_the_largest_double_rejected(self):
+        with pytest.raises(ConfigurationError, match="exceeds the largest double"):
+            length_for_scenario(Scenario.lab(1.0, 1.0), LogQuantity(-1e6))
+
     def test_log_slope_matches_exponent(self, paper_scenarios, fiducial_tables):
         l1, l2 = 1e-10, 1e-30
         for s in paper_scenarios:
@@ -247,6 +251,10 @@ class TestEnergy:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             energy_from_length(0.0)
+
+    def test_rejects_energy_past_the_largest_double(self):
+        with pytest.raises(ConfigurationError, match="energy"):
+            energy_from_length(5e-324)
 
 
 class TestArrayValued:

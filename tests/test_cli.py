@@ -9,9 +9,10 @@ import pytest
 from click.testing import CliRunner
 
 from crdbounds import laws
-from crdbounds.bounds import ScenarioKind
+from crdbounds.bounds import Scenario, ScenarioKind
 from crdbounds.cli import main
 from crdbounds.figure import read_series_json
+from crdbounds.thresholds import planck_threshold
 
 import oracles
 
@@ -139,6 +140,18 @@ class TestScale:
         result = runner.invoke(main, ["scale", "--qubits", "0"])
         assert result.exit_code == 2
 
+    def test_infinite_energy_is_one_line_usage_error(self, runner):
+        # the lab's probed length is positive, but hbar c / l is past the largest double
+        result = runner.invoke(main, ["scale", "--qubits", "4300", "--json"])
+        assert result.exit_code == 2, result.output
+        assert "Traceback" not in result.output
+        errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+        assert len(errors) == 1 and "lab energy" in errors[0]
+
+    def test_last_finite_energy(self, runner):
+        doc = _json_out(runner.invoke(main, ["scale", "--qubits", "4248", "--json"]))
+        assert all(0.0 < row["energy_ev"] < math.inf for row in doc["scenarios"])
+
 
 @pytest.mark.parametrize("kind", [k.value for k in ScenarioKind])
 @pytest.mark.parametrize(
@@ -208,6 +221,23 @@ class TestFigure:
     def test_bad_step_is_usage_error(self, runner, tmp_path):
         result = runner.invoke(main, ["figure", "--out", str(tmp_path / "f.csv"), "--step", "0"])
         assert result.exit_code == 2
+
+    def test_lab_flags_reach_the_figure(self, runner, tmp_path):
+        args = ["figure", "--out", str(tmp_path / "f.csv"), "--lab-volume", "8", "--lab-duration", "2"]
+        crossings = _json_out(runner.invoke(main, [*args, "--json"]))["planck_crossings_log2_neo"]
+        for label, scenario in (
+            ("lab 8 m3 for 2 s", Scenario.lab(8.0, 2.0)),
+            ("fully connected lab 8 m3 for 2 s", Scenario.lab_fully_connected(8.0, 2.0)),
+        ):
+            exact = planck_threshold(scenario).log2_nops_exact
+            assert crossings[label] == pytest.approx(exact, rel=0.0, abs=1e-9)
+
+    def test_default_lab_is_the_run_config_lab(self, runner, tmp_path):
+        default, explicit = tmp_path / "default.csv", tmp_path / "explicit.csv"
+        assert runner.invoke(main, ["figure", "--out", str(default)]).exit_code == 0
+        args = ["figure", "--out", str(explicit), "--lab-volume", "1000", "--lab-duration", "31557600"]
+        assert runner.invoke(main, args).exit_code == 0
+        assert default.read_bytes() == explicit.read_bytes()
 
 
 class TestConfigWiring:

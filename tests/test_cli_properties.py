@@ -1,11 +1,13 @@
-"""Property test: no CLI invocation ends in a traceback."""
+"""Property test: no CLI invocation ends in a traceback, and every
+successful --json invocation prints strict JSON."""
 
+import json
 import tempfile
 from dataclasses import fields
 from pathlib import Path
 
 from click.testing import CliRunner
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from crdbounds.cli import main
@@ -14,7 +16,7 @@ from crdbounds.config import RunConfig
 SPECIAL = ["nan", "inf", "-inf", "0", "-0.0", "-1", "5e-324", "1e-300", "1e300", "1.7976931348623157e+308"]
 FLOATS = st.sampled_from(SPECIAL) | st.floats(allow_nan=False, allow_infinity=False).map(repr)
 POSITIVE = FLOATS | st.floats(min_value=1e-300, max_value=1e300).map(repr)
-INTS = st.sampled_from(["0", "-3", "1", "8", str(10**400)]) | st.integers().map(str)
+INTS = st.sampled_from(["0", "-3", "1", "8", "4300", str(10**400)]) | st.integers().map(str)
 
 # The figure range draws give at most a few hundred points or are rejected.
 COMMON = {
@@ -59,6 +61,10 @@ CONFIGS = st.tuples(
 OUTS = st.sampled_from(["fig.out", ".", "no/fig.out"])
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
 def _config_path(tmp: Path, content) -> Path:
     if content == "directory":
         return tmp
@@ -81,6 +87,8 @@ def invocations(draw):
 
 
 @given(invocations(), st.booleans(), st.none() | CONFIGS, OUTS)
+# the lab's probed length at 4300 qubits is positive, its energy past the largest double
+@example(["scale", "--qubits", "4300"], True, None, "fig.out")
 @settings(max_examples=120, deadline=None)
 def test_every_invocation_exits_cleanly(args, as_json, config, out):
     env = {"CRDBOUNDS_CONFIG": None}
@@ -100,3 +108,6 @@ def test_every_invocation_exits_cleanly(args, as_json, config, out):
     event(f"exit {result.exit_code}")
     assert result.exit_code in {0, 1, 2}, result.output
     assert result.exception is None or isinstance(result.exception, SystemExit), repr(result.exception)
+    if as_json and result.exit_code == 0:
+        # strict JSON: NaN and Infinity are no answers
+        json.loads(result.stdout, parse_constant=_reject_constant)

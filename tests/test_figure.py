@@ -8,7 +8,6 @@ from crdbounds.figure import (
     CSV_HEADER,
     MAX_FIGURE_POINTS,
     Annotation,
-    FigureConfig,
     FigureSeries,
     _arange,
     build_figure,
@@ -171,8 +170,9 @@ def test_unwritable_path_raises_oserror(tmp_path, fiducial_figure):
 
 
 def test_config_overrides_lab_parameters(fiducial_tables, constants):
-    config = FigureConfig(lab_volume_m3=1.0, lab_duration_s=1.0)
-    series, _ = build_figure((450.0, 550.0), 1.0, fiducial_tables, constants, config)
+    series, _ = build_figure(
+        (450.0, 550.0), 1.0, fiducial_tables, constants, lab_volume_m3=1.0, lab_duration_s=1.0
+    )
     # solid_lower now coincides with the dotted small-lab line
     dotted, solid_lower = series[0], series[1]
     assert planck_crossing(solid_lower, constants.l_p) == pytest.approx(

@@ -4,10 +4,10 @@ hold it to the law's own crossing, planck_threshold, on sampled figures."""
 import pytest
 
 from crdbounds.bounds import Scenario, ScenarioKind
+from crdbounds.config import RunConfig
 from crdbounds.figure import (
     SMALL_LAB_DURATION_S,
     SMALL_LAB_VOLUME_M3,
-    FigureConfig,
     FigurePoint,
     FigureSeries,
     build_figure,
@@ -18,7 +18,7 @@ from crdbounds.thresholds import planck_threshold
 
 def _figure_scenarios(params):
     """The scenarios behind build_figure's five series, in series order."""
-    cfg = FigureConfig()
+    cfg = RunConfig()
     return [
         Scenario.lab(SMALL_LAB_VOLUME_M3, SMALL_LAB_DURATION_S),
         Scenario.lab(cfg.lab_volume_m3, cfg.lab_duration_s),

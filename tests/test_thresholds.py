@@ -89,6 +89,16 @@ def test_underflowing_probe_rejected(paper_scenarios, fiducial_tables, constants
         classify_machine(1_000_000, paper_scenarios, fiducial_tables, constants)
 
 
+def test_energy_past_the_largest_double_rejected(paper_scenarios, fiducial_tables, constants):
+    from crdbounds.errors import ConfigurationError
+
+    # the lab's probed length is about 1.4e-319 m: positive, but hbar c / l overflows
+    with pytest.raises(ConfigurationError, match="lab energy probed by 4300 qubits"):
+        classify_machine(4300, paper_scenarios, fiducial_tables, constants)
+    report = classify_machine(4248, paper_scenarios, fiducial_tables, constants)
+    assert all(0.0 < a.energy_ev < float("inf") for a in report)
+
+
 def test_default_constants_are_the_planck_units(paper_scenarios, fiducial_tables):
     explicit = planck_units()
     for s in paper_scenarios:
