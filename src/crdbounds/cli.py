@@ -136,8 +136,10 @@ def kfactors(config):
 
     All three come from the cosmology alone (laws.universe_laws).
     achieved_rel_delta is each one's relative shift between the last two
-    panel counts of that computation, the coarser result's error bar; the
-    finer result printed is far closer, since the panels converge spectrally.
+    panel counts of that computation, the coarser result's error bar. It
+    allows nothing for rounding, which is most of the printed result's
+    error: for matter only, k7u and k8u are off by 7.3e-16 and 8.3e-16,
+    above their shifts of 5.7e-16 and 6.3e-16.
     """
     laws = universe_laws(config.cosmology())
     params = laws.params

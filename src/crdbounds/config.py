@@ -48,11 +48,11 @@ _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 def parse_config_file(path: Union[str, Path]) -> dict:
     """Parse a flat key=value file; '#' starts a comment, blank lines ignored.
 
-    A file that is missing or cannot be read as UTF-8 text is a
-    ConfigurationError naming the path.
+    A leading UTF-8 byte-order mark is ignored. A file that is missing or
+    cannot be read as UTF-8 text is a ConfigurationError naming the path.
     """
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except (FileNotFoundError, NotADirectoryError) as exc:
         raise ConfigurationError(f"config file not found: {path}") from exc
     except (OSError, UnicodeDecodeError) as exc:

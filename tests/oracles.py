@@ -9,10 +9,13 @@ methods that share no code with it:
 * threshold exponents, Planck scales and unit combinations: 40-digit mpmath
   arithmetic;
 * matter-only (Einstein-de Sitter) results: closed forms derived by hand
-  (beta-function integrals), checked against direct numerical integration.
+  (beta-function integrals), checked against direct numerical integration;
+  `eds_k_factors_exact` evaluates the k-factors' closed forms at 40 digits
+  with the standard library alone.
 """
 
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -86,10 +89,12 @@ def eds_v4_rate(t, c):
     return (12.0 * math.pi / 55.0) * c**3 * np.asarray(t) ** 3
 
 
+def _beta_exact(p: int, q: int) -> Fraction:
+    return Fraction(math.factorial(p - 1) * math.factorial(q - 1), math.factorial(p + q - 1))
+
+
 def _beta(p: int, q: int) -> float:
-    return float(
-        Fraction(math.factorial(p - 1) * math.factorial(q - 1), math.factorial(p + q - 1))
-    )
+    return float(_beta_exact(p, q))
 
 
 def eds_k_factors():
@@ -99,6 +104,34 @@ def eds_k_factors():
     k7u = (4.0 * pi / 3.0) * (2.0 / 3.0) ** 7 * 27.0 * (12.0 * pi / 55.0) * 3.0 * _beta(18, 4)
     k8u = (4.0 * pi / 3.0) * (2.0 / 3.0) ** 8 * (81.0 * pi / 55.0) * 3.0 * _beta(21, 4)
     return k4u, k7u, k8u
+
+
+def _arctan_of_inverse(n: int) -> Decimal:
+    """arctan(1/n) by its Taylor series, at the current decimal precision."""
+    x = Decimal(1) / n
+    total = term = x
+    k = 1
+    while True:
+        term *= -x * x
+        k += 2
+        if total + term / k == total:
+            return total
+        total += term / k
+
+
+def eds_k_factors_exact():
+    """The closed forms of ``eds_k_factors`` as 40-digit Decimals: the rational
+    factors exact in Fraction, pi by Machin's formula. The doubles of
+    ``eds_k_factors`` are off by up to 7e-16, too much to judge the library's
+    last bits."""
+    # k4u = f4 pi, k7u = f7 pi^2, k8u = f8 pi^2, with the factors of eds_k_factors
+    f4 = Fraction(16, 1485)
+    f7 = Fraction(4, 3) * Fraction(2, 3) ** 7 * 27 * Fraction(12, 55) * 3 * _beta_exact(18, 4)
+    f8 = Fraction(4, 3) * Fraction(2, 3) ** 8 * Fraction(81, 55) * 3 * _beta_exact(21, 4)
+    with localcontext() as ctx:
+        ctx.prec = 40
+        pi = 16 * _arctan_of_inverse(5) - 4 * _arctan_of_inverse(239)
+        return tuple(Decimal(f.numerator) / f.denominator * pi**n for f, n in ((f4, 1), (f7, 2), (f8, 2)))
 
 
 def kfactors_reference(omega_m: float, omega_lambda: float, n: int = 60001, m: int = 801):

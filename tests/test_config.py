@@ -86,6 +86,13 @@ def test_non_utf8_rejected(tmp_path):
         parse_config_file(path)
 
 
+def test_byte_order_mark_ignored(tmp_path):
+    # Windows Notepad saves UTF-8 with a leading BOM; it is not part of the first key
+    path = tmp_path / "run.cfg"
+    path.write_bytes(b"\xef\xbb\xbfh0_km_s_mpc = 72\n")
+    assert load_config(path).h0_km_s_mpc == 72.0
+
+
 def test_env_var_honored(tmp_path, monkeypatch):
     path = tmp_path / "env.cfg"
     path.write_text("h0_km_s_mpc = 72\n", encoding="utf-8")

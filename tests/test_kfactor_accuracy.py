@@ -4,8 +4,12 @@ They are checked against the matter-only closed form and the independent
 fiducial reference at every grid size, and must not depend on the grid: the
 lookup tables' node count moves no k-factor. Nor does the integrals'
 tolerance move a printed digit, which is why the CLI computes them at the
-library default.
+library default. At 40 digits, the matter-only closed form also judges the
+k-factors' last bits and the error bar the CLI prints for them.
 """
+
+import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -37,6 +41,33 @@ def coarse_tables(eds_params, fiducial_params):
         "eds": build_tables(eds_params, grid_points=2048),
         "fiducial": build_tables(fiducial_params, grid_points=2048),
     }
+
+
+def test_eds_k_factors_within_10_ulps_of_the_exact_closed_form(eds_params):
+    # measured: k4u 1.3, k7u 3.8 and k8u 6.6 ulps
+    laws = universe_laws(eds_params)
+    for got, exact in zip((laws.k4u, laws.k7u, laws.k8u), oracles.eds_k_factors_exact()):
+        assert abs(Decimal(got) - exact) <= 10 * Decimal(math.ulp(float(exact)))
+
+
+_BAR_BELOW_ERROR = pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 2(b): the shift between 4 and 8 panels has no rounding allowance, "
+    "and rounding is all the error left (k7u 5.7e-16 < 7.3e-16, k8u 6.3e-16 < 8.3e-16)",
+)
+
+
+@pytest.mark.parametrize(
+    "index",
+    [0, pytest.param(1, marks=_BAR_BELOW_ERROR), pytest.param(2, marks=_BAR_BELOW_ERROR)],
+    ids=["k4u", "k7u", "k8u"],
+)
+def test_printed_shift_bounds_the_exact_eds_error(eds_params, index):
+    # kfactors prints k_shift as achieved_rel_delta
+    laws = universe_laws(eds_params)
+    got = (laws.k4u, laws.k7u, laws.k8u)[index]
+    exact = oracles.eds_k_factors_exact()[index]
+    assert laws.k_shift[index] >= abs(Decimal(got) - exact) / exact
 
 
 def test_defaults_meet_the_target_on_the_closed_form(eds_tables):
