@@ -25,10 +25,9 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
-from .errors import ConfigurationError, check_integer, check_range
+from .errors import ConfigurationError, _Record, check_integer, check_range
 from .laws import CosmologyParams, UniverseLaws
 from .quantities import (
     EV_IN_JOULES,
@@ -59,8 +58,7 @@ class ScenarioKind(enum.Enum):
         return member
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(_Record):
     """One bound model: a kind plus exactly the parameters that kind needs.
 
     Lab kinds take a volume (m^3) and a duration (s); the nearest-neighbor
@@ -68,18 +66,16 @@ class Scenario:
     take cosmological parameters instead.
 
     law is a lab kind's PowerLaw N_ops = K / l^p, derived from the other
-    fields when the scenario is built. It is None for universe kinds, whose
-    K lives in their cosmology's laws (UniverseLaws.log2_k).
+    fields when the scenario is built and left out of equality and repr. It
+    is None for universe kinds, whose K lives in their cosmology's laws
+    (UniverseLaws.log2_k).
     """
 
-    kind: ScenarioKind
-    v3: Optional[float] = None
-    duration: Optional[float] = None
-    inputs_per_op: Optional[int] = None
-    params: Optional[CosmologyParams] = None
-    law: Optional[PowerLaw] = field(init=False, repr=False, compare=False)
+    _fields = ("kind", "v3", "duration", "inputs_per_op", "params")
+    _defaults = dict.fromkeys(_fields[1:])
+    __slots__ = _fields + ("law",)
 
-    def __post_init__(self):
+    def _check(self):
         p, n_v, n_t, weight = self.kind.row
         if n_v:
             check_range(f"{self.kind.name} volume", self.v3)

@@ -11,7 +11,6 @@ stdout.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import json
 import sys
@@ -64,7 +63,7 @@ def common_options(fn):
 
     @functools.wraps(fn)
     def verb(config_path, as_json, **kwargs):
-        overrides = {f.name: kwargs.pop(f.name) for f in dataclasses.fields(RunConfig)}
+        overrides = {name: kwargs.pop(name) for name in RunConfig._fields}
         try:
             config = load_config(config_path, overrides)
             fields, lines = fn(config, **kwargs)
@@ -72,7 +71,7 @@ def common_options(fn):
             raise click.UsageError(str(exc)) from exc
         except QuadratureError as exc:
             raise click.ClickException(f"quadrature failed: {exc}") from exc
-        metadata = {"artifact": "crdbounds", "version": __version__, **dataclasses.asdict(config)}
+        metadata = {"artifact": "crdbounds", "version": __version__, **config._asdict()}
         if as_json:
             click.echo(json.dumps({"metadata": metadata, **fields}, indent=2))
         else:

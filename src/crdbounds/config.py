@@ -3,33 +3,31 @@
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Mapping, Optional, Union
 
-from .errors import ConfigurationError, check_integer, check_range
+from .errors import ConfigurationError, _Record, check_integer, check_range
 from .laws import CosmologyParams
 from .quantities import JULIAN_YEAR_S
 
 ENV_CONFIG_PATH = "CRDBOUNDS_CONFIG"
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(_Record):
     """One run's parameters, checked when the instance is built: a bad
-    value is a ConfigurationError naming it."""
+    value is a ConfigurationError naming it. Every field has a default, and
+    its type is the default's."""
 
-    h0_km_s_mpc: float = 70.0
-    omega_m: float = 0.3
-    omega_lambda: float = 0.7
-    lab_volume_m3: float = 1000.0
-    lab_duration_s: float = JULIAN_YEAR_S
-    inputs_per_op: int = 8
+    _defaults = dict(
+        h0_km_s_mpc=70.0, omega_m=0.3, omega_lambda=0.7,
+        lab_volume_m3=1000.0, lab_duration_s=JULIAN_YEAR_S, inputs_per_op=8,
+    )
+    __slots__ = _fields = tuple(_defaults)
 
     def cosmology(self) -> CosmologyParams:
         return CosmologyParams.create(self.h0_km_s_mpc, self.omega_m, self.omega_lambda)
 
-    def __post_init__(self):
+    def _check(self):
         try:
             self.cosmology()
         except ConfigurationError as exc:
@@ -40,9 +38,6 @@ class RunConfig:
         check_range("lab_volume_m3", self.lab_volume_m3)
         check_range("lab_duration_s", self.lab_duration_s)
         check_integer("inputs_per_op", self.inputs_per_op, 1)
-
-
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
 
 def parse_config_file(path: Union[str, Path]) -> dict:
@@ -67,11 +62,10 @@ def parse_config_file(path: Union[str, Path]) -> dict:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _FIELD_TYPES:
+        if key not in RunConfig._defaults:
             raise ConfigurationError(f"{path}:{lineno}: unknown configuration key {key!r}")
-        caster = int if _FIELD_TYPES[key] in (int, "int") else float
         try:
-            values[key] = caster(value)
+            values[key] = type(RunConfig._defaults[key])(value)
         except ValueError as exc:
             raise ConfigurationError(f"{path}:{lineno}: bad value for {key}: {value!r}") from exc
     return values
@@ -89,7 +83,7 @@ def load_config(
         path = os.environ.get(ENV_CONFIG_PATH) or None
     values = parse_config_file(path) if path is not None else {}
     cleaned = {k: v for k, v in (overrides or {}).items() if v is not None}
-    unknown = set(cleaned) - set(_FIELD_TYPES)
+    unknown = set(cleaned) - set(RunConfig._fields)
     if unknown:
         raise ConfigurationError(f"unknown configuration keys: {sorted(unknown)}")
     return RunConfig(**{**values, **cleaned})

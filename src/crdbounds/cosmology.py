@@ -20,7 +20,6 @@ below 1e-40.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -73,7 +72,6 @@ def scale_factor(t, params: CosmologyParams):
     return float(a) if ts.ndim == 0 else a
 
 
-@dataclass(frozen=True)
 class LightconeTables(UniverseLaws):
     """The universe laws plus the light cone at the Gauss nodes of geometric
     panels in x = (H0 t)^(1/3), from 1e-8 x_max to x_max.
@@ -81,17 +79,15 @@ class LightconeTables(UniverseLaws):
     eta is the conformal time int dt/a (s), v4 the past light-cone 4-volume
     (m^3 s) and rate its time derivative (m^3); the three tables share their
     edges, and H0^4 V4(T) / c^3 meets k4u. x_max is the last edge and
-    x_first the first node, below which the lookups take the matter-era laws.
+    x_first the first node, below which the lookups take the matter-era laws;
+    both are derived and left out of equality and repr, like log2_k.
     """
 
-    eta: CumulativeTable
-    v4: CumulativeTable
-    rate: CumulativeTable
-    x_max: float = field(init=False, repr=False, compare=False)
-    x_first: float = field(init=False, repr=False, compare=False)
+    _fields = UniverseLaws._fields + ("eta", "v4", "rate")
+    __slots__ = ("eta", "v4", "rate", "x_max", "x_first")
 
-    def __post_init__(self):
-        super().__post_init__()
+    def _check(self):
+        super()._check()
         object.__setattr__(self, "x_max", float(self.eta.edges[-1]))
         object.__setattr__(self, "x_first", float(panel_nodes(self.eta.edges[:2])[1][0, 0]))
 

@@ -1,4 +1,5 @@
-"""Shared exception types and the range check every input goes through."""
+"""Shared exception types, the range check every input goes through and
+the base of the checked records."""
 
 import math
 import operator
@@ -58,3 +59,57 @@ def check_integer(name, value, low, high=math.inf):
         raise ConfigurationError(f"{name} must be an integer, got {value!r}") from None
     check_range(name, value, low, high, low_inclusive=True)
     return value
+
+
+class _Record:
+    """The base of the package's checked, immutable records: a frozen
+    dataclass's behaviour at a small share of its import cost.
+
+    A subclass lists its constructor's fields in ``_fields`` (defaults in
+    ``_defaults``) and every attribute in ``__slots__``; its ``_check``
+    checks the fields and sets the derived ones with ``object.__setattr__``.
+    Equality, hash and repr read ``_fields`` and then ``_shown``, the derived
+    fields they cover. ``_replace``, copies and pickles build a new record,
+    so the checks and derivations run again.
+    """
+
+    __slots__ = ()
+    _fields = _shown = ()
+    _defaults = {}
+
+    def __init__(self, *args, **kwargs):
+        values = dict(zip(self._fields, args))
+        clash = len(args) > len(self._fields) or not values.keys().isdisjoint(kwargs)
+        values = {**self._defaults, **values, **kwargs}
+        if clash or values.keys() != set(self._fields):
+            raise TypeError(f"{type(self).__name__}{self._fields} cannot take {args!r}, {kwargs!r}")
+        for name in self._fields:
+            object.__setattr__(self, name, values[name])
+        self._check()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable: {name} cannot be set or deleted")
+
+    __delattr__ = __setattr__
+
+    def _key(self):
+        return tuple(getattr(self, name) for name in self._fields + self._shown)
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields + self._shown)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+    def _asdict(self) -> dict:
+        return {name: getattr(self, name) for name in self._fields}
+
+    def _replace(self, **changes):
+        return type(self)(**{**self._asdict(), **changes})

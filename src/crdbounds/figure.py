@@ -30,13 +30,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from pathlib import Path
 from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .bounds import Scenario, ScenarioKind, power_law
 from .config import RunConfig
-from .errors import ConfigurationError, check_range
+from .errors import ConfigurationError, _Record, check_range
 from .laws import UniverseLaws
 from .quantities import EV_IN_JOULES, PLANCK_UNITS, PhysicalConstants
 
@@ -120,18 +119,15 @@ class SeriesPoints(Sequence):
         return f"SeriesPoints({tuple(self)!r})"
 
 
-@dataclass(frozen=True)
-class FigureSeries:
-    """One bound line. ``points`` is a ``SeriesPoints`` view over the columns;
-    a sequence of ``FigurePoint`` rows (or 3-tuples) given instead is turned
-    into columns here, as given, with no conversion of the values."""
+class FigureSeries(_Record):
+    """One bound line: label, kind (a ScenarioKind), style_hint and points.
+    ``points`` is a ``SeriesPoints`` view over the columns; a sequence of
+    ``FigurePoint`` rows (or 3-tuples) given instead is turned into columns
+    here, as given, with no conversion of the values."""
 
-    label: str
-    kind: ScenarioKind
-    style_hint: str
-    points: SeriesPoints
+    __slots__ = _fields = ("label", "kind", "style_hint", "points")
 
-    def __post_init__(self):
+    def _check(self):
         if self.style_hint not in STYLE_HINTS:
             raise ValueError(f"unknown style hint {self.style_hint!r}")
         if not isinstance(self.points, SeriesPoints):
@@ -139,17 +135,14 @@ class FigureSeries:
             object.__setattr__(self, "points", SeriesPoints(*columns))
 
 
-@dataclass(frozen=True)
-class Annotation:
-    """A marker keyed either to the x axis (log2_neo) or the right-hand
-    energy axis (energy_ev, > 0), each a finite number."""
+class Annotation(_Record):
+    """A marker, label and note, keyed either to the x axis (log2_neo) or the
+    right-hand energy axis (energy_ev, > 0), each a finite number."""
 
-    label: str
-    note: str
-    log2_neo: Optional[float] = None
-    energy_ev: Optional[float] = None
+    __slots__ = _fields = ("label", "note", "log2_neo", "energy_ev")
+    _defaults = {"log2_neo": None, "energy_ev": None}
 
-    def __post_init__(self):
+    def _check(self):
         if (self.log2_neo is None) == (self.energy_ev is None):
             raise ValueError("exactly one of log2_neo or energy_ev must be set")
         if self.energy_ev is None:
@@ -183,8 +176,8 @@ def build_figure(
     laws: UniverseLaws,
     constants: PhysicalConstants = PLANCK_UNITS,
     *,
-    lab_volume_m3: float = RunConfig.lab_volume_m3,
-    lab_duration_s: float = RunConfig.lab_duration_s,
+    lab_volume_m3: float = RunConfig._defaults["lab_volume_m3"],
+    lab_duration_s: float = RunConfig._defaults["lab_duration_s"],
 ) -> Tuple[List[FigureSeries], List[Annotation]]:
     """Sample the five canonical series over a log2-NEO grid.
 

@@ -29,12 +29,11 @@ and ``k_integrals`` evaluates the k-factors from them on equal panels.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from operator import mul
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from ._gauss16 import GL_INTEGRATION_ROWS, GL_NODE_LIST, GL_REMAINDER_ROWS, GL_WEIGHT_LIST
-from .errors import ConfigurationError, QuadratureError, check_range
+from .errors import ConfigurationError, QuadratureError, _Record, check_range
 from .quantities import LOG2_SPEED_OF_LIGHT, MPC_IN_M, SPEED_OF_LIGHT
 
 # The defaults of the k-factors and of ``quadrature.integrate``.
@@ -49,24 +48,21 @@ _H0_MAX = 1e38
 _FLATNESS_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class CosmologyParams:
+class CosmologyParams(_Record):
     """Flat Lambda-CDM parameters with derived timescales.
 
     h0 is in s^-1 (use ``create`` to convert from km/s/Mpc). t_lambda is the
     dark-energy timescale 2/(3 H0 sqrt(Omega_L)), infinite in the matter-only
     limit; t_universe solves a(t) = 1. Both are derived here, after the
-    inputs are checked; this is the only place cosmological inputs are
-    validated.
+    inputs are checked, and compare and show like the inputs; this is the
+    only place cosmological inputs are validated.
     """
 
-    h0: float
-    omega_m: float
-    omega_lambda: float
-    t_lambda: float = field(init=False)
-    t_universe: float = field(init=False)
+    _fields = ("h0", "omega_m", "omega_lambda")
+    _shown = ("t_lambda", "t_universe")
+    __slots__ = _fields + _shown
 
-    def __post_init__(self):
+    def _check(self):
         check_range("H0 (s^-1)", self.h0, SPEED_OF_LIGHT / _H0_MAX, _H0_MAX, low_inclusive=True)
         check_range("omega_m", self.omega_m, 0.0, 1.0)
         if not 0.0 <= self.omega_lambda < 1.0:
@@ -105,23 +101,18 @@ def age_of_universe(h0: float, omega_m: float, omega_lambda: float) -> float:
     return t_lambda * math.asinh(math.sqrt(omega_lambda / omega_m))
 
 
-@dataclass(frozen=True)
-class UniverseLaws:
+class UniverseLaws(_Record):
     """One cosmology's k-factors from ``k_integrals``, which reads no table,
     and k_shift, each one's relative shift between its last two panel counts.
-    log2_k, derived once, here, maps each universe exponent p (4, 7, 8) to
-    log2 K of the law N_ops = K / l^p, K = k_p (c/H0)^p, which the universe
-    scenarios' power laws read.
+    log2_k, derived once, here, and left out of equality and repr, maps each
+    universe exponent p (4, 7, 8) to log2 K of the law N_ops = K / l^p,
+    K = k_p (c/H0)^p, which the universe scenarios' power laws read.
     """
 
-    params: CosmologyParams
-    k4u: float
-    k7u: float
-    k8u: float
-    k_shift: Tuple[float, float, float]
-    log2_k: Dict[int, float] = field(init=False, repr=False, compare=False)
+    _fields = ("params", "k4u", "k7u", "k8u", "k_shift")
+    __slots__ = _fields + ("log2_k",)
 
-    def __post_init__(self):
+    def _check(self):
         log2_c_over_h0 = LOG2_SPEED_OF_LIGHT - math.log2(self.params.h0)
         object.__setattr__(self, "log2_k", {
             p: math.log2(k_p) + p * log2_c_over_h0

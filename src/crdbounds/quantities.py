@@ -8,7 +8,7 @@ result is known to fit in a double.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ConfigurationError, check_range
 
@@ -26,8 +26,7 @@ GYR_IN_S = JULIAN_YEAR_S * 1e9  # s / Gyr
 _LOG10_2 = math.log10(2.0)
 
 
-@dataclass(frozen=True)
-class LogQuantity:
+class LogQuantity(NamedTuple):
     """A strictly positive real carried as its base-2 logarithm.
 
     The represented quantity is ``2**log2_value`` in whatever unit the caller
@@ -64,8 +63,7 @@ class LogQuantity:
         return f"{k:.2f} × 2^{n}"
 
 
-@dataclass(frozen=True)
-class PhysicalConstants:
+class PhysicalConstants(NamedTuple):
     """Fundamental constants and the Planck scales derived from them.
 
     e_p_ev is the Planck energy expressed in eV.

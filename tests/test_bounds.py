@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import pickle
 
@@ -126,8 +125,8 @@ class TestPlanckCrd:
 
     def test_quadrupling_planck_cell_subtracts_two(self, constants):
         scale = 4.0**0.25
-        stretched = dataclasses.replace(
-            constants, l_p=constants.l_p * scale, t_p=constants.t_p * scale
+        stretched = constants._replace(
+            l_p=constants.l_p * scale, t_p=constants.t_p * scale
         )
         assert planck_crd(stretched).log2_value == pytest.approx(
             planck_crd(constants).log2_value - 2.0, abs=1e-12

@@ -349,7 +349,7 @@ invocations = json.loads(sys.argv[1])
 if sys.argv[2] == "blocked":
     sys.modules["numpy"] = None  # any import of numpy now fails
 def loaded():
-    modules = ("numpy", "scipy", "crdbounds.cosmology", "crdbounds.quadrature", "crdbounds.figure")
+    modules = ("numpy", "scipy", "dataclasses", "crdbounds.cosmology", "crdbounds.quadrature", "crdbounds.figure")
     return [m for m in modules if sys.modules.get(m) is not None]
 from crdbounds.cli import main
 report = {"import": loaded(), "runs": []}
@@ -401,7 +401,8 @@ def _assert_figure_files(out):
 
 @pytest.mark.parametrize("args", _COLD_INVOCATIONS[:5], ids=" ".join)
 def test_verb_runs_without_numpy(numpy_importable_run, args):
-    # numpy is importable, and no verb imports it; nor the table modules or crdbounds.figure
+    # numpy is importable, and no verb imports it; nor dataclasses, the table
+    # modules or crdbounds.figure
     assert _cold_result(numpy_importable_run, args)["loaded"] == []
 
 
@@ -420,8 +421,8 @@ def test_every_verb_runs_with_numpy_blocked(numpy_blocked_run, args):
 
 
 def test_cli_import_loads_no_table_module(numpy_importable_run):
-    # cosmology and quadrature, nor numpy or scipy, nor the figure module,
-    # which only the figure verb imports
+    # cosmology and quadrature, nor numpy, scipy or dataclasses, nor the
+    # figure module, which only the figure verb imports
     assert numpy_importable_run[0]["import"] == []
 
 

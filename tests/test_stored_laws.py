@@ -1,7 +1,6 @@
 """Stored power laws: classify_machine against a reference written from the
 law formulas, and the stored log2 K changing nothing else about scenarios."""
 
-import dataclasses
 import math
 import random
 
@@ -143,7 +142,7 @@ class TestStoredLaws:
     def test_replace_gives_the_new_law(self):
         s = Scenario.lab_nearest_neighbor(1000.0, JULIAN_YEAR_S, 8)
         for changes in ({"v3": 8000.0}, {"duration": 1.0}, {"inputs_per_op": 3}):
-            t = dataclasses.replace(s, **changes)
+            t = s._replace(**changes)
             assert power_law(t) == reference_law(t, None)
             assert power_law(t) != power_law(s)
             assert t == Scenario.lab_nearest_neighbor(**{
