@@ -1,21 +1,22 @@
-"""Command-line front end.
+"""Command-line front end, on the standard library's argparse.
 
-Verbs: constants | kfactors | threshold | scale | figure. Each verb runs in
-one frame, ``common_options``: the verb gets the loaded RunConfig and returns
-its numbers, (fields, text lines). The frame alone adds the metadata block
-(parameter values, version), so every published number carries what
-produced it, and maps errors to the exit codes: 0 success, 1 runtime or I/O
-failure, 2 usage or configuration error. Diagnostics go to stderr, data to
-stdout.
+Verbs: constants | kfactors | threshold | scale | figure. ``main`` parses the
+command line with one parser, built once, and runs the verb in one frame:
+the verb gets the loaded RunConfig and returns its numbers, (fields, text
+lines). The frame alone adds the metadata block (parameter values,
+version), so every published number carries what produced it, and maps
+errors to the exit codes: 0 success, 1 runtime or I/O failure, 2 usage or
+configuration error, each failure one ``Error:`` line. Diagnostics go to
+stderr, data to stdout.
 """
 
 from __future__ import annotations
 
+import argparse
 import functools
 import json
+import os
 import sys
-
-import click
 
 from . import __version__
 from .bounds import (
@@ -32,57 +33,31 @@ from .laws import CosmologyParams, universe_laws
 from .quantities import PLANCK_UNITS, LogQuantity, s_to_gyr
 from .thresholds import classify_machine, planck_threshold
 
-_scenario_option = click.option(
-    "--scenario",
-    "scenario_name",
-    type=click.Choice(["all"] + [k.value for k in ScenarioKind]),
-    default="all",
-    help="Restrict to one scenario.",
-)
+
+def _fail(code: int, message):
+    """End the call with one ``Error:`` line on stderr and exit code 1 or 2."""
+    sys.stderr.write(f"Error: {message}\n")
+    raise SystemExit(code)
 
 
-def common_options(fn):
-    """The frame every verb runs in. It takes the shared flags, loads the
-    config once and calls fn(config, **the verb's own options), which
-    returns (fields, text lines). It prints them after the metadata block
-    (the RunConfig's fields and the version), as JSON or as "# key = value"
-    lines. The verbs compute the k-factors at the library's default
-    tolerance, laws.DEFAULT_REL_TOL. Every bad input value (a
-    ConfigurationError, wherever raised) is a usage error, exit 2, and a
-    QuadratureError exit 1."""
-    options = [
-        click.option("--h0", "h0_km_s_mpc", type=float, default=None, help="Hubble constant in km/s/Mpc."),
-        click.option("--omega-m", "omega_m", type=float, default=None, help="Matter density parameter."),
-        click.option("--omega-lambda", "omega_lambda", type=float, default=None, help="Dark-energy density parameter."),
-        click.option("--lab-volume", "lab_volume_m3", type=float, default=None, help="Lab volume in m^3."),
-        click.option("--lab-duration", "lab_duration_s", type=float, default=None, help="Lab run time in seconds."),
-        click.option("--inputs-per-op", "inputs_per_op", type=int, default=None, help="Inputs per operation for the nearest-neighbor lab."),
-        click.option("--json", "as_json", is_flag=True, help="Emit JSON instead of text."),
-        click.option("--config", "config_path", type=click.Path(), default=None, help="Flat key=value config file (also honored via $CRDBOUNDS_CONFIG)."),
-    ]
+class _Parser(argparse.ArgumentParser):
+    """A usage error is one ``Error:`` line, exit 2, and a token that
+    float() parses is a value, never a flag: argparse alone would take
+    ``--min -1e1`` or ``--ops -inf`` for two flags."""
 
-    @functools.wraps(fn)
-    def verb(config_path, as_json, **kwargs):
-        overrides = {name: kwargs.pop(name) for name in RunConfig._fields}
+    def _parse_optional(self, arg_string):
         try:
-            config = load_config(config_path, overrides)
-            fields, lines = fn(config, **kwargs)
-        except ConfigurationError as exc:
-            raise click.UsageError(str(exc)) from exc
-        except QuadratureError as exc:
-            raise click.ClickException(f"quadrature failed: {exc}") from exc
-        metadata = {"artifact": "crdbounds", "version": __version__, **config._asdict()}
-        if as_json:
-            click.echo(json.dumps({"metadata": metadata, **fields}, indent=2))
-        else:
-            for key, value in metadata.items():
-                click.echo(f"# {key} = {value}")
-            for line in lines:
-                click.echo(line)
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
 
-    for option in reversed(options):
-        verb = option(verb)
-    return verb
+    def error(self, message):
+        _fail(2, message)
+
+    def exit(self, status=0, message=None):
+        sys.stdout.flush()  # after --help or --version, so that main sees a closed stdout
+        super().exit(status, message)
 
 
 def _scenarios(config: RunConfig, params: CosmologyParams, name: str):
@@ -100,14 +75,6 @@ def _scenarios(config: RunConfig, params: CosmologyParams, name: str):
     return [s for s in scenarios if name in ("all", s.kind.value)]
 
 
-@click.group()
-@click.version_option(__version__)
-def main():
-    """Bounds on hidden classical computational substrates."""
-
-
-@main.command()
-@common_options
 def constants(config):
     """Planck length, time, energy and rate-density ceiling."""
     k = PLANCK_UNITS
@@ -128,8 +95,6 @@ def constants(config):
     ]
 
 
-@main.command()
-@common_options
 def kfactors(config):
     """Dimensionless cosmological prefactors k4u, k7u, k8u.
 
@@ -157,9 +122,6 @@ def kfactors(config):
     ]
 
 
-@main.command()
-@_scenario_option
-@common_options
 def threshold(config, scenario_name):
     """Logical-qubit thresholds at which each scenario reaches the Planck scale."""
     laws = universe_laws(config.cosmology())
@@ -183,13 +145,6 @@ def threshold(config, scenario_name):
     }, lines
 
 
-@main.command()
-@click.option("--qubits", "qubits", type=int, default=None, help="Logical qubit count n (operation count 2^n).")
-@click.option("--ops", "ops", type=float, default=None, help="Demonstrated classical operations per --duration (machine mode).")
-@click.option("--volume", "volume", type=float, default=None, help="Machine volume in m^3 (machine mode).")
-@click.option("--duration", "duration", type=float, default=None, help="Machine run time in seconds (machine mode).")
-@_scenario_option
-@common_options
 def scale(config, qubits, ops, volume, duration, scenario_name):
     """Probed length and energy scale for a given machine."""
     machine_mode = ops is not None or volume is not None or duration is not None
@@ -243,13 +198,6 @@ def scale(config, qubits, ops, volume, duration, scenario_name):
     }, lines
 
 
-@main.command()
-@click.option("--min", "lo", type=float, default=450.0, help="Smallest log2 NEO to sample.")
-@click.option("--max", "hi", type=float, default=1700.0, help="Largest log2 NEO to sample.")
-@click.option("--step", type=float, default=1.0, help="Sampling step in log2 NEO.")
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
-@click.option("--out", "out_path", type=click.Path(), required=True, help="Output file path.")
-@common_options
 def figure(config, lo, hi, step, fmt, out_path):
     """Emit the probed-length-versus-NEO data series."""
     # imported here, so that the other verbs never load the figure module
@@ -266,7 +214,7 @@ def figure(config, lo, hi, step, fmt, out_path):
     try:
         write_series(series, annotations, out_path, fmt)
     except OSError as exc:
-        raise click.ClickException(f"cannot write {out_path}: {exc}") from exc
+        _fail(1, f"cannot write {out_path}: {exc}")
     crossings = {
         s.label: crossing for s in series if (crossing := planck_crossing(s, PLANCK_UNITS.l_p)) is not None
     }
@@ -279,6 +227,98 @@ def figure(config, lo, hi, step, fmt, out_path):
         "series_count": len(series),
         "planck_crossings_log2_neo": crossings,
     }, lines
+
+
+@functools.cache
+def _parser(prog: str) -> _Parser:
+    """The one parser: a subcommand per verb, each with its own flags, then
+    --scenario where it applies, then the flags every verb takes. An unset
+    run flag is None, so the config file or RunConfig's default decides."""
+    parser = _Parser(prog=prog, description="Bounds on hidden classical computational substrates.", add_help=False, allow_abbrev=False)
+    parser.add_argument("--version", action="version", version=f"%(prog)s, version {__version__}", help="Show the version and exit.")
+    parser.add_argument("--help", action="help", help="Show this message and exit.")
+    verbs = parser.add_subparsers(metavar="COMMAND", required=True)
+    for verb in (constants, kfactors, threshold, scale, figure):
+        doc = verb.__doc__
+        sub = verbs.add_parser(verb.__name__, help=doc.splitlines()[0], description=doc, add_help=False, allow_abbrev=False)
+        sub.set_defaults(verb=verb)
+        add = sub.add_argument
+        if verb is scale:
+            add("--qubits", type=int, help="Logical qubit count n (operation count 2^n).")
+            add("--ops", type=float, help="Demonstrated classical operations per --duration (machine mode).")
+            add("--volume", type=float, help="Machine volume in m^3 (machine mode).")
+            add("--duration", type=float, help="Machine run time in seconds (machine mode).")
+        if verb is figure:
+            add("--min", dest="lo", type=float, default=450.0, help="Smallest log2 NEO to sample.")
+            add("--max", dest="hi", type=float, default=1700.0, help="Largest log2 NEO to sample.")
+            add("--step", type=float, default=1.0, help="Sampling step in log2 NEO.")
+            add("--format", dest="fmt", choices=["csv", "json"], default="csv")
+            add("--out", dest="out_path", required=True, help="Output file path.")
+        if verb in (threshold, scale):
+            add("--scenario", dest="scenario_name", choices=["all"] + [k.value for k in ScenarioKind], default="all", help="Restrict to one scenario.")
+        add("--h0", dest="h0_km_s_mpc", type=float, help="Hubble constant in km/s/Mpc.")
+        add("--omega-m", dest="omega_m", type=float, help="Matter density parameter.")
+        add("--omega-lambda", dest="omega_lambda", type=float, help="Dark-energy density parameter.")
+        add("--lab-volume", dest="lab_volume_m3", type=float, help="Lab volume in m^3.")
+        add("--lab-duration", dest="lab_duration_s", type=float, help="Lab run time in seconds.")
+        add("--inputs-per-op", dest="inputs_per_op", type=int, help="Inputs per operation for the nearest-neighbor lab.")
+        add("--json", dest="as_json", action="store_true", help="Emit JSON instead of text.")
+        add("--config", dest="config_path", help="Flat key=value config file (also honored via $CRDBOUNDS_CONFIG).")
+        add("--help", action="help", help="Show this message and exit.")
+    return parser
+
+
+def _run(parser: _Parser, args) -> str:
+    """The frame every verb runs in: parse args, load the config once, call
+    the verb, which returns (fields, text lines), and return them after the
+    metadata block (the RunConfig's fields and the version), as JSON or as
+    "# key = value" lines. The k-factors are computed at the library's
+    default tolerance, laws.DEFAULT_REL_TOL. Every bad input value (a
+    ConfigurationError, wherever raised) exits 2, a QuadratureError 1."""
+    options, extra = parser.parse_known_args(args)
+    marker = extra[:1] == ["--"]  # argparse passes the end-of-options marker on
+    if extra[marker:]:
+        first = extra[marker]
+        parser.error(f"No such option '{first}'." if first.startswith("-") and not marker else f"Got unexpected extra argument ({first})")
+    options = vars(options)
+    verb, config_path, as_json = options.pop("verb"), options.pop("config_path"), options.pop("as_json")
+    overrides = {name: options.pop(name) for name in RunConfig._fields}
+    try:
+        config = load_config(config_path, overrides)
+        fields, lines = verb(config, **options)
+    except ConfigurationError as exc:
+        _fail(2, exc)
+    except QuadratureError as exc:
+        _fail(1, f"quadrature failed: {exc}")
+    metadata = {"artifact": "crdbounds", "version": __version__, **config._asdict()}
+    if as_json:
+        return json.dumps({"metadata": metadata, **fields}, indent=2)
+    return "\n".join([*(f"# {key} = {value}" for key, value in metadata.items()), *lines])
+
+
+def main(args=None, prog_name: str = "crdbounds") -> None:
+    """Run one verb on ``args`` (default: the command line's) and print its
+    numbers. Returns None; a failure prints one ``Error:`` line to stderr
+    and raises SystemExit(2) for a usage or configuration error, SystemExit(1)
+    for a runtime or I/O failure. --help and --version raise SystemExit(0)."""
+    try:
+        text = _run(_parser(prog_name), args)
+        try:
+            print(text)
+        except UnicodeEncodeError:  # an ASCII stdout writes UTF-8, as it did under click
+            sys.stdout.reconfigure(encoding="utf-8")
+            print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout's reader is gone (``| head``): exit 1 with nothing on stderr,
+        # and let the flush at interpreter exit write to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise SystemExit(1) from None
+
+
+# click's runner protocol (CliRunner.invoke), which perfbench's reference pass and the tests use
+main.name = "crdbounds"
+main.main = main
 
 
 if __name__ == "__main__":

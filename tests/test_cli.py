@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from crdbounds import laws
+from crdbounds import __version__, laws
 from crdbounds.bounds import Scenario, ScenarioKind
 from crdbounds.cli import main
 from crdbounds.figure import read_series_json
@@ -25,6 +25,34 @@ def runner():
 def _json_out(result):
     assert result.exit_code == 0, result.output
     return json.loads(result.output)
+
+
+def test_version(runner):
+    result = runner.invoke(main, ["--version"])
+    assert result.exit_code == 0, result.output
+    assert result.output == f"crdbounds, version {__version__}\n"
+
+
+def test_no_verb_is_one_line_usage_error(runner):
+    result = runner.invoke(main, [])
+    assert result.exit_code == 2, result.output
+    assert result.output == "Error: the following arguments are required: COMMAND\n"
+
+
+@pytest.mark.parametrize(
+    "args, error",
+    [
+        (["constants", "--"], None),
+        (["constants", "--", "--json"], "Error: Got unexpected extra argument (--json)"),
+        (["constants", "--json", "extra"], "Error: Got unexpected extra argument (extra)"),
+    ],
+    ids=["marker", "flag after marker", "stray word"],
+)
+def test_end_of_options_marker_is_dropped_once(runner, args, error):
+    # everything after "--" is an argument, and constants takes none
+    result = runner.invoke(main, args)
+    assert result.exit_code == (2 if error else 0), result.output
+    assert [line for line in result.output.splitlines() if line.startswith("Error:")] == ([error] if error else [])
 
 
 class TestConstants:
@@ -148,6 +176,15 @@ class TestScale:
         errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
         assert len(errors) == 1 and "lab energy" in errors[0]
 
+    @pytest.mark.parametrize("ops, shown", [("-1e3", "-1000.0"), ("-inf", "-inf")])
+    def test_negative_ops_is_a_value_that_its_check_rejects(self, runner, ops, shown):
+        # a token float() parses is a value, never a flag, even where argparse's
+        # negative-number pattern does not match it
+        result = runner.invoke(main, ["scale", "--ops", ops, "--volume", "1", "--duration", "1"])
+        assert result.exit_code == 2, result.output
+        errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+        assert errors == [f"Error: --ops must be a finite number in (0, inf), got {shown}"]
+
     def test_last_finite_energy(self, runner):
         doc = _json_out(runner.invoke(main, ["scale", "--qubits", "4248", "--json"]))
         assert all(0.0 < row["energy_ev"] < math.inf for row in doc["scenarios"])
@@ -213,6 +250,14 @@ class TestFigure:
         errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
         assert errors == ["Error: min log2 NEO 600.0 exceeds max log2 NEO 500.0"]
         assert not out.exists()
+
+    def test_negative_min_in_exponent_form(self, runner, tmp_path):
+        out = tmp_path / "neg.csv"
+        args = ["figure", "--min", "-1e1", "--max", "20", "--step", "10", "--out", str(out)]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        rows = out.read_text(encoding="utf-8").splitlines()[1:]
+        assert sorted({float(row.split(",")[2]) for row in rows}) == [-10.0, 0.0, 10.0, 20.0]
 
     def test_unwritable_path_is_runtime_error(self, runner, tmp_path):
         result = runner.invoke(main, ["figure", "--out", str(tmp_path / "no" / "fig.csv")])
@@ -349,7 +394,7 @@ invocations = json.loads(sys.argv[1])
 if sys.argv[2] == "blocked":
     sys.modules["numpy"] = None  # any import of numpy now fails
 def loaded():
-    modules = ("numpy", "scipy", "dataclasses", "crdbounds.cosmology", "crdbounds.quadrature", "crdbounds.figure")
+    modules = ("click", "numpy", "scipy", "dataclasses", "crdbounds.cosmology", "crdbounds.quadrature", "crdbounds.figure")
     return [m for m in modules if sys.modules.get(m) is not None]
 from crdbounds.cli import main
 report = {"import": loaded(), "runs": []}
@@ -357,7 +402,7 @@ for args in invocations:
     out, error = io.StringIO(), None
     try:
         with contextlib.redirect_stdout(out):
-            main(args, standalone_mode=False)
+            main(args)
     except Exception:
         error = traceback.format_exc()
     report["runs"].append({"stdout": out.getvalue(), "error": error, "loaded": loaded()})
@@ -401,8 +446,8 @@ def _assert_figure_files(out):
 
 @pytest.mark.parametrize("args", _COLD_INVOCATIONS[:5], ids=" ".join)
 def test_verb_runs_without_numpy(numpy_importable_run, args):
-    # numpy is importable, and no verb imports it; nor dataclasses, the table
-    # modules or crdbounds.figure
+    # numpy is importable, and no verb imports it; nor click, dataclasses, the
+    # table modules or crdbounds.figure
     assert _cold_result(numpy_importable_run, args)["loaded"] == []
 
 
@@ -421,9 +466,45 @@ def test_every_verb_runs_with_numpy_blocked(numpy_blocked_run, args):
 
 
 def test_cli_import_loads_no_table_module(numpy_importable_run):
-    # cosmology and quadrature, nor numpy, scipy or dataclasses, nor the
-    # figure module, which only the figure verb imports
+    # cosmology and quadrature, nor click, numpy, scipy or dataclasses, nor
+    # the figure module, which only the figure verb imports
     assert numpy_importable_run[0]["import"] == []
+
+
+@pytest.mark.parametrize(
+    "args, buffered",
+    [(["threshold", "--json"], True), (["threshold", "--json"], False), (["--version"], True)],
+    ids=["buffered", "unbuffered", "version"],
+)
+def test_closed_stdout_is_exit_1_with_nothing_on_stderr(args, buffered):
+    # stdout's reader is gone before the call prints, as in `... | head -c 0`:
+    # no traceback from the write, nor "Exception ignored" from the flush at
+    # exit, whichever of the two meets the closed pipe
+    env = _src_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "crdbounds.cli", *args],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert (result.returncode, result.stderr) == (1, b"")
+
+
+def test_ascii_stdout_gets_utf8():
+    # constants prints a multiplication sign; an ASCII stdout gets its UTF-8
+    # bytes, not a UnicodeEncodeError
+    env = dict(_src_env(), PYTHONIOENCODING="ascii")
+    result = subprocess.run(
+        [sys.executable, "-m", "crdbounds.cli", "constants"], env=env, capture_output=True, timeout=120
+    )
+    assert (result.returncode, result.stderr) == (0, b"")
+    assert "1.37 × 2^490".encode("utf-8") in result.stdout
 
 
 def test_quad_rel_tol_is_no_run_setting(runner, tmp_path):
