@@ -1,32 +1,19 @@
-"""Command-line front end, on the standard library's argparse.
+"""Command-line front end: one flag table, ``_FLAGS``, and a short parse loop.
 
-Verbs: constants | kfactors | threshold | scale | figure. ``main`` parses the
-command line with one parser, built once, and runs the verb in one frame:
-the verb gets the loaded RunConfig and returns its numbers, (fields, text
-lines). The frame alone adds the metadata block (parameter values,
-version), so every published number carries what produced it, and maps
-errors to the exit codes: 0 success, 1 runtime or I/O failure, 2 usage or
-configuration error, each failure one ``Error:`` line. Diagnostics go to
-stderr, data to stdout.
+Verbs: constants | kfactors | threshold | scale | figure. Each prints its
+numbers after a metadata block (parameter values, version), so every number
+carries what produced it. Exit codes: 0 success, 1 runtime or I/O failure,
+2 usage or configuration error, each failure one ``Error:`` line on stderr.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import os
 import sys
 
 from . import __version__
-from .bounds import (
-    Scenario,
-    ScenarioKind,
-    crd,
-    energy_from_length,
-    max_length,
-    planck_crd,
-)
+from .bounds import Scenario, ScenarioKind, crd, energy_from_length, max_length, planck_crd
 from .config import RunConfig, load_config
 from .errors import ConfigurationError, QuadratureError, check_range
 from .laws import CosmologyParams, universe_laws
@@ -38,26 +25,6 @@ def _fail(code: int, message):
     """End the call with one ``Error:`` line on stderr and exit code 1 or 2."""
     sys.stderr.write(f"Error: {message}\n")
     raise SystemExit(code)
-
-
-class _Parser(argparse.ArgumentParser):
-    """A usage error is one ``Error:`` line, exit 2, and a token that
-    float() parses is a value, never a flag: argparse alone would take
-    ``--min -1e1`` or ``--ops -inf`` for two flags."""
-
-    def _parse_optional(self, arg_string):
-        try:
-            float(arg_string)
-        except ValueError:
-            return super()._parse_optional(arg_string)
-        return None
-
-    def error(self, message):
-        _fail(2, message)
-
-    def exit(self, status=0, message=None):
-        sys.stdout.flush()  # after --help or --version, so that main sees a closed stdout
-        super().exit(status, message)
 
 
 def _scenarios(config: RunConfig, params: CosmologyParams, name: str):
@@ -229,63 +196,99 @@ def figure(config, lo, hi, step, fmt, out_path):
     }, lines
 
 
-@functools.cache
-def _parser(prog: str) -> _Parser:
-    """The one parser: a subcommand per verb, each with its own flags, then
-    --scenario where it applies, then the flags every verb takes. An unset
-    run flag is None, so the config file or RunConfig's default decides."""
-    parser = _Parser(prog=prog, description="Bounds on hidden classical computational substrates.", add_help=False, allow_abbrev=False)
-    parser.add_argument("--version", action="version", version=f"%(prog)s, version {__version__}", help="Show the version and exit.")
-    parser.add_argument("--help", action="help", help="Show this message and exit.")
-    verbs = parser.add_subparsers(metavar="COMMAND", required=True)
-    for verb in (constants, kfactors, threshold, scale, figure):
-        doc = verb.__doc__
-        sub = verbs.add_parser(verb.__name__, help=doc.splitlines()[0], description=doc, add_help=False, allow_abbrev=False)
-        sub.set_defaults(verb=verb)
-        add = sub.add_argument
-        if verb is scale:
-            add("--qubits", type=int, help="Logical qubit count n (operation count 2^n).")
-            add("--ops", type=float, help="Demonstrated classical operations per --duration (machine mode).")
-            add("--volume", type=float, help="Machine volume in m^3 (machine mode).")
-            add("--duration", type=float, help="Machine run time in seconds (machine mode).")
-        if verb is figure:
-            add("--min", dest="lo", type=float, default=450.0, help="Smallest log2 NEO to sample.")
-            add("--max", dest="hi", type=float, default=1700.0, help="Largest log2 NEO to sample.")
-            add("--step", type=float, default=1.0, help="Sampling step in log2 NEO.")
-            add("--format", dest="fmt", choices=["csv", "json"], default="csv")
-            add("--out", dest="out_path", required=True, help="Output file path.")
-        if verb in (threshold, scale):
-            add("--scenario", dest="scenario_name", choices=["all"] + [k.value for k in ScenarioKind], default="all", help="Restrict to one scenario.")
-        add("--h0", dest="h0_km_s_mpc", type=float, help="Hubble constant in km/s/Mpc.")
-        add("--omega-m", dest="omega_m", type=float, help="Matter density parameter.")
-        add("--omega-lambda", dest="omega_lambda", type=float, help="Dark-energy density parameter.")
-        add("--lab-volume", dest="lab_volume_m3", type=float, help="Lab volume in m^3.")
-        add("--lab-duration", dest="lab_duration_s", type=float, help="Lab run time in seconds.")
-        add("--inputs-per-op", dest="inputs_per_op", type=int, help="Inputs per operation for the nearest-neighbor lab.")
-        add("--json", dest="as_json", action="store_true", help="Emit JSON instead of text.")
-        add("--config", dest="config_path", help="Flat key=value config file (also honored via $CRDBOUNDS_CONFIG).")
-        add("--help", action="help", help="Show this message and exit.")
-    return parser
+# The flag table: flag -> (dest, converter, default, help, the verbs that take it, None meaning
+# before the verb). The converter is float, int, str, a tuple of choices or None, for a switch. A
+# default of ... marks a required flag; an unset run flag is None, so RunConfig's loader decides.
+_VERBS = {verb.__name__: verb for verb in (constants, kfactors, threshold, scale, figure)}
+_FLAGS = {
+    "--qubits": ("qubits", int, None, "Logical qubit count n (operation count 2^n).", ("scale",)),
+    "--ops": ("ops", float, None, "Demonstrated classical operations per --duration (machine mode).", ("scale",)),
+    "--volume": ("volume", float, None, "Machine volume in m^3 (machine mode).", ("scale",)),
+    "--duration": ("duration", float, None, "Machine run time in seconds (machine mode).", ("scale",)),
+    "--min": ("lo", float, 450.0, "Smallest log2 NEO to sample.", ("figure",)),
+    "--max": ("hi", float, 1700.0, "Largest log2 NEO to sample.", ("figure",)),
+    "--step": ("step", float, 1.0, "Sampling step in log2 NEO.", ("figure",)),
+    "--format": ("fmt", ("csv", "json"), "csv", "Output file format.", ("figure",)),
+    "--out": ("out_path", str, ..., "Output file path (required).", ("figure",)),
+    "--scenario": ("scenario_name", ("all", *(k.value for k in ScenarioKind)), "all", "Only this scenario.", ("threshold", "scale")),
+    "--h0": ("h0_km_s_mpc", float, None, "Hubble constant in km/s/Mpc.", _VERBS),
+    "--omega-m": ("omega_m", float, None, "Matter density parameter.", _VERBS),
+    "--omega-lambda": ("omega_lambda", float, None, "Dark-energy density parameter.", _VERBS),
+    "--lab-volume": ("lab_volume_m3", float, None, "Lab volume in m^3.", _VERBS),
+    "--lab-duration": ("lab_duration_s", float, None, "Lab run time in seconds.", _VERBS),
+    "--inputs-per-op": ("inputs_per_op", int, None, "Inputs per operation for the nearest-neighbor lab.", _VERBS),
+    "--json": ("as_json", None, False, "Emit JSON instead of text.", _VERBS),
+    "--config": ("config_path", str, None, "Flat key=value config file (also honored via $CRDBOUNDS_CONFIG).", _VERBS),
+    "--version": (None, None, None, "Show the version and exit.", (None,)),
+    "--help": (None, None, None, "Show this message and exit.", (None, *_VERBS)),
+}
 
 
-def _run(parser: _Parser, args) -> str:
-    """The frame every verb runs in: parse args, load the config once, call
-    the verb, which returns (fields, text lines), and return them after the
-    metadata block (the RunConfig's fields and the version), as JSON or as
-    "# key = value" lines. The k-factors are computed at the library's
-    default tolerance, laws.DEFAULT_REL_TOL. Every bad input value (a
-    ConfigurationError, wherever raised) exits 2, a QuadratureError 1."""
-    options, extra = parser.parse_known_args(args)
-    marker = extra[:1] == ["--"]  # argparse passes the end-of-options marker on
-    if extra[marker:]:
-        first = extra[marker]
-        parser.error(f"No such option '{first}'." if first.startswith("-") and not marker else f"Got unexpected extra argument ({first})")
-    options = vars(options)
-    verb, config_path, as_json = options.pop("verb"), options.pop("config_path"), options.pop("as_json")
-    overrides = {name: options.pop(name) for name in RunConfig._fields}
+def _help(prog: str, name) -> str:
+    """The --help text, from the table: one verb's docstring and flags, or the verbs."""
+    commands = [f"  {verb:<9}  {function.__doc__.splitlines()[0]}" for verb, function in _VERBS.items()]
+    doc = [line.strip() for line in _VERBS[name].__doc__.splitlines()] if name else ["commands:", *commands]
+    lines = [f"usage: {prog} {name or '[--version] [--help] COMMAND'} [options]", "", *doc, "", "options:"]
+    for flag, (_, convert, _, text, verbs) in _FLAGS.items():
+        metavar = " {" + ",".join(convert) + "}" if isinstance(convert, tuple) else f" {convert.__name__.upper()}" if convert else ""
+        lines += [f"  {flag}{metavar}", f"      {text}"] if name in verbs else []
+    return "\n".join(lines)
+
+
+def _value(name: str, convert, value: str):
+    """``value`` through a converter, or one of a tuple of choices; else exit 2."""
+    if callable(convert) or value in convert:
+        try:
+            return convert(value) if callable(convert) else value
+        except ValueError:
+            _fail(2, f"argument {name}: invalid {convert.__name__} value: {value!r}")
+    _fail(2, f"argument {name}: invalid choice: {value!r} (choose from {', '.join(map(repr, convert))})")
+
+
+def _option(token: str, flags):
+    """(flag, text after "=" or None) if ``token`` is a flag, maybe unknown; None for a value: a number, "-", text with a space."""
     try:
-        config = load_config(config_path, overrides)
-        fields, lines = verb(config, **options)
+        float(token)
+    except ValueError:
+        if token[:1] == "-" and len(token) > 1:
+            flag, eq, value = token.partition("=")
+            return (flag, value) if eq and flag in flags else None if " " in token else (token, None)
+
+
+def _run(prog: str, args: list) -> str:
+    """The frame every verb runs in. In ``args`` the first value is the verb,
+    before which only --help and --version are flags; a flag takes the next
+    token or the text after "=", the last of a repeated flag wins, and only
+    the first "--" is dropped. A bad value, then a missing flag, then an
+    unknown flag or a stray value exits 2, as does a ConfigurationError; a
+    QuadratureError exits 1. Returns the text to print."""
+    name, flags, options, stray, tokens = None, ("--version", "--help"), {}, [], iter(args)
+    for token in tokens:
+        option = _option(token, flags)
+        if name and token == "--":  # each token after it is a value
+            stray += [f"Got unexpected extra argument ({value})" for value in tokens]
+        elif name is None and (option is None or token == "--" and next(tokens, None) is not None):  # the verb, or a "--" not last
+            name = _value("COMMAND", _VERBS, token)
+            flags = [flag for flag, row in _FLAGS.items() if name in row[4]]
+            options = {_FLAGS[flag][0]: _FLAGS[flag][2] for flag in flags if _FLAGS[flag][0]}
+        elif option is None or option[0] not in flags:
+            stray.append(f"No such option '{token}'." if token.startswith("-") else f"Got unexpected extra argument ({token})")
+        else:
+            (flag, value), (dest, convert) = option, _FLAGS[option[0]][:2]
+            if convert is None and value is not None:
+                _fail(2, f"argument {flag}: ignored explicit argument {value!r}")
+            if dest is None:
+                return _help(prog, name) if flag == "--help" else f"{prog}, version {__version__}"
+            if convert and value is None and ((value := next(tokens, None)) is None or _option(value, flags)):
+                _fail(2, f"argument {flag}: expected one argument")
+            options[dest] = _value(flag, convert, value) if convert else True
+    missing = [flag for flag in flags if options.get(_FLAGS[flag][0]) is ...] if name else ["COMMAND"]
+    if missing or stray:
+        _fail(2, f"the following arguments are required: {', '.join(missing)}" if missing else stray[0])
+    as_json = options.pop("as_json")
+    try:
+        config = load_config(options.pop("config_path"), {key: options.pop(key) for key in RunConfig._fields})
+        fields, lines = _VERBS[name](config, **options)
     except ConfigurationError as exc:
         _fail(2, exc)
     except QuadratureError as exc:
@@ -297,12 +300,10 @@ def _run(parser: _Parser, args) -> str:
 
 
 def main(args=None, prog_name: str = "crdbounds") -> None:
-    """Run one verb on ``args`` (default: the command line's) and print its
-    numbers. Returns None; a failure prints one ``Error:`` line to stderr
-    and raises SystemExit(2) for a usage or configuration error, SystemExit(1)
-    for a runtime or I/O failure. --help and --version raise SystemExit(0)."""
+    """Run one verb on ``args`` (default: the command line's), print its text and return None.
+    A failure raises SystemExit(2) for a usage or configuration error, else SystemExit(1)."""
     try:
-        text = _run(_parser(prog_name), args)
+        text = _run(prog_name, sys.argv[1:] if args is None else list(args))
         try:
             print(text)
         except UnicodeEncodeError:  # an ASCII stdout writes UTF-8, as it did under click
@@ -310,8 +311,7 @@ def main(args=None, prog_name: str = "crdbounds") -> None:
             print(text)
         sys.stdout.flush()
     except BrokenPipeError:
-        # stdout's reader is gone (``| head``): exit 1 with nothing on stderr,
-        # and let the flush at interpreter exit write to devnull
+        # stdout's reader is gone (``| head``): exit 1, and flush to devnull at exit
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         raise SystemExit(1) from None
 

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from crdbounds import __version__, laws
+from crdbounds import __version__, cli, laws
 from crdbounds.bounds import Scenario, ScenarioKind
 from crdbounds.cli import main
 from crdbounds.figure import read_series_json
@@ -53,6 +54,98 @@ def test_end_of_options_marker_is_dropped_once(runner, args, error):
     result = runner.invoke(main, args)
     assert result.exit_code == (2 if error else 0), result.output
     assert [line for line in result.output.splitlines() if line.startswith("Error:")] == ([error] if error else [])
+
+
+SCENARIO_CHOICES = (
+    "'all', 'lab', 'lab-nearest-neighbor', 'lab-fully-connected', 'lab-broadcast', "
+    "'universe', 'universe-fully-connected', 'universe-broadcast'"
+)
+
+
+@pytest.mark.parametrize(
+    "args, error",
+    [
+        (["threshold", "--h0", "abc"], "argument --h0: invalid float value: 'abc'"),
+        (["scale", "--qubits", "1.5"], "argument --qubits: invalid int value: '1.5'"),
+        (["threshold", "--h0"], "argument --h0: expected one argument"),
+        (["threshold", "--scenario", "bogus"], f"argument --scenario: invalid choice: 'bogus' (choose from {SCENARIO_CHOICES})"),
+        (["figure", "--format", "xml"], "argument --format: invalid choice: 'xml' (choose from 'csv', 'json')"),
+        (["bogus"], "argument COMMAND: invalid choice: 'bogus' (choose from 'constants', 'kfactors', 'threshold', 'scale', 'figure')"),
+        (["figure"], "the following arguments are required: --out"),
+        ([], "the following arguments are required: COMMAND"),
+        (["constants", "--json=1"], "argument --json: ignored explicit argument '1'"),
+        (["threshold", "--bogus"], "No such option '--bogus'."),
+        (["constants", "extra"], "Got unexpected extra argument (extra)"),
+    ],
+    ids=[
+        "float", "int", "missing value", "scenario choice", "format choice", "verb choice",
+        "missing --out", "missing verb", "switch given a value", "unknown flag", "stray word",
+    ],
+)
+def test_parser_error_wording(runner, args, error):
+    # each parse failure is one Error: line in argparse's (3.11) wording, or click's for the last two
+    result = runner.invoke(main, args)
+    assert (result.exit_code, result.stdout, result.stderr) == (2, "", f"Error: {error}\n")
+
+
+def _metadata(runner, args):
+    return _json_out(runner.invoke(main, [*args, "--json"]))["metadata"]
+
+
+def test_flag_value_after_equals_sign(runner):
+    assert _metadata(runner, ["constants", "--h0=71"]) == _metadata(runner, ["constants", "--h0", "71"])
+    assert _metadata(runner, ["constants", "--h0=71"])["h0_km_s_mpc"] == 71.0
+
+
+def test_repeated_flag_last_value_wins(runner):
+    assert _metadata(runner, ["constants", "--h0", "60", "--lab-volume=5", "--h0", "71"])["h0_km_s_mpc"] == 71.0
+
+
+@pytest.mark.parametrize(
+    "args, error",
+    [
+        # a verb's flag before the verb, and a top-level flag after it
+        (["--json", "threshold"], "No such option '--json'."),
+        (["threshold", "--version"], "No such option '--version'."),
+        # no abbreviations
+        (["threshold", "--inputs", "8"], "No such option '--inputs'."),
+        # int() refuses more than 4300 digits with a ValueError
+        (["scale", "--qubits", "7" * 5000], f"argument --qubits: invalid int value: '{'7' * 5000}'"),
+        # "--" after "=" is the flag's value, not the end-of-options marker
+        (["threshold", "--h0=--"], "argument --h0: invalid float value: '--'"),
+        (["threshold", "--scenario=--"], f"argument --scenario: invalid choice: '--' (choose from {SCENARIO_CHOICES})"),
+    ],
+    ids=["verb flag first", "version after verb", "abbreviation", "5000 digits", "h0=--", "scenario=--"],
+)
+def test_flag_placement_is_one_line_usage_error(runner, args, error):
+    result = runner.invoke(main, args)
+    assert (result.exit_code, result.stdout, result.stderr) == (2, "", f"Error: {error}\n")
+
+
+VERB_NAMES = ["constants", "kfactors", "threshold", "scale", "figure"]
+
+
+@pytest.mark.parametrize("verb", VERB_NAMES)
+def test_help_names_the_flags_the_parser_takes(runner, tmp_path, verb):
+    taken = [flag for flag, row in cli._FLAGS.items() if verb in row[4]]
+    result = runner.invoke(main, [verb, "--help"])
+    assert (result.exit_code, result.stderr) == (0, "")
+    assert sorted(set(re.findall(r"--[a-z0-9-]+", result.stdout))) == sorted(taken)
+    out = ["--out", str(tmp_path / "f.csv")] if verb == "figure" else []
+    for flag in cli._FLAGS:
+        if flag not in ("--help", "--version"):
+            # a flag the verb takes wants a value or runs the verb; any other is unknown
+            unknown = f"Error: No such option '{flag}'.\n"
+            assert (runner.invoke(main, [verb, *out, flag]).stderr == unknown) == (flag not in taken), flag
+
+
+def test_top_level_help_lists_the_verbs(runner):
+    result = runner.invoke(main, ["--help"])
+    assert (result.exit_code, result.stderr) == (0, "")
+    lines = [line.split() for line in result.stdout.splitlines()]
+    for verb in VERB_NAMES:
+        assert [verb, *getattr(cli, verb).__doc__.splitlines()[0].split()] in lines
+    assert sorted(set(re.findall(r"--[a-z0-9-]+", result.stdout))) == ["--help", "--version"]
 
 
 class TestConstants:
@@ -178,8 +271,8 @@ class TestScale:
 
     @pytest.mark.parametrize("ops, shown", [("-1e3", "-1000.0"), ("-inf", "-inf")])
     def test_negative_ops_is_a_value_that_its_check_rejects(self, runner, ops, shown):
-        # a token float() parses is a value, never a flag, even where argparse's
-        # negative-number pattern does not match it
+        # a token float() parses is a value, never a flag, in exponent form
+        # and as -inf too
         result = runner.invoke(main, ["scale", "--ops", ops, "--volume", "1", "--duration", "1"])
         assert result.exit_code == 2, result.output
         errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
@@ -394,7 +487,7 @@ invocations = json.loads(sys.argv[1])
 if sys.argv[2] == "blocked":
     sys.modules["numpy"] = None  # any import of numpy now fails
 def loaded():
-    modules = ("click", "numpy", "scipy", "dataclasses", "crdbounds.cosmology", "crdbounds.quadrature", "crdbounds.figure")
+    modules = ("argparse", "gettext", "click", "numpy", "scipy", "dataclasses", "crdbounds.cosmology", "crdbounds.quadrature", "crdbounds.figure")
     return [m for m in modules if sys.modules.get(m) is not None]
 from crdbounds.cli import main
 report = {"import": loaded(), "runs": []}
@@ -473,8 +566,8 @@ def test_cli_import_loads_no_table_module(numpy_importable_run):
 
 @pytest.mark.parametrize(
     "args, buffered",
-    [(["threshold", "--json"], True), (["threshold", "--json"], False), (["--version"], True)],
-    ids=["buffered", "unbuffered", "version"],
+    [(["threshold", "--json"], True), (["threshold", "--json"], False), (["--version"], True), (["--version"], False)],
+    ids=["buffered", "unbuffered", "version", "version unbuffered"],
 )
 def test_closed_stdout_is_exit_1_with_nothing_on_stderr(args, buffered):
     # stdout's reader is gone before the call prints, as in `... | head -c 0`:
