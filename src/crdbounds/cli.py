@@ -69,8 +69,8 @@ def kfactors(config):
     achieved_rel_delta is each one's relative shift between the last two
     panel counts of that computation, the coarser result's error bar. It
     allows nothing for rounding, which is most of the printed result's
-    error: for matter only, k7u and k8u are off by 7.3e-16 and 8.3e-16,
-    above their shifts of 5.7e-16 and 6.3e-16.
+    error: for matter only, k8u is off by 8.3e-16, above its shift of
+    6.3e-16; k4u and k7u are within theirs.
     """
     laws = universe_laws(config.cosmology())
     params = laws.params

@@ -24,7 +24,7 @@ import math
 import numpy as np
 
 from .errors import ConfigurationError, check_integer
-from .laws import DEFAULT_REL_TOL, CosmologyParams, UniverseLaws, _carry, _in_double_range, universe_laws
+from .laws import DEFAULT_REL_TOL, CosmologyParams, UniverseLaws, _carry, _in_double_range, _scale_law, universe_laws
 from .quadrature import GL_INTEGRATION, GL_REMAINDER, GL_WEIGHTS, CumulativeTable, interpolate, panel_nodes
 from .quantities import SPEED_OF_LIGHT
 
@@ -56,19 +56,15 @@ _REL_SLACK = 1.0 + 1e-12  # tolerate float noise when callers pass t = T_U
 
 
 def scale_factor(t, params: CosmologyParams):
-    """a(t) = (Omega_M/Omega_L)^(1/3) sinh^(2/3)(t / t_lambda), a(today) = 1.
+    """a(t), a(today) = 1: ``laws._scale_law`` on numpy arrays.
 
     Accepts a scalar or array time in seconds; t must be >= 0, and a scalar
-    gives a float. The matter-only limit is the power law (t / T)^(2/3).
+    gives a float.
     """
     ts = np.asarray(t, dtype=float)
     if not np.all(ts >= 0.0):  # NaN fails too
         raise ValueError("scale factor is only defined for t >= 0")
-    if params.omega_lambda == 0.0:
-        a = (ts / params.t_universe) ** (2.0 / 3.0)
-    else:
-        amp = (params.omega_m / params.omega_lambda) ** (1.0 / 3.0)
-        a = amp * np.sinh(ts / params.t_lambda) ** (2.0 / 3.0)
+    a = _scale_law(params, np.sinh)(ts)
     return float(a) if ts.ndim == 0 else a
 
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from operator import mul
-from typing import List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 from ._gauss16 import GL_INTEGRATION_ROWS, GL_NODE_LIST, GL_REMAINDER_ROWS, GL_WEIGHT_LIST
 from .errors import ConfigurationError, QuadratureError, _Record, check_range
@@ -53,9 +53,10 @@ class CosmologyParams(_Record):
 
     h0 is in s^-1 (use ``create`` to convert from km/s/Mpc). t_lambda is the
     dark-energy timescale 2/(3 H0 sqrt(Omega_L)), infinite in the matter-only
-    limit; t_universe solves a(t) = 1. Both are derived here, after the
-    inputs are checked, and compare and show like the inputs; this is the
-    only place cosmological inputs are validated.
+    limit; t_universe solves a(t) = 1: t_lambda asinh(sqrt(Omega_L / Omega_M)),
+    or 2/(3 H0) in that limit. Both are derived here, after the inputs are
+    checked, and compare and show like the inputs; this is the only place
+    cosmological inputs are validated.
     """
 
     _fields = ("h0", "omega_m", "omega_lambda")
@@ -74,11 +75,11 @@ class CosmologyParams(_Record):
                 "flatness violated: omega_m + omega_lambda = "
                 f"{self.omega_m + self.omega_lambda!r} must equal 1 within {_FLATNESS_TOL}"
             )
-        if self.omega_lambda == 0.0:
-            t_lambda = math.inf
+        if self.omega_lambda == 0.0:  # the limit, without t_lambda's 0 * inf
+            t_lambda, t_universe = math.inf, 2.0 / (3.0 * self.h0)
         else:
             t_lambda = 2.0 / (3.0 * self.h0 * math.sqrt(self.omega_lambda))
-        t_universe = age_of_universe(self.h0, self.omega_m, self.omega_lambda)
+            t_universe = t_lambda * math.asinh(math.sqrt(self.omega_lambda / self.omega_m))
         check_range("t_universe (s)", t_universe)
         object.__setattr__(self, "t_lambda", t_lambda)
         object.__setattr__(self, "t_universe", t_universe)
@@ -86,19 +87,6 @@ class CosmologyParams(_Record):
     @classmethod
     def create(cls, h0_km_s_mpc: float, omega_m: float, omega_lambda: float) -> "CosmologyParams":
         return cls(h0_km_s_mpc * 1e3 / MPC_IN_M, omega_m, omega_lambda)
-
-
-def age_of_universe(h0: float, omega_m: float, omega_lambda: float) -> float:
-    """Age in seconds, solving a(T) = 1.
-
-    T = t_lambda * asinh(sqrt(Omega_L / Omega_M)); the omega_lambda -> 0 limit
-    is the matter-only closed form 2/(3 H0), applied analytically to avoid the
-    0 * inf indeterminacy in t_lambda.
-    """
-    if omega_lambda == 0.0:
-        return 2.0 / (3.0 * h0)
-    t_lambda = 2.0 / (3.0 * h0 * math.sqrt(omega_lambda))
-    return t_lambda * math.asinh(math.sqrt(omega_lambda / omega_m))
 
 
 class UniverseLaws(_Record):
@@ -156,8 +144,10 @@ def k_integrals(
     agree within rel_tol in every k-factor; the finer one is returned. The
     convergence is spectral, so its truncation error is far below that
     shift, but its rounding error is not: at 8 panels the matter-only closed
-    form is met to 8.3e-16 at worst (k8u), above the shift for k7u and k8u
+    form is met to 8.3e-16 at worst (k8u), above k8u's shift of 6.3e-16
     (tests/test_kfactor_accuracy.py, against the closed form at 40 digits).
+    No sum on this path is the builtin ``sum``, whose rounding changed in
+    Python 3.12, so the bits are the same on every Python.
     A sum that is not finite (a product overflowed on panels too coarse for
     the cosmology) has an infinite shift, so the panels keep doubling. If
     the next count would pass DEFAULT_MAX_PANELS, a QuadratureError carries
@@ -204,13 +194,24 @@ def _k_sums(params: CosmologyParams, panels: int) -> Tuple[float, float, float]:
     )
 
 
-def _fsum(terms: List[float]) -> float:
+def _fsum(terms: Iterable[float]) -> float:
     """math.fsum, or inf where fsum refuses: infinite terms of both signs, or
     a sum that leaves double range (panels too coarse for the cosmology)."""
     try:
         return math.fsum(terms)
     except (OverflowError, ValueError):
         return math.inf
+
+
+def _scale_law(params: CosmologyParams, sinh=math.sinh):
+    """The function a(t), t in seconds: (Omega_M/Omega_L)^(1/3)
+    sinh^(2/3)(t / t_lambda), so a(today) = 1, or the matter-only limit
+    (t / T)^(2/3). sinh is ``math.sinh`` for floats, ``numpy.sinh`` for
+    arrays."""
+    if params.omega_lambda == 0.0:
+        return lambda t: (t / params.t_universe) ** (2.0 / 3.0)
+    amp = (params.omega_m / params.omega_lambda) ** (1.0 / 3.0)
+    return lambda t: amp * sinh(t / params.t_lambda) ** (2.0 / 3.0)
 
 
 def _carry(spans: Sequence[float], ends) -> List[Tuple[float, float, float, float]]:
@@ -240,20 +241,14 @@ def _light_cone_rows(params: CosmologyParams, edges: Sequence[float]):
     (``GL_REMAINDER_ROWS``), so it takes no difference of nearby values;
     eta(T) - eta adds the later panels. C_2 and C_3 are each panel's own
     part, sum_l S[j][l] weight_l (eta_j - eta_l)^k, plus the moments of the
-    panels before it, shifted (``_carry``). ``cosmology._light_cone`` runs
+    panels before it, shifted (``_carry``). The products with S, W - S and
+    W are added by ``_fsum``, exactly rounded, as are the k-factors' sums,
+    so no bit depends on the Python version (the builtin ``sum`` compensates
+    from 3.12 on and did not before). ``cosmology._light_cone`` runs
     the same operations, in this order, on numpy arrays, except that its
-    sums need not run in sequence, so the two agree to a few ulps.
+    sums are numpy's, so the two agree to a few ulps.
     """
-    h0 = params.h0
-    if params.omega_lambda == 0.0:
-        def scale(t):
-            return (t / params.t_universe) ** (2.0 / 3.0)
-    else:
-        amp = (params.omega_m / params.omega_lambda) ** (1.0 / 3.0)
-
-        def scale(t):
-            return amp * math.sinh(t / params.t_lambda) ** (2.0 / 3.0)
-
+    h0, scale = params.h0, _scale_law(params)
     a, weight, since_lo, to_hi, spans, ends = [], [], [], [], [], []
     for lo, hi in zip(edges, edges[1:]):
         half, mid = 0.5 * (hi - lo), 0.5 * (lo + hi)
@@ -262,19 +257,19 @@ def _light_cone_rows(params: CosmologyParams, edges: Sequence[float]):
         dtau = [half * (3.0 * xj * xj) for xj in x]  # times the half width
         weight_p = [d * aj**3 for d, aj in zip(dtau, a_p)]
         de = [d / aj for d, aj in zip(dtau, a_p)]
-        to_hi_p = [sum(map(mul, de, row)) for row in GL_REMAINDER_ROWS]
+        to_hi_p = [_fsum(map(mul, de, row)) for row in GL_REMAINDER_ROWS]
         a.append(a_p)
         weight.append(weight_p)
-        since_lo.append([sum(map(mul, de, row)) for row in GL_INTEGRATION_ROWS])
+        since_lo.append([_fsum(map(mul, de, row)) for row in GL_INTEGRATION_ROWS])
         to_hi.append(to_hi_p)
-        spans.append(sum(map(mul, de, GL_WEIGHT_LIST)))
+        spans.append(_fsum(map(mul, de, GL_WEIGHT_LIST)))
         moments = (  # weight (eta(hi) - eta)^k, k = 0..3, to integrate over the panel
             weight_p,
             list(map(mul, weight_p, to_hi_p)),
             [w * (t * t) for w, t in zip(weight_p, to_hi_p)],
             [w * t**3 for w, t in zip(weight_p, to_hi_p)],
         )
-        ends.append(tuple(sum(map(mul, m, GL_WEIGHT_LIST)) for m in moments))
+        ends.append(tuple(_fsum(map(mul, m, GL_WEIGHT_LIST)) for m in moments))
     b = _carry(spans, ends)
 
     to_today, c2, c3, later = [], [], [], 0.0

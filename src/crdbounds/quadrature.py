@@ -35,13 +35,12 @@ from __future__ import annotations
 import heapq
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
 from ._gauss16 import GL_INTEGRATION_ROWS, GL_NODE_LIST, GL_REMAINDER_ROWS, GL_WEIGHT_LIST
-from .errors import QuadratureError, check_range
+from .errors import QuadratureError, _Record, check_range
 from .laws import DEFAULT_MAX_PANELS, DEFAULT_REL_TOL
 
 _GL_ORDER = 16
@@ -139,21 +138,21 @@ def integrate(
     return total
 
 
-@dataclass(frozen=True, eq=False)  # identity semantics: fields hold arrays
-class CumulativeTable:
+class CumulativeTable(_Record):
     """One function's values at the 16 Gauss-Legendre nodes of each panel.
 
     Panel p is [edges[p], edges[p + 1]]; row p of ``values`` holds its node
     values, in the order of ``GL_NODE_LIST``. Edges are strictly increasing,
     and every edge and value must be finite (a ConfigurationError otherwise).
-    The Python lists that ``interpolate`` reads are made once, here.
+    The Python lists that ``interpolate`` reads are made once, here. Tables
+    compare and hash by identity, as their fields hold arrays.
     """
 
-    edges: np.ndarray
-    values: np.ndarray
-    _lists: Tuple[list, list] = field(init=False, repr=False)
+    _fields = ("edges", "values")
+    __slots__ = _fields + ("_lists",)
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __post_init__(self):
+    def _check(self):
         edges = np.asarray(self.edges, dtype=float)
         values = np.asarray(self.values, dtype=float)
         if edges.ndim != 1 or edges.size < 2:

@@ -480,7 +480,8 @@ _COLD_INVOCATIONS = [
 ]
 
 # Prints one JSON report: the modules loaded by `import crdbounds.cli`, then
-# each invocation's stdout, traceback (None on success) and loaded modules.
+# each invocation's stdout, traceback (None on success) and loaded modules,
+# and with numpy importable, those loaded once the table side is imported.
 _COLD_SCRIPT = """
 import contextlib, io, json, sys, traceback
 invocations = json.loads(sys.argv[1])
@@ -499,6 +500,9 @@ for args in invocations:
     except Exception:
         error = traceback.format_exc()
     report["runs"].append({"stdout": out.getvalue(), "error": error, "loaded": loaded()})
+if sys.argv[2] != "blocked":
+    import crdbounds.cosmology
+    report["tables"] = loaded()
 print(json.dumps(report))
 """
 
@@ -562,6 +566,11 @@ def test_cli_import_loads_no_table_module(numpy_importable_run):
     # cosmology and quadrature, nor click, numpy, scipy or dataclasses, nor
     # the figure module, which only the figure verb imports
     assert numpy_importable_run[0]["import"] == []
+
+
+def test_table_side_loads_no_dataclasses(numpy_importable_run):
+    # the tables' one record type is the package's own; numpy loads no dataclasses
+    assert numpy_importable_run[0]["tables"] == ["numpy", "crdbounds.cosmology", "crdbounds.quadrature", "crdbounds.figure"]
 
 
 @pytest.mark.parametrize(

@@ -2,8 +2,9 @@
 (``laws._light_cone_rows``) and the tables' numpy pass
 (``cosmology._light_cone``), on shared equal panels.
 
-They run the same operations; only the order of the sums differs, so C_2 and
-C_3 agree to a few ulps of each panel's largest value, and the k-factors to
+They run the same operations; only the sums differ, exactly rounded in the
+Python pass (``laws._fsum``) and numpy's own in the other, so C_2 and C_3
+agree to a few ulps of each panel's largest value, and the k-factors to
 2e-15. Both read the 16-point rule of ``_gauss16``, whose Python literals
 are checked here against numpy's Legendre module.
 """
@@ -107,8 +108,8 @@ def test_moments_agree(shared):
     _, _, _, c2, c3, _ = lz._light_cone_rows(params, edges)
     _, _, c2_numpy, c3_numpy = cz._light_cone(params, np.array(edges))
     for rows, want in ((c2, c2_numpy), (c3, c3_numpy)):
-        # the signed sums over S run in another order: measured up to 27 ulps
-        # (C_2 at Omega_M 1e-200), 10 elsewhere
+        # the signed sums over S run in another order: measured up to 25 ulps
+        # (C_2 at Omega_M 1e-200), 13 elsewhere
         scale = np.abs(want).max(axis=1, keepdims=True)
         assert np.all(np.abs(np.array(rows) - want) <= 32 * EPS * scale)
 
