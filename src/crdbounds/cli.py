@@ -72,7 +72,7 @@ def kfactors(config):
     error: for matter only, k8u is off by 8.3e-16, above its shift of
     6.3e-16; k4u and k7u are within theirs.
     """
-    laws = universe_laws(config.cosmology())
+    laws = universe_laws(config.params)
     params = laws.params
     deltas = dict(zip(("k4u", "k7u", "k8u"), laws.k_shift))
     return {
@@ -91,7 +91,7 @@ def kfactors(config):
 
 def threshold(config, scenario_name):
     """Logical-qubit thresholds at which each scenario reaches the Planck scale."""
-    laws = universe_laws(config.cosmology())
+    laws = universe_laws(config.params)
     rows = [planck_threshold(s, laws) for s in _scenarios(config, laws.params, scenario_name)]
     width = max(len(r.scenario_kind.value) for r in rows)
     lines = [f"{'scenario':<{width}}  qubits  log2_nops_exact"]
@@ -139,7 +139,7 @@ def scale(config, qubits, ops, volume, duration, scenario_name):
         ]
 
     check_range("--qubits", qubits, 1, low_inclusive=True)
-    laws = universe_laws(config.cosmology())
+    laws = universe_laws(config.params)
     scenarios = _scenarios(config, laws.params, scenario_name)
     report = classify_machine(qubits, scenarios, laws)
     width = max(len(a.scenario_kind.value) for a in report)
@@ -172,7 +172,7 @@ def figure(config, lo, hi, step, fmt, out_path):
 
     check_grid(lo, hi, step)
     if lo < hi:
-        laws = universe_laws(config.cosmology())
+        laws = universe_laws(config.params)
         series, annotations = build_figure(
             (lo, hi), step, laws, lab_volume_m3=config.lab_volume_m3, lab_duration_s=config.lab_duration_s
         )

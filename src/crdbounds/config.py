@@ -16,20 +16,19 @@ ENV_CONFIG_PATH = "CRDBOUNDS_CONFIG"
 class RunConfig(_Record):
     """One run's parameters, checked when the instance is built: a bad
     value is a ConfigurationError naming it. Every field has a default, and
-    its type is the default's."""
+    its type is the default's. ``params`` is the CosmologyParams the check
+    builds, derived like a field but not one."""
 
     _defaults = dict(
         h0_km_s_mpc=70.0, omega_m=0.3, omega_lambda=0.7,
         lab_volume_m3=1000.0, lab_duration_s=JULIAN_YEAR_S, inputs_per_op=8,
     )
-    __slots__ = _fields = tuple(_defaults)
-
-    def cosmology(self) -> CosmologyParams:
-        return CosmologyParams.create(self.h0_km_s_mpc, self.omega_m, self.omega_lambda)
+    _fields = tuple(_defaults)
+    __slots__ = _fields + ("params",)
 
     def _check(self):
         try:
-            self.cosmology()
+            params = CosmologyParams.create(self.h0_km_s_mpc, self.omega_m, self.omega_lambda)
         except ConfigurationError as exc:
             raise ConfigurationError(
                 f"h0_km_s_mpc={self.h0_km_s_mpc!r}, omega_m={self.omega_m!r}, "
@@ -38,6 +37,7 @@ class RunConfig(_Record):
         check_range("lab_volume_m3", self.lab_volume_m3)
         check_range("lab_duration_s", self.lab_duration_s)
         check_integer("inputs_per_op", self.inputs_per_op, 1)
+        object.__setattr__(self, "params", params)
 
 
 def parse_config_file(path: Union[str, Path]) -> dict:

@@ -10,10 +10,11 @@ external tools; this module only writes CSV and JSON files.
 
 A series holds its points as three columns of Python floats in tuples
 (log2_neo, length_m, energy_ev); the five series of one figure share one
-log2_neo tuple. ``FigureSeries.points`` is a read-only sequence view over the
-columns that yields a ``FigurePoint`` per index. A tuple of columns is three
-container objects where a tuple of rows is one per point, so a dense figure
-builds without the cyclic collector scanning hundreds of thousands of rows.
+log2_neo tuple. ``FigureSeries.points`` is a ``SeriesPoints``, a read-only
+record of the columns that compares, hashes and prints as them and is a
+sequence of ``FigurePoint`` rows. A tuple of columns is three container
+objects where a tuple of rows is one per point, so a dense figure builds
+without the cyclic collector scanning hundreds of thousands of rows.
 
 CSV schema: header ``series,label,log2_neo,length_m,energy_ev``, UTF-8, LF
 line endings, floats rendered with %.17g. The writer streams one block per
@@ -67,56 +68,26 @@ class FigurePoint(NamedTuple):
     energy_ev: float
 
 
-class SeriesPoints(Sequence):
+class SeriesPoints(_Record, Sequence):
     """Read-only sequence view of a series' points over its three columns.
 
     ``points[i]`` is a ``FigurePoint``; a slice is another view over sliced
-    columns. Views compare equal to views with equal columns and to the
-    tuple of their points, and hash as that tuple does.
+    columns. Views compare, hash and print as their columns; ``tuple(points)``
+    gives the rows.
     """
 
-    __slots__ = FigurePoint._fields
+    __slots__ = _fields = FigurePoint._fields
 
-    def __init__(
-        self, log2_neo: Tuple[float, ...], length_m: Tuple[float, ...], energy_ev: Tuple[float, ...]
-    ):
-        if not len(log2_neo) == len(length_m) == len(energy_ev):
+    def _check(self):
+        if not len(self.log2_neo) == len(self.length_m) == len(self.energy_ev):
             raise ValueError("point columns differ in length")
-        object.__setattr__(self, "log2_neo", log2_neo)
-        object.__setattr__(self, "length_m", length_m)
-        object.__setattr__(self, "energy_ev", energy_ev)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("series points are read-only")
-
-    def __reduce__(self):
-        return SeriesPoints, (self.log2_neo, self.length_m, self.energy_ev)
 
     def __len__(self) -> int:
         return len(self.log2_neo)
 
     def __getitem__(self, i):
-        if isinstance(i, slice):
-            return SeriesPoints(self.log2_neo[i], self.length_m[i], self.energy_ev[i])
-        return FigurePoint(self.log2_neo[i], self.length_m[i], self.energy_ev[i])
-
-    def __iter__(self):
-        return map(FigurePoint, self.log2_neo, self.length_m, self.energy_ev)
-
-    def __eq__(self, other):
-        if isinstance(other, SeriesPoints):
-            return (self.log2_neo, self.length_m, self.energy_ev) == (
-                other.log2_neo, other.length_m, other.energy_ev
-            )
-        if isinstance(other, tuple):
-            return tuple(self) == other
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))
-
-    def __repr__(self) -> str:
-        return f"SeriesPoints({tuple(self)!r})"
+        columns = (self.log2_neo[i], self.length_m[i], self.energy_ev[i])
+        return SeriesPoints(*columns) if isinstance(i, slice) else FigurePoint(*columns)
 
 
 class FigureSeries(_Record):

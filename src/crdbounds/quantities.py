@@ -45,22 +45,21 @@ class LogQuantity(NamedTuple):
 
     def decimal_str(self) -> str:
         """Scientific notation "m × 10^e" with 1 <= m < 10, 4 significant digits."""
-        log10_value = self.log2_value * _LOG10_2
-        e = math.floor(log10_value)
-        m = 10.0 ** (log10_value - e)
-        if float(f"{m:.3f}") >= 10.0:  # rounding carried the mantissa over
-            m /= 10.0
-            e += 1
-        return f"{m:.3f} × 10^{e}"
+        return _scientific(self.log2_value * _LOG10_2, 10.0, 3)
 
     def pow2_str(self) -> str:
         """Binary-exponent form "k × 2^n" with 1 <= k < 2, 3 significant digits."""
-        n = math.floor(self.log2_value)
-        k = 2.0 ** (self.log2_value - n)
-        if float(f"{k:.2f}") >= 2.0:
-            k /= 2.0
-            n += 1
-        return f"{k:.2f} × 2^{n}"
+        return _scientific(self.log2_value, 2.0, 2)
+
+
+def _scientific(log_value: float, base: float, decimals: int) -> str:
+    """base**log_value as "m × base^e", m to ``decimals`` places; an m that rounds to base carries."""
+    e = math.floor(log_value)
+    m = base ** (log_value - e)
+    if float(f"{m:.{decimals}f}") >= base:
+        m /= base
+        e += 1
+    return f"{m:.{decimals}f} × {base:g}^{e}"
 
 
 class PhysicalConstants(NamedTuple):

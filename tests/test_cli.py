@@ -428,6 +428,20 @@ class TestConfigWiring:
         )
         assert doc["thresholds"][0]["qubits"] == 529  # 525.34 + log2(16) = 529.34
 
+    @pytest.mark.parametrize(
+        "args",
+        [["kfactors"], ["threshold"], ["scale", "--qubits", "2048"], ["figure", "--out", "fig.csv"]],
+        ids=" ".join,
+    )
+    def test_one_cosmology_per_call(self, tmp_path, monkeypatch, capsys, args):
+        # the verb reads the CosmologyParams its RunConfig built
+        built, check = [], laws.CosmologyParams._check
+        monkeypatch.setattr(laws.CosmologyParams, "_check", lambda params: built.append(params) or check(params))
+        monkeypatch.delenv("CRDBOUNDS_CONFIG", raising=False)
+        monkeypatch.chdir(tmp_path)
+        main(args)
+        assert len(built) == 1
+
 
 @pytest.mark.parametrize(
     "args",

@@ -4,7 +4,9 @@ The files in tests/golden/ hold the --json output of threshold, kfactors and
 scale --qubits 2048 at the fiducial and matter-only cosmologies. Floats must
 agree to a relative 1e-12; integers, strings and booleans exactly.
 achieved_rel_delta is a difference of two nearly equal k-factors, so it is
-compared at an absolute 1e-14.
+compared at an absolute 1e-14. They also hold the figure file, as CSV and as
+JSON, over a range that brackets the universe series' Planck crossing at
+806.4; the written bytes must match exactly.
 """
 
 import json
@@ -48,3 +50,13 @@ def test_json_output_matches_golden(verb, cosmology):
     assert result.exit_code == 0, result.output
     want = json.loads((GOLDEN / f"{verb}_{cosmology}.json").read_text())
     _assert_matches(json.loads(result.stdout), want, verb)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_figure_file_matches_golden(tmp_path, fmt):
+    out = tmp_path / f"figure.{fmt}"
+    runner = CliRunner(env={"CRDBOUNDS_CONFIG": None})
+    args = ["figure", "--min", "800", "--max", "812", "--step", "4", "--format", fmt, "--out", str(out)]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0, result.output
+    assert out.read_bytes() == (GOLDEN / f"figure_fiducial.{fmt}").read_bytes()

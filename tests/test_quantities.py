@@ -40,6 +40,11 @@ def test_decimal_str_mantissa_carry():
     assert q.decimal_str() == "1.000 × 10^4"
 
 
+def test_pow2_str_mantissa_carry():
+    # 2^0.9999 rounds to a mantissa of 2.00; must carry into the exponent
+    assert LogQuantity(5.9999).pow2_str() == "1.00 × 2^6"
+
+
 def test_pow2_str():
     assert LogQuantity(490.4554).pow2_str() == "1.37 × 2^490"
     assert LogQuantity(10.0).pow2_str() == "1.00 × 2^10"

@@ -12,7 +12,7 @@ from crdbounds.bounds import Scenario, ScenarioKind, power_law
 from crdbounds.config import RunConfig
 from crdbounds.cosmology import LightconeTables
 from crdbounds.errors import ConfigurationError
-from crdbounds.figure import Annotation, FigureSeries
+from crdbounds.figure import Annotation, FigureSeries, SeriesPoints
 from crdbounds.laws import CosmologyParams, UniverseLaws, universe_laws
 from crdbounds.quantities import JULIAN_YEAR_S, LogQuantity, PhysicalConstants, planck_units
 
@@ -32,6 +32,7 @@ MAKERS = {
     Scenario: lambda tables: Scenario.lab_nearest_neighbor(1000.0, JULIAN_YEAR_S, 8),
     RunConfig: lambda tables: RunConfig(h0_km_s_mpc=67.0),
     FigureSeries: lambda tables: FigureSeries("s", ScenarioKind.LAB, "dotted", ((1.0, 2.0, 3.0),)),
+    SeriesPoints: lambda tables: SeriesPoints((1.0, 4.0), (2.0, 5.0), (3.0, 6.0)),
     Annotation: lambda tables: Annotation("a", "b", log2_neo=1.0),
 }
 
@@ -40,6 +41,7 @@ HIDDEN = {
     Scenario: ("law",),
     UniverseLaws: ("log2_k",),
     LightconeTables: ("log2_k", "x_max", "x_first"),
+    RunConfig: ("params",),
 }
 
 
@@ -137,6 +139,7 @@ def test_replace_derives_again(fiducial_tables):
     q = p._replace(omega_m=0.25, omega_lambda=0.75)
     assert q.t_universe == CosmologyParams.create(70.0, 0.25, 0.75).t_universe != p.t_universe
     assert q.t_lambda == CosmologyParams.create(70.0, 0.25, 0.75).t_lambda != p.t_lambda
+    assert RunConfig()._replace(omega_m=0.25, omega_lambda=0.75).params == CosmologyParams.create(70.0, 0.25, 0.75)
 
     for laws in (universe_laws(p), fiducial_tables):
         doubled = laws._replace(k4u=2.0 * laws.k4u)

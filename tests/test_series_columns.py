@@ -108,10 +108,10 @@ def test_index_gives_a_figure_point():
 
 def test_slices():
     s = _series()
-    assert s.points[0:2] == ROWS[0:2]
-    assert s.points[::2] == ROWS[::2]
-    assert s.points[::-1] == ROWS[::-1]
-    assert s.points[5:] == ()
+    assert tuple(s.points[0:2]) == ROWS[0:2]
+    assert tuple(s.points[::2]) == ROWS[::2]
+    assert tuple(s.points[::-1]) == ROWS[::-1]
+    assert tuple(s.points[5:]) == ()
     assert isinstance(s.points[1:], SeriesPoints)
 
 
@@ -123,16 +123,19 @@ def test_len_iteration_and_sequence_methods():
     assert list(reversed(s.points)) == list(ROWS[::-1])
     assert ROWS[2] in s.points
     assert s.points.index(ROWS[1]) == 1
-    assert repr(s.points) == f"SeriesPoints({ROWS!r})"
+    # a view prints as its columns
+    neo, length, energy = zip(*ROWS)
+    assert repr(s.points) == f"SeriesPoints(log2_neo={neo!r}, length_m={length!r}, energy_ev={energy!r})"
 
 
 def test_equality_and_hash_as_with_row_tuples():
     a, b = _series(), _series(points=SeriesPoints(*zip(*ROWS)))
     assert a == b and a.points == b.points
-    assert a.points == ROWS and ROWS == a.points
-    # the dataclass hashes its fields: the view hashes as its tuple of rows did
-    assert hash(a.points) == hash(ROWS) == hash(b.points)
-    assert hash(a) == hash(("s", ScenarioKind.LAB, "dotted", ROWS)) == hash(b)
+    assert tuple(a.points) == ROWS == tuple(b.points)
+    # a view compares and hashes as its columns, not as the tuple of its rows
+    assert a.points != ROWS and ROWS != a.points
+    assert hash(a.points) == hash(tuple(zip(*ROWS))) == hash(b.points)
+    assert hash(a) == hash(("s", ScenarioKind.LAB, "dotted", b.points)) == hash(b)
     assert a != _series(points=ROWS[:2])
     assert a != _series(label="t")
     assert a.points != list(ROWS)  # a tuple never equalled a list either
