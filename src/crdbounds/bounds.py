@@ -17,8 +17,11 @@ kind's when its Scenario is built, a universe kind's log2 K in its
 cosmology's UniverseLaws (``laws.universe_laws``;
 ``cosmology.LightconeTables`` carry them too).
 The broadcast clock is pinned at the causal limit tau = l/c.
-Lengths and operation counts may be floats or numpy arrays; floats take
-math, so numpy is imported only for arrays.
+Each formula is written once: a law's length l = 2^((log2 K - log2 N)/p)
+in PowerLaw (``length``, and ``lengths`` over a sequence), the energy
+hbar c / l in ``energies_from_lengths``, and the lab inputs are checked in
+Scenario's own check only. Lengths and operation counts may be floats or
+numpy arrays; floats take math, so numpy is imported only for arrays.
 """
 
 from __future__ import annotations
@@ -78,8 +81,8 @@ class Scenario(_Record):
     def _check(self):
         p, n_v, n_t, weight = self.kind.row
         if n_v:
-            check_range(f"{self.kind.name} volume", self.v3)
-            check_range(f"{self.kind.name} duration", self.duration)
+            check_range("lab_volume_m3", self.v3)
+            check_range("lab_duration_s", self.duration)
             if self.params is not None:
                 raise ConfigurationError(f"{self.kind.name} does not take cosmological parameters")
         elif self.params is None:
@@ -153,6 +156,12 @@ class PowerLaw(NamedTuple):
     def length(self, log2_n_ops):
         """Element spacing (m) at which the bound allows 2^log2_n_ops operations."""
         return 2.0 ** ((self.log2_k - log2_n_ops) / self.p)
+
+    def lengths(self, log2_n_ops) -> list:
+        """``length`` at each of a sequence of log2 N_ops, the same doubles:
+        dividing by p as a float is what dividing by the int p does, faster."""
+        log2_k, p = self.log2_k, float(self.p)
+        return [2.0 ** ((log2_k - x) / p) for x in log2_n_ops]
 
 
 def power_law(scenario: Scenario, laws: Optional[UniverseLaws] = None) -> PowerLaw:
@@ -229,11 +238,19 @@ def length_for_scenario(
         ) from None
 
 
+def energies_from_lengths(lengths, constants: PhysicalConstants = PLANCK_UNITS) -> list:
+    """Energy scale hbar c / l in eV at each of a sequence of lengths, each
+    > 0 m, unchecked: a large length's energy may underflow to 0 and a tiny
+    one's overflow to inf."""
+    hbar_c = constants.hbar * constants.c
+    return [hbar_c / length / EV_IN_JOULES for length in lengths]
+
+
 def energy_from_length(length, constants: PhysicalConstants = PLANCK_UNITS):
     """Energy scale hbar c / l in eV (l a float or an array); reproduces the
-    Planck energy at l = l_p. An energy past the largest double is a
+    Planck energy at l = l_p. An energy that is not a positive double is a
     ConfigurationError."""
     check_range("length", length)
-    energy = constants.hbar * constants.c / length / EV_IN_JOULES
+    energy = energies_from_lengths([length], constants)[0]
     check_range("energy", energy)
     return energy

@@ -13,10 +13,10 @@ import os
 import sys
 
 from . import __version__
-from .bounds import Scenario, ScenarioKind, crd, energy_from_length, max_length, planck_crd
+from .bounds import ScenarioKind, crd, energy_from_length, max_length, planck_crd
 from .config import RunConfig, load_config
 from .errors import ConfigurationError, QuadratureError, check_range
-from .laws import CosmologyParams, universe_laws
+from .laws import universe_laws
 from .quantities import PLANCK_UNITS, LogQuantity, s_to_gyr
 from .thresholds import classify_machine, planck_threshold
 
@@ -27,19 +27,8 @@ def _fail(code: int, message):
     raise SystemExit(code)
 
 
-def _scenarios(config: RunConfig, params: CosmologyParams, name: str):
-    scenarios = [
-        Scenario.lab(config.lab_volume_m3, config.lab_duration_s),
-        Scenario.lab_nearest_neighbor(
-            config.lab_volume_m3, config.lab_duration_s, config.inputs_per_op
-        ),
-        Scenario.lab_fully_connected(config.lab_volume_m3, config.lab_duration_s),
-        Scenario.lab_broadcast(config.lab_volume_m3, config.lab_duration_s),
-        Scenario.universe(params),
-        Scenario.universe_fully_connected(params),
-        Scenario.universe_broadcast(params),
-    ]
-    return [s for s in scenarios if name in ("all", s.kind.value)]
+def _scenarios(config: RunConfig, name: str):
+    return [s for s in config.scenarios if name in ("all", s.kind.value)]
 
 
 def constants(config):
@@ -92,7 +81,7 @@ def kfactors(config):
 def threshold(config, scenario_name):
     """Logical-qubit thresholds at which each scenario reaches the Planck scale."""
     laws = universe_laws(config.params)
-    rows = [planck_threshold(s, laws) for s in _scenarios(config, laws.params, scenario_name)]
+    rows = [planck_threshold(s, laws) for s in _scenarios(config, scenario_name)]
     width = max(len(r.scenario_kind.value) for r in rows)
     lines = [f"{'scenario':<{width}}  qubits  log2_nops_exact"]
     lines += [
@@ -140,7 +129,7 @@ def scale(config, qubits, ops, volume, duration, scenario_name):
 
     check_range("--qubits", qubits, 1, low_inclusive=True)
     laws = universe_laws(config.params)
-    scenarios = _scenarios(config, laws.params, scenario_name)
+    scenarios = _scenarios(config, scenario_name)
     report = classify_machine(qubits, scenarios, laws)
     width = max(len(a.scenario_kind.value) for a in report)
     lines = [f"{'scenario':<{width}}  threshold  probed_length_m  energy_ev      sub_planckian"]

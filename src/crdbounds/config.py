@@ -6,7 +6,8 @@ import os
 from pathlib import Path
 from typing import Mapping, Optional, Union
 
-from .errors import ConfigurationError, _Record, check_integer, check_range
+from .bounds import Scenario
+from .errors import ConfigurationError, _Record
 from .laws import CosmologyParams
 from .quantities import JULIAN_YEAR_S
 
@@ -17,14 +18,16 @@ class RunConfig(_Record):
     """One run's parameters, checked when the instance is built: a bad
     value is a ConfigurationError naming it. Every field has a default, and
     its type is the default's. ``params`` is the CosmologyParams the check
-    builds, derived like a field but not one."""
+    builds and ``scenarios`` the run's seven Scenarios, one per ScenarioKind
+    in its order, which check the lab inputs; both are derived like fields
+    but are not ones."""
 
     _defaults = dict(
         h0_km_s_mpc=70.0, omega_m=0.3, omega_lambda=0.7,
         lab_volume_m3=1000.0, lab_duration_s=JULIAN_YEAR_S, inputs_per_op=8,
     )
     _fields = tuple(_defaults)
-    __slots__ = _fields + ("params",)
+    __slots__ = _fields + ("params", "scenarios")
 
     def _check(self):
         try:
@@ -34,10 +37,15 @@ class RunConfig(_Record):
                 f"h0_km_s_mpc={self.h0_km_s_mpc!r}, omega_m={self.omega_m!r}, "
                 f"omega_lambda={self.omega_lambda!r}: {exc}"
             ) from exc
-        check_range("lab_volume_m3", self.lab_volume_m3)
-        check_range("lab_duration_s", self.lab_duration_s)
-        check_integer("inputs_per_op", self.inputs_per_op, 1)
+        lab = (self.lab_volume_m3, self.lab_duration_s)
+        scenarios = (
+            Scenario.lab(*lab), Scenario.lab_nearest_neighbor(*lab, self.inputs_per_op),
+            Scenario.lab_fully_connected(*lab), Scenario.lab_broadcast(*lab),
+            Scenario.universe(params), Scenario.universe_fully_connected(params),
+            Scenario.universe_broadcast(params),
+        )
         object.__setattr__(self, "params", params)
+        object.__setattr__(self, "scenarios", scenarios)
 
 
 def parse_config_file(path: Union[str, Path]) -> dict:

@@ -10,11 +10,15 @@ external tools; this module only writes CSV and JSON files.
 
 A series holds its points as three columns of Python floats in tuples
 (log2_neo, length_m, energy_ev); the five series of one figure share one
-log2_neo tuple. ``FigureSeries.points`` is a ``SeriesPoints``, a read-only
-record of the columns that compares, hashes and prints as them and is a
-sequence of ``FigurePoint`` rows. A tuple of columns is three container
-objects where a tuple of rows is one per point, so a dense figure builds
-without the cyclic collector scanning hundreds of thousands of rows.
+log2_neo tuple. The lengths are ``PowerLaw.lengths`` of the grid and the
+energies ``bounds.energies_from_lengths`` of the lengths, so every point is
+the double the scalar API returns; both columns are range-checked at the
+grid's ends, where the extremes lie. ``FigureSeries.points`` is a
+``SeriesPoints``, a read-only record of the columns that compares, hashes
+and prints as them and is a sequence of ``FigurePoint`` rows. A tuple of
+columns is three container objects where a tuple of rows is one per point,
+so a dense figure builds without the cyclic collector scanning hundreds of
+thousands of rows.
 
 CSV schema: header ``series,label,log2_neo,length_m,energy_ev``, UTF-8, LF
 line endings, floats rendered with %.17g. The writer streams one block per
@@ -34,11 +38,11 @@ import math
 from pathlib import Path
 from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from .bounds import Scenario, ScenarioKind, power_law
+from .bounds import Scenario, ScenarioKind, energies_from_lengths, power_law
 from .config import RunConfig
 from .errors import ConfigurationError, _Record, check_range
 from .laws import UniverseLaws
-from .quantities import EV_IN_JOULES, PLANCK_UNITS, PhysicalConstants
+from .quantities import PLANCK_UNITS, PhysicalConstants
 
 STYLE_HINTS = ("dotted", "solid_lower", "solid_upper", "dashed", "dashdot")
 
@@ -154,6 +158,8 @@ def build_figure(
 
     qubit_range is (min, max) with min < max; step > 0. Every series is
     strictly decreasing in length along the grid; the universe series read ``laws``.
+    A length or an energy that is not a positive double, an energy that
+    underflows to 0 included, is a ConfigurationError naming the series.
     """
     lo, hi = qubit_range
     check_grid(lo, hi, step)
@@ -161,51 +167,33 @@ def build_figure(
         raise ConfigurationError(f"qubit range must satisfy min < max, got ({lo!r}, {hi!r})")
     params = laws.params
 
+    small = f"{SMALL_LAB_VOLUME_M3:g} m3 for {SMALL_LAB_DURATION_S:g} s"
+    lab = f"{lab_volume_m3:g} m3 for {lab_duration_s:g} s"
     specs = [
-        (
-            f"small lab {SMALL_LAB_VOLUME_M3:g} m3 for {SMALL_LAB_DURATION_S:g} s",
-            Scenario.lab(SMALL_LAB_VOLUME_M3, SMALL_LAB_DURATION_S),
-            "dotted",
-        ),
-        (
-            f"lab {lab_volume_m3:g} m3 for {lab_duration_s:g} s",
-            Scenario.lab(lab_volume_m3, lab_duration_s),
-            "solid_lower",
-        ),
+        (f"small lab {small}", Scenario.lab(SMALL_LAB_VOLUME_M3, SMALL_LAB_DURATION_S), "dotted"),
+        (f"lab {lab}", Scenario.lab(lab_volume_m3, lab_duration_s), "solid_lower"),
         ("universe", Scenario.universe(params), "solid_upper"),
-        (
-            f"fully connected lab {lab_volume_m3:g} m3 for {lab_duration_s:g} s",
-            Scenario.lab_fully_connected(lab_volume_m3, lab_duration_s),
-            "dashed",
-        ),
-        (
-            "fully connected universe",
-            Scenario.universe_fully_connected(params),
-            "dashdot",
-        ),
+        (f"fully connected lab {lab}", Scenario.lab_fully_connected(lab_volume_m3, lab_duration_s), "dashed"),
+        ("fully connected universe", Scenario.universe_fully_connected(params), "dashdot"),
     ]
 
     grid = _arange(lo, hi + 0.5 * step, step)
     log2_neo = tuple(grid)
-    hbar_c = constants.hbar * constants.c
     series = []
     for label, scenario, style in specs:
-        # PowerLaw.length's and energy_from_length's operations, in their
-        # order, so every point is the scalar API's double. Lengths fall
-        # along the grid, so its ends hold the extremes; ** raises
-        # OverflowError where a length exceeds the largest double. Dividing
-        # by p as a float is what dividing by the int p does, only faster.
-        log2_k, p = power_law(scenario, laws)
-        p = float(p)
+        # lengths fall and energies rise along the grid, so its ends hold
+        # the extremes; ** raises OverflowError past the largest double
+        law = power_law(scenario, laws)
         for end in (grid[0], grid[-1]):
             try:
-                length = 2.0 ** ((log2_k - end) / p)
+                length = law.length(end)
             except OverflowError:
                 length = math.inf
             check_range(f"{label}: probed length", length)
-        lengths = tuple([2.0 ** ((log2_k - x) / p) for x in grid])
-        energies = tuple([hbar_c / length / EV_IN_JOULES for length in lengths])
-        check_range(f"{label}: energy", energies[-1])
+        lengths = tuple(law.lengths(grid))
+        energies = tuple(energies_from_lengths(lengths, constants))
+        for energy in (energies[0], energies[-1]):
+            check_range(f"{label}: energy", energy)
         points = SeriesPoints(log2_neo, lengths, energies)
         series.append(FigureSeries(label=label, kind=scenario.kind, style_hint=style, points=points))
 

@@ -6,22 +6,24 @@ to the nearest integer with ties going up.
 
 Each scenario's law N_ops = 2^log2_k / l^p is computed once, where its inputs
 live (see ``bounds``), so ``classify_machine`` reads the stored laws and
-evaluates them through ``PowerLaw``, in Python floats.
+evaluates them through ``PowerLaw``, in Python floats, and takes the energies
+of the probed lengths from one ``bounds.energies_from_lengths`` call.
 """
 
 from __future__ import annotations
 
 import math
+from operator import attrgetter
 from typing import List, NamedTuple, Optional, Sequence
 
-from .bounds import Scenario, ScenarioKind, neo_from_qubits, power_law
+from .bounds import Scenario, ScenarioKind, energies_from_lengths, neo_from_qubits, power_law
 from .errors import check_range
 from .laws import UniverseLaws
-from .quantities import EV_IN_JOULES, PLANCK_UNITS, PhysicalConstants
+from .quantities import PLANCK_UNITS, PhysicalConstants
 
 
 def round_half_up(x: float) -> int:
-    return int(math.floor(x + 0.5))
+    return math.floor(x + 0.5)
 
 
 class ThresholdResult(NamedTuple):
@@ -73,24 +75,19 @@ def classify_machine(
     """
     log2_n = neo_from_qubits(n).log2_value
     stored = [power_law(scenario, laws) for scenario in scenarios]
+    lengths = [law.length(log2_n) for law in stored]
+    # 0 m has no energy: the energies stop before the first such length,
+    # whose check the scenario-by-scenario loop reaches first
+    energies = energies_from_lengths(lengths[: lengths.index(0.0)] if 0.0 in lengths else lengths, constants)
     l_p = constants.l_p
-    hbar_c = constants.hbar * constants.c
     assessments = []
-    for scenario, law in zip(scenarios, stored):
-        length = law.length(log2_n)
+    for i, (scenario, law, length) in enumerate(zip(scenarios, stored, lengths)):
         if not 0.0 < length < math.inf:
             check_range(f"the {scenario.kind.value} length probed by {n} qubits", length)
-        energy = hbar_c / length / EV_IN_JOULES
+        energy = energies[i]
         if not energy < math.inf:
             check_range(f"the {scenario.kind.value} energy probed by {n} qubits", energy)
-        assessments.append(
-            ScenarioAssessment(
-                scenario.kind,
-                round_half_up(law.log2_n_ops(l_p)),
-                length,
-                energy,
-                length < l_p,
-            )
-        )
-    assessments.sort(key=lambda a: a.threshold_qubits)
+        threshold = round_half_up(law.log2_n_ops(l_p))
+        assessments.append(ScenarioAssessment(scenario.kind, threshold, length, energy, length < l_p))
+    assessments.sort(key=attrgetter("threshold_qubits"))
     return assessments

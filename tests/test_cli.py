@@ -444,6 +444,21 @@ class TestConfigWiring:
 
 
 @pytest.mark.parametrize(
+    "args, error",
+    [
+        (["constants", "--lab-volume", "-1"], "lab_volume_m3 must be a finite number in (0, inf), got -1.0"),
+        (["kfactors", "--lab-duration", "nan"], "lab_duration_s must be a finite number in (0, inf), got nan"),
+        (["threshold", "--inputs-per-op", "0"], "inputs_per_op must be a finite number in [1, inf), got 0"),
+    ],
+    ids=["lab-volume", "lab-duration", "inputs-per-op"],
+)
+def test_bad_lab_input_names_its_config_key(runner, args, error):
+    # the run's Scenarios check the lab inputs, also for verbs that read none
+    result = runner.invoke(main, args)
+    assert (result.exit_code, result.stdout, result.stderr) == (2, "", f"Error: {error}\n")
+
+
+@pytest.mark.parametrize(
     "args",
     [
         ["threshold", "--h0", "inf"],
@@ -453,6 +468,8 @@ class TestConfigWiring:
         ["figure", "--step", "inf"],
         ["figure", "--min", "nan"],
         ["figure", "--min", "0", "--max", "1e300", "--step", "1e299"],
+        # the small lab's energy at log2 NEO -4000 underflows to 0 eV; H0 keeps the universe lengths finite
+        ["figure", "--h0", "1e50", "--min", "-4000", "--max", "450", "--step", "50"],
         ["scale", "--ops", "inf", "--volume", "1", "--duration", "1"],
         ["scale", "--ops", "nan", "--volume", "1", "--duration", "1"],
         ["scale", "--qubits", "1000000"],

@@ -7,6 +7,8 @@ import pytest
 from crdbounds.figure import (
     CSV_HEADER,
     MAX_FIGURE_POINTS,
+    SMALL_LAB_DURATION_S,
+    SMALL_LAB_VOLUME_M3,
     Annotation,
     FigureSeries,
     _arange,
@@ -181,14 +183,17 @@ def test_config_overrides_lab_parameters(fiducial_tables, constants):
 
 
 def test_points_match_scalar_loop(fiducial_figure, fiducial_tables, paper_scenarios, constants):
-    from crdbounds.bounds import energy_from_length, length_for_scenario
+    from crdbounds.bounds import Scenario, energy_from_length, length_for_scenario
     from crdbounds.quantities import LogQuantity
 
     series, _ = fiducial_figure
     by_kind = {s.kind: s for s in paper_scenarios}
-    for s in series[1:]:  # the canonical lab and universe lines
+    small_lab = Scenario.lab(SMALL_LAB_VOLUME_M3, SMALL_LAB_DURATION_S)
+    scenarios = [small_lab] + [by_kind[s.kind] for s in series[1:]]
+    assert len(series) == len(scenarios) == 5
+    for s, scenario in zip(series, scenarios):
         for p in s.points:
-            length = length_for_scenario(by_kind[s.kind], LogQuantity(p.log2_neo), fiducial_tables)
+            length = length_for_scenario(scenario, LogQuantity(p.log2_neo), fiducial_tables)
             assert p.length_m == length
             assert p.energy_ev == energy_from_length(length, constants)
 
@@ -240,6 +245,7 @@ def test_unusable_grids_rejected(fiducial_tables, qubit_range, step):
         ((-1e6, 500.0), 1e5, "probed length", "inf"),  # 2.0 ** x raises OverflowError
         ((0.0, 1e300), 1e299, "probed length", "0.0"),
         ((0.0, 4300.0), 100.0, "energy", "inf"),  # a subnormal length
+        ((-4000.0, 450.0), 50.0, "energy", "0.0"),  # hbar c / 1.4e303 m underflows
     ],
 )
 def test_values_outside_double_range_name_series_and_quantity(fiducial_tables, qubit_range, step, quantity, got):

@@ -41,7 +41,7 @@ HIDDEN = {
     Scenario: ("law",),
     UniverseLaws: ("log2_k",),
     LightconeTables: ("log2_k", "x_max", "x_first"),
-    RunConfig: ("params",),
+    RunConfig: ("params", "scenarios"),
 }
 
 
@@ -140,6 +140,7 @@ def test_replace_derives_again(fiducial_tables):
     assert q.t_universe == CosmologyParams.create(70.0, 0.25, 0.75).t_universe != p.t_universe
     assert q.t_lambda == CosmologyParams.create(70.0, 0.25, 0.75).t_lambda != p.t_lambda
     assert RunConfig()._replace(omega_m=0.25, omega_lambda=0.75).params == CosmologyParams.create(70.0, 0.25, 0.75)
+    assert RunConfig()._replace(lab_volume_m3=8.0).scenarios[0] == Scenario.lab(8.0, JULIAN_YEAR_S)
 
     for laws in (universe_laws(p), fiducial_tables):
         doubled = laws._replace(k4u=2.0 * laws.k4u)
