@@ -21,20 +21,28 @@ so a dense figure builds without the cyclic collector scanning hundreds of
 thousands of rows.
 
 CSV schema: header ``series,label,log2_neo,length_m,energy_ev``, UTF-8, LF
-line endings, floats rendered with %.17g. The writer streams one block per
-series into the open file, each block one % format over the interleaved
-columns; the shared log2_neo column is formatted once. JSON mirrors the
-series and annotation structure with identical field names, in
-``json.dumps(doc, indent=2)``'s layout byte for byte, so a write/read round
-trip reproduces every point bit-exactly. json.dumps renders every number (one
-call per column) and string; only the whitespace and punctuation between them
-come from fixed templates.
+line endings, floats rendered with %.17g. JSON mirrors the series and
+annotation structure with identical field names, in ``json.dumps(doc,
+indent=2)``'s layout byte for byte, so a write/read round trip reproduces
+every point bit-exactly. json.dumps renders every number (one call per
+column) and string; only the whitespace and punctuation between them come
+from fixed templates.
+
+The writer streams each series into the open file as blocks of contiguous
+rows, each block one % format over the interleaved columns; a process
+formats the shared log2_neo column's rows once. A large figure's rows are
+split across processes: on Linux, with more than one usable CPU and at least
+twice _ROWS_PER_PROCESS rows in a series, forked children format the blocks
+of each series and send them back over pipes, and the calling process only
+copies them into the file, in file order, so the bytes do not depend on the
+number of CPUs.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 from pathlib import Path
 from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -51,6 +59,11 @@ CSV_HEADER = "series,label,log2_neo,length_m,energy_ev"
 # Largest number of points per series, about twice the 125001 points of the
 # default range at step 0.01.
 MAX_FIGURE_POINTS = 1 << 18
+
+# Fewest rows of a series that one process formats when write_series splits
+# the rows across processes: below about this many, the fork and the pipe
+# cost more than spreading the formatting over the CPUs saves.
+_ROWS_PER_PROCESS = 4096
 
 # Conventions, not computed quantities: the 1 m^3, 1 s small lab, the edges
 # of the RSA-2048 logical-qubit estimate range, and (year, energy in eV,
@@ -279,15 +292,126 @@ def write_series(
     """Write series (and, for JSON, annotations) to a file.
 
     CSV holds the point rows only; its fixed schema has no annotation columns.
-    Both formats are written one series at a time into the open file.
+    Both formats are written one series at a time into the open file, and a
+    large figure's rows are formatted in forked processes (_write_rows), which
+    have all ended when this returns or raises.
     """
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown format {fmt!r}; expected 'csv' or 'json'")
-    with Path(path).open("w", encoding="utf-8", newline="\n") as f:
+    with Path(path).open("wb") as f:
         if fmt == "csv":
-            _write_csv(series, f)
+            f.write(f"{CSV_HEADER}\n".encode())
+            _write_rows(series, f, _csv_blocks(), [("", "")] * len(series))
         else:
             _write_json(series, annotations, f)
+
+
+def _processes(rows: int) -> int:
+    """How many processes format the rows of a figure whose longest series
+    has ``rows`` rows: one per usable CPU (os.sched_getaffinity, which
+    taskset and cpusets narrow), each with at least _ROWS_PER_PROCESS rows of
+    a series. One where the usable CPUs cannot be read (outside Linux), or
+    where the process runs another thread, which may hold a lock that a
+    forked child would inherit held."""
+    processes = rows // _ROWS_PER_PROCESS
+    if processes < 2 or not hasattr(os, "sched_getaffinity") or not _single_threaded():
+        return 1
+    return min(processes, len(os.sched_getaffinity(0)))
+
+
+def _single_threaded() -> bool:
+    """Whether the kernel counts one thread in this process (Linux's /proc);
+    False where the count cannot be read."""
+    try:
+        return len(os.listdir("/proc/self/task")) == 1
+    except OSError:
+        return False
+
+
+def _write_rows(series: Sequence[FigureSeries], f, format_block, frames) -> None:
+    """Write each series' rows between its frame, a (head, tail) pair of
+    strings; ``format_block(s, lo, hi)`` is the text of rows [lo, hi) of s.
+
+    With one process, this process formats each series in one block. With
+    more, the rows of each series are cut into _processes contiguous ranges,
+    a forked child formats each range of every series, in series order, and
+    sends each block length-prefixed over a pipe, and this process copies
+    the blocks into f in file order through one small buffer. It formats
+    nothing itself: a page it wrote while a child shared it would be copied
+    to a new page, and the memory it reads from after the write would lie
+    elsewhere from one call to the next. The bytes do not depend on the
+    number of processes. Every child is reaped before this returns or
+    raises, and one that fails is an OSError.
+    """
+    rows = [len(s.points) for s in series]
+    processes = _processes(max(rows, default=0))
+    cuts = [[n * k // processes for k in range(processes + 1)] for n in rows]
+    children = []  # (pid, the read end of its pipe)
+    try:
+        for k in range(processes if processes > 1 else 0):  # one process forks none
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                code = 1
+                try:
+                    os.close(read_fd)
+                    for _, pipe in children:
+                        pipe.close()
+                    _send(write_fd, (format_block(s, cut[k], cut[k + 1]) for s, cut in zip(series, cuts)))
+                    code = 0
+                finally:
+                    # no atexit handler runs and no inherited buffer is
+                    # flushed; a failure is the exit status alone
+                    os._exit(code)
+            os.close(write_fd)
+            children.append((pid, open(read_fd, "rb")))
+        # made after the forks, so that no child shares its pages; 64 KiB is
+        # what a pipe holds by default
+        buffer = memoryview(bytearray(1 << 16)) if children else None
+        for s, n, (head, tail) in zip(series, rows, frames):
+            f.write(head.encode())
+            if not children:
+                f.write(format_block(s, 0, n).encode())
+            for pid, pipe in children:
+                _copy_block(pid, pipe, f, buffer)
+            f.write(tail.encode())
+    finally:
+        # closed first, so that a child blocked on a full pipe stops (EPIPE)
+        for _, pipe in children:
+            pipe.close()
+        statuses = [(pid, os.waitpid(pid, 0)[1]) for pid, _ in children]
+    for pid, status in statuses:
+        if status:
+            raise OSError(f"figure writer process {pid} exited with status {os.waitstatus_to_exitcode(status)}")
+
+
+def _send(fd: int, blocks) -> None:
+    """Each block, UTF-8 after its length as 8 little-endian bytes, into fd."""
+    with open(fd, "wb") as out:
+        for block in blocks:
+            data = block.encode()
+            out.write(len(data).to_bytes(8, "little"))
+            out.write(data)
+
+
+def _copy_block(pid: int, pipe, f, buffer: memoryview) -> None:
+    """Copy the next block that ``_send`` wrote into the pipe of child pid
+    to f, a buffer at a time."""
+    head = pipe.read(8)
+    left = int.from_bytes(head, "little")
+    while len(head) == 8 and left:
+        got = pipe.readinto(buffer[: min(left, len(buffer))])
+        if not got:
+            break
+        f.write(buffer[:got])
+        left -= got
+    if len(head) != 8 or left:
+        raise OSError(f"figure writer process {pid} ended before sending its rows")
 
 
 def _interleave(*columns: Sequence) -> tuple:
@@ -298,37 +422,60 @@ def _interleave(*columns: Sequence) -> tuple:
     return tuple(flat)
 
 
-def _write_csv(series: Sequence[FigureSeries], f) -> None:
-    f.write(CSV_HEADER + "\n")
+def _csv_blocks():
+    """A format_block for CSV rows. The %.17g text of a log2_neo range is
+    made once for the series that share the column (one tuple)."""
     neo, neo_text = None, None
-    for s in series:
+
+    def block(s: FigureSeries, lo: int, hi: int) -> str:
+        nonlocal neo, neo_text
+        if lo == hi:
+            return ""
         points = s.points
-        if not points:
-            continue
-        if points.log2_neo != neo:  # the series of one figure share the column
+        if points.log2_neo is not neo:
             neo = points.log2_neo
-            neo_text = ("\n".join(["%.17g"] * len(neo)) % neo).split("\n")
+            neo_text = ("\n".join(["%.17g"] * (hi - lo)) % neo[lo:hi]).split("\n")
         # doubling % keeps a % in the kind or label literal
         row = f"{s.kind.value},{s.label},".replace("%", "%%") + "%s,%.17g,%.17g\n"
-        f.write(row * len(points) % _interleave(neo_text, points.length_m, points.energy_ev))
+        return row * (hi - lo) % _interleave(neo_text, points.length_m[lo:hi], points.energy_ev[lo:hi])
+
+    return block
+
+
+def _json_blocks():
+    """A format_block for the points of JSON's "points" lists, in the
+    layout of _JSON_POINT. json.dumps renders the numbers, one C-encoder
+    call per column range; a log2_neo range is rendered once for the series
+    that share the column (one tuple)."""
+    neo, neo_numbers = None, None
+
+    def numbers(column: tuple) -> List[str]:
+        return json.dumps(column)[1:-1].split(", ")
+
+    def block(s: FigureSeries, lo: int, hi: int) -> str:
+        nonlocal neo, neo_numbers
+        if lo == hi:
+            return ""
+        points = s.points
+        if points.log2_neo is not neo:
+            neo = points.log2_neo
+            neo_numbers = numbers(neo[lo:hi])
+        values = _interleave(neo_numbers, numbers(points.length_m[lo:hi]), numbers(points.energy_ev[lo:hi]))
+        # a block after the list's first point continues the list
+        return (",\n" if lo else "") + ",\n".join([_JSON_POINT] * (hi - lo)) % values
+
+    return block
 
 
 def _write_json(series: Sequence[FigureSeries], annotations: Sequence[Annotation], f) -> None:
-    f.write('{\n  "series": [')
+    f.write(b'{\n  "series": [')
+    frames = []
     for i, s in enumerate(series):
-        f.write(",\n" if i else "\n")
-        f.write(_JSON_SERIES % (json.dumps(s.label), json.dumps(s.kind.value), json.dumps(s.style_hint)))
-        points = s.points
-        if not points:
-            f.write("[]\n    }")
-            continue
-        # one C-encoder call per column: "[x0, x1, ...]" split into its numbers
-        numbers = [
-            json.dumps(column)[1:-1].split(", ")
-            for column in (points.log2_neo, points.length_m, points.energy_ev)
-        ]
-        body = ",\n".join([_JSON_POINT] * len(points)) % _interleave(*numbers)
-        f.write("[\n" + body + "\n      ]\n    }")
+        head = (",\n" if i else "\n") + _JSON_SERIES % (
+            json.dumps(s.label), json.dumps(s.kind.value), json.dumps(s.style_hint)
+        )
+        frames.append((head + "[\n", "\n      ]\n    }") if s.points else (head + "[]\n    }", ""))
+    _write_rows(series, f, _json_blocks(), frames)
     marks = [
         {"label": a.label, "note": a.note, "log2_neo": a.log2_neo, "energy_ev": a.energy_ev}
         for a in annotations
@@ -336,7 +483,7 @@ def _write_json(series: Sequence[FigureSeries], annotations: Sequence[Annotation
     close = "\n  ]" if series else "]"
     # a JSON string holds no raw newline, so this indents every line one level
     marks_text = json.dumps(marks, indent=2).replace("\n", "\n  ")
-    f.write(f'{close},\n  "annotations": {marks_text}\n}}\n')
+    f.write(f'{close},\n  "annotations": {marks_text}\n}}\n'.encode())
 
 
 def read_series_json(path: Union[str, Path]) -> Tuple[List[FigureSeries], List[Annotation]]:

@@ -1,6 +1,7 @@
 """A figure series keeps its points as three columns behind a read-only
 sequence view, and the writers give the same bytes as the row-by-row writer
-they replaced, which is kept below as the reference."""
+they replaced, which is kept below as the reference, however many processes
+format the rows."""
 
 import copy
 import json
@@ -11,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from crdbounds import figure
 from crdbounds.bounds import ScenarioKind
 from crdbounds.errors import ConfigurationError
 from crdbounds.figure import (
@@ -25,6 +27,13 @@ from crdbounds.figure import (
     read_series_json,
     write_series,
 )
+
+
+# The byte checks below force the writer to fork. numpy's BLAS threads make
+# this test process multi-threaded, where Python 3.12+ warns at every fork
+# (the writer's own choice never forks there; test_write_processes.py checks
+# that, and that its forks in a one-thread process warn of nothing).
+pytestmark = pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
 
 
 def reference_write_series(series, annotations, path, fmt="csv"):
@@ -185,14 +194,21 @@ def test_series_of_one_figure_share_one_log2_neo_tuple(fiducial_tables, constant
 
 
 def _assert_same_bytes(tmp_path, series, annotations):
+    """The reference's bytes, from the writer's own choice of process count
+    and with the rows forced onto 1, 2 and 3 processes."""
     for fmt in ("csv", "json"):
         got, want = tmp_path / f"got.{fmt}", tmp_path / f"want.{fmt}"
-        write_series(series, annotations, got, fmt)
         reference_write_series(series, annotations, want, fmt)
+        write_series(series, annotations, got, fmt)
         assert got.read_bytes() == want.read_bytes(), fmt
+        for processes in (1, 2, 3):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(figure, "_processes", lambda rows: processes)
+                write_series(series, annotations, got, fmt)
+            assert got.read_bytes() == want.read_bytes(), (fmt, processes)
 
 
-@pytest.mark.parametrize("step", [1.0, 0.37])
+@pytest.mark.parametrize("step", [1.0, 0.37, 0.05])
 def test_fiducial_figure_bytes(tmp_path, fiducial_tables, constants, step):
     _assert_same_bytes(tmp_path, *build_figure((450.0, 1700.0), step, fiducial_tables, constants))
 
@@ -210,6 +226,31 @@ def test_series_without_points_bytes(tmp_path):
     annotations = [Annotation(label="x", note="y", energy_ev=3.0)]
     _assert_same_bytes(tmp_path, [_series(points=())], annotations)
     _assert_same_bytes(tmp_path, [_series(points=()), _series(), _series(points=())], annotations)
+    _assert_same_bytes(tmp_path, [_series(), _series(points=()), _series(label="t")], annotations)
+
+
+def _rows(n, start=0.0):
+    return [(start + i, 1.0 / (i + 1), 1e12 * (i + 1) / 3) for i in range(n)]
+
+
+def test_odd_and_unequal_row_counts_bytes(tmp_path):
+    # fewer rows than processes, one row each, and counts no process count divides
+    counts = (1, 2, 5, 7, 0, 3, 11)
+    series = [_series(label=f"n{n}", points=_rows(n, start=n)) for n in counts]
+    _assert_same_bytes(tmp_path, series, [])
+    _assert_same_bytes(tmp_path, [_series(points=_rows(1))], [])
+
+
+def test_equal_but_distinct_log2_neo_columns_bytes(tmp_path):
+    # equal columns that are two tuples are two columns: -0.0 == 0.0 and
+    # 1 == 1.0, yet %.17g writes -0 and 0, and json.dumps 1 and 1.0
+    length, energy = (1.0, 2.0, 3.0), (4.0, 5.0, 6.0)
+    series = [
+        _series(label="a", points=SeriesPoints((0.0, 1.0, 2.5), length, energy)),
+        _series(label="b", points=SeriesPoints((-0.0, 1, 2.5), length, energy)),
+    ]
+    assert series[0].points.log2_neo == series[1].points.log2_neo
+    _assert_same_bytes(tmp_path, series, [])
 
 
 def test_awkward_label_bytes(tmp_path):
